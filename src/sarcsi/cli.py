@@ -42,8 +42,19 @@ from .params import (
     make_params,
     observable,
 )
-from .scene import build_scenes, generate_scene, merge_scenes, parse_scene_config
-from .simulator import azimuth_power_spectrum, azimuth_spectrum_csv, synth_spectrum
+from .scene import (
+    SceneConfig,
+    build_scenes,
+    generate_scene,
+    merge_scenes,
+    parse_scene_config,
+)
+from .simulator import (
+    azimuth_power_spectrum,
+    azimuth_spectrum_csv,
+    check_grid_size,
+    synth_spectrum,
+)
 
 # Calculation defaults: X-band spaceborne case, 0.1 m resolution both axes.
 DEFAULT_FC = 9.6e9       # [Hz]
@@ -112,6 +123,19 @@ def _radar_with_overrides(base: RadarParams, args: argparse.Namespace) -> RadarP
         rho_r=args.rho_r if args.rho_r is not None else rho_r,
         f_dc=args.fdc if args.fdc is not None else base.f_dc,
     )
+
+
+def _grid(cfg: SceneConfig, args: argparse.Namespace) -> tuple[int, int]:
+    # Flags beat config values; either way the sizes are checked here, before
+    # any work, so a bad size is a usage error and not a library ValueError.
+    na = args.na if args.na is not None else cfg.na
+    nr = args.nr if args.nr is not None else cfg.nr
+    try:
+        check_grid_size(na, "na")
+        check_grid_size(nr, "nr")
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return na, nr
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -187,8 +211,7 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_scene_config(args.scene)
     p = _radar_with_overrides(cfg.radar, args)
-    na = args.na if args.na is not None else cfg.na
-    nr = args.nr if args.nr is not None else cfg.nr
+    na, nr = _grid(cfg, args)
     try:
         scene = merge_scenes(build_scenes(cfg))
         g = synth_spectrum(scene, p, na, nr)
@@ -272,8 +295,7 @@ def _predictions_for_target(target: dict, p: RadarParams, m_range) -> list:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = parse_scene_config(args.scene)
     p = _radar_with_overrides(cfg.radar, args)
-    na = args.na if args.na is not None else cfg.na
-    nr = args.nr if args.nr is not None else cfg.nr
+    na, nr = _grid(cfg, args)
     m_range = _parse_orders(args.orders)
     if args.tol_bins <= 0:
         raise ConfigError(f"--tol-bins must be positive, got {args.tol_bins}")

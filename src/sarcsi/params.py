@@ -61,6 +61,10 @@ def make_params(
     B_r = c / (2 rho_r).  rho_a and rho_r are the azimuth and slant-range
     resolutions [m].
     """
+    values = {"f_c": f_c, "V": V, "rho_a": rho_a, "rho_r": rho_r, "f_dc": f_dc}
+    bad = [f"{k}={v}" for k, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise ParameterError(f"parameters must be finite, got {', '.join(bad)}")
     if f_c <= 0 or V <= 0 or rho_a <= 0 or rho_r <= 0:
         raise ParameterError(
             "f_c, V, rho_a, rho_r must all be positive, got "

@@ -284,9 +284,17 @@ def _number(obj: dict, key: str, where: str, positive: bool = False) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: field {key!r} must be a number, got {v!r}")
+    # float() of an int beyond the double range raises; NaN and infinities
+    # pass every comparison below, so both are rejected here.
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: field {key!r} must be finite, got {obj[key]!r}")
     if positive and v <= 0:
         raise ConfigError(f"{where}: field {key!r} must be positive, got {v!r}")
-    return float(v)
+    return v
 
 
 def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +12,24 @@ import sarcsi as s
 from sarcsi.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run `python -m sarcsi` in a child process; returns (code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, "-m", "sarcsi", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
 
 
 def scene_file(tmp_path, targets, rho_r=1.0, na=256, nr=8):
@@ -270,6 +285,35 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--scene", str(scene),
                            "--tol-bins", "0")
         assert code == 2
+
+
+class TestRejectedInput:
+    """Bad values exit 2 with a one-line error, never a traceback or garbage."""
+
+    def test_nan_radar_flag(self, tmp_path):
+        scene = scene_file(tmp_path, [LINE2])
+        code, err = run_process("simulate", "--scene", str(scene),
+                                "--out-prefix", str(tmp_path / "x"),
+                                "--fc", "nan")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not list(tmp_path.glob("x_*"))
+
+    def test_nan_in_config(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(scene_file(tmp_path, [LINE2]).read_text()
+                        .replace("9600000000.0", "NaN"))
+        assert "NaN" in path.read_text()
+        code, err = run_process("simulate", "--scene", str(path),
+                                "--out-prefix", str(tmp_path / "x"))
+        assert code == 2
+        assert "fc_hz" in err and "Traceback" not in err
+
+    def test_bad_grid_size_flag(self, tmp_path):
+        scene = scene_file(tmp_path, [LINE2])
+        code, err = run_process("analyze", "--scene", str(scene), "--na", "100")
+        assert code == 2
+        assert "na must be a power of two" in err and "Traceback" not in err
 
 
 def test_module_entry_point():

@@ -27,6 +27,15 @@ def test_nonpositive_rejected(field):
         s.make_params(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["f_c", "V", "rho_a", "rho_r", "f_dc"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(field, value):
+    kwargs = dict(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1, f_dc=0.0)
+    kwargs[field] = value
+    with pytest.raises(ParameterError, match="finite"):
+        s.make_params(**kwargs)
+
+
 def test_azimuth_band_beyond_doppler_limit_rejected():
     # rho_a below lam/2 would ask for more Doppler band than 2V/lam exists
     with pytest.raises(ParameterError):

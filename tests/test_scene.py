@@ -165,6 +165,9 @@ def test_missing_file(tmp_path):
         (lambda o: o["targets"][1].update(n=True), "'n' must be an integer"),
         (lambda o: o["targets"][0].update(theta_az_deg=90.0), "theta_az_deg"),
         (lambda o: o["targets"][0].update(length_m=-1.0), "must be positive"),
+        (lambda o: o["radar"].update(fc_hz=float("nan")), "'fc_hz' must be finite"),
+        (lambda o: o["targets"][0].update(length_m=float("inf")), "'length_m' must be finite"),
+        (lambda o: o["targets"][0].update(theta_az_deg=10**400), "'theta_az_deg' must be finite"),
     ],
 )
 def test_schema_violations_name_the_field(tmp_path, mutate, message):

@@ -1,16 +1,47 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import find_peaks
 
 import sarcsi as s
+from sarcsi import simulator as sim
 from sarcsi.errors import AliasingError, DopplerRangeError
 from sarcsi.simulator import azimuth_spectrum_csv, peak_indices
+
+# Bound on max|dG| / max|G| between any synthesis path and the direct sum.
+ERROR_BUDGET = 1e-10
 
 
 def point(x=0.0, y=0.0, amp=1.0):
     return s.Scene(x=np.array([x]), y=np.array([y]), amp=np.array([amp]),
                    label="pt")
+
+
+def reference_spectrum(scene, p, na, nr):
+    """Unchunked direct sum of every phasor, written out from the model."""
+    f_a = p.f_dc - p.B_a / 2 + np.arange(na) * (p.B_a / na)
+    f_r = -p.B_r / 2 + np.arange(nr) * (p.B_r / nr)
+    carrier = p.f_c * np.cos(np.arcsin(p.lam * f_a / (2 * p.V)))
+    u, v = scene.x / p.V, 2 * scene.y / s.C
+    az = np.exp(-2j * np.pi * (np.outer(f_a, u) + np.outer(carrier, v)))
+    rg = np.exp(-2j * np.pi * np.outer(v, f_r))
+    return (az * scene.amp) @ rg
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def only_path(taken):
+    """Context that fails the test if synth_spectrum takes the other path."""
+    other = "_direct_sum" if taken == "closed" else "_closed_form"
+    return mock.patch.object(
+        sim, other, side_effect=AssertionError(f"{other} was called")
+    )
 
 
 def test_point_at_origin_is_flat(xband):
@@ -142,6 +173,122 @@ def test_peak_indices_handles_endpoints():
     assert list(peak_indices(v, 2.0)) == [0, 3, 6]
     assert list(peak_indices(v, 4.0)) == [0, 6]
     assert list(peak_indices(np.zeros(4), 1.0)) == []
+    assert list(peak_indices(np.zeros(4), 0.0)) == [1]
+    assert list(peak_indices(np.array([]), 0.0)) == []
+    assert list(peak_indices([7.0], 0.0)) == [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(0, 4).map(float), max_size=40),
+    min_height=st.integers(-1, 5).map(float),
+)
+def test_peak_indices_matches_find_peaks(values, min_height):
+    # small integer levels make plateaus common; a flat top is reported at
+    # its middle sample, rounded down, as scipy.signal.find_peaks does
+    padded = np.concatenate(([-np.inf], values, [-np.inf]))
+    want, _ = find_peaks(padded, height=min_height)
+    assert list(peak_indices(np.array(values), min_height)) == list(want - 1)
+
+
+def collinear_run(kind, n, step, angle_deg, offset, amp):
+    """n equal-amplitude samples of one collinear target kind, off-centre."""
+    th = math.radians(angle_deg)
+    if kind == "line":
+        sc = s.line_scene(th, (n - 1) * step, step, amp)
+    elif kind == "array":
+        sc = s.array_scene(th, step, n, amp)
+    else:
+        o = s.Orientation3D(theta_h=th, theta_v=th / 2, theta_inc=math.radians(40.0))
+        sc = s.segment3d_scene(o, (n - 1) * step, step, amp)
+    assert sc.n == n
+    return s.Scene(x=sc.x + offset[0], y=sc.y + offset[1], amp=sc.amp)
+
+
+# An array whose m = -1 and m = 0 orders fall exactly on bins 0 and na/2:
+# every quantity below is a power of two times a small integer, so the
+# phase step f_a * du is an exact integer there and r = 0 on those bins.
+ON_BIN = dict(params=(9.6e9, 4096.0, 0.125, 1.0), na=1024, d_x=0.25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["line", "array", "segment3d"]),
+    n=st.integers(sim.CLOSED_FORM_MIN_N, 400),
+    step=st.floats(0.005, 0.05),
+    angle_deg=st.floats(-30.0, 30.0),
+    offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    amp=st.floats(0.1, 3.0),
+    nr=st.sampled_from([16, 32]),
+)
+@example(kind="on_bin", n=256, step=0.0, angle_deg=0.0, offset=(0.0, 0.0),
+         amp=1.0, nr=16)
+@example(kind="on_bin", n=257, step=0.0, angle_deg=0.0, offset=(0.0, 0.0),
+         amp=1.0, nr=16)
+def test_closed_form_matches_direct_sum(
+    arr_params, kind, n, step, angle_deg, offset, amp, nr
+):
+    if kind == "on_bin":
+        p = s.make_params(*ON_BIN["params"])
+        na = ON_BIN["na"]
+        sc = s.array_scene(0.0, ON_BIN["d_x"], n, amp)
+    else:
+        p, na = arr_params, 512
+        sc = collinear_run(kind, n, step, angle_deg, offset, amp)
+    with only_path("closed"):
+        g = s.synth_spectrum(sc, p, na=na, nr=nr).data
+    assert relative_error(g, reference_spectrum(sc, p, na, nr)) <= ERROR_BUDGET
+    if kind == "on_bin":
+        # the limit of the Dirichlet ratio, with (-1)^(m (n-1)) at m = -1
+        sign = -1.0 if n % 2 == 0 else 1.0
+        assert np.allclose(g[0], sign * n * amp, rtol=0, atol=1e-9)
+        assert np.allclose(g[na // 2], n * amp, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["jittered", "graded_amp", "below_min_n", "arc"])
+def test_other_scenes_take_the_direct_sum(arr_params, case):
+    rng = np.random.default_rng(7)
+    sc = collinear_run("line", 300, 0.01, 2.0, (0.3, -0.2), 1.0)
+    if case == "jittered":
+        sc = s.Scene(x=sc.x + rng.normal(0.0, 1e-6, sc.n), y=sc.y, amp=sc.amp)
+    elif case == "graded_amp":
+        sc = s.Scene(x=sc.x, y=sc.y, amp=np.linspace(1.0, 1.5, sc.n))
+    elif case == "below_min_n":
+        sc = collinear_run("array", sim.CLOSED_FORM_MIN_N - 1, 0.02, 20.0,
+                           (0.0, 0.0), 1.0)
+    else:
+        sc = s.arc_scene(40.0, math.radians(-2.0), math.radians(2.0), 0.01)
+    with only_path("direct"):
+        g = s.synth_spectrum(sc, arr_params, na=256, nr=16).data
+    assert relative_error(g, reference_spectrum(sc, arr_params, 256, 16)) <= 1e-12
+
+
+def test_chunked_sum_spans_chunks(xband):
+    # 1031 is prime; at 4096 rows a chunk holds 2^21 / 4096 = 512
+    # scatterers, so the sum runs over chunks of 512, 512 and 7
+    na, n = 4096, 1031
+    assert 2 * (sim.CHUNK_SAMPLES // na) < n
+    rng = np.random.default_rng(3)
+    sc = s.Scene(x=rng.uniform(-10.0, 10.0, n), y=rng.uniform(-0.3, 0.3, n),
+                 amp=rng.uniform(0.5, 2.0, n))
+    with only_path("direct"):
+        g = s.synth_spectrum(sc, xband, na=na, nr=8).data
+    assert relative_error(g, reference_spectrum(sc, xband, na, 8)) <= 1e-12
+
+
+def test_closed_form_memory_is_independent_of_n(arr_params):
+    # 60 m line, 7686 scatterers; summed term by term it would need 32 MiB
+    # phase blocks even in chunks, the closed form only a few na x nr arrays
+    na, nr = 2048, 64
+    sc = s.line_scene(math.radians(1.0), 60.0, arr_params.lam / 4)
+    assert sc.n == 7686
+    tracemalloc.start()
+    try:
+        s.synth_spectrum(sc, arr_params, na=na, nr=nr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * na * nr * 16
 
 
 class TestDirichletOracle:
