@@ -4,17 +4,16 @@ Linear and periodic targets concentrate their backscatter at specific squint
 angles, which a SAR acquisition observes as Doppler frequencies; rendering
 Doppler sub-bands as red, green, and blue turns that dispersion into colour.
 This package carries the closed-form model (orders, 3D projection, hue
-rules), a signal-level spectrum simulator with focusing and oracles, the
-RGB composition step, and inversion from colour back to orientation.
+rules), a signal-level spectrum simulator with focusing, the RGB
+composition step, and inversion from colour back to orientation.
 """
 
 from .analysis import (
     VerificationReport,
-    doppler_centroid,
     estimate_orientation_map,
     verify_scene_against_model,
 )
-from .csi import RGBImage, SubBandSpec, band_specs, compose_rgb, encode_ppm, split_subbands
+from .csi import RGBImage, compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
     ChartData,
     DiffractionSolution,
@@ -27,7 +26,6 @@ from .dispersion import (
     effective_squint_3d,
     high_order_squint,
     invert_orientation_from_doppler,
-    is_green_condition,
     orders_in_window,
     zero_order_squint,
 )
@@ -65,13 +63,8 @@ from .simulator import (
     ComplexImage,
     SpectrumGrid,
     azimuth_power_spectrum,
-    dirichlet_peaks_oracle,
     focus_image,
-    load_grid,
-    render_psf,
-    save_grid,
     synth_spectrum,
-    zero_order_peak_oracle,
 )
 
 __version__ = "0.1.0"
@@ -95,21 +88,17 @@ __all__ = [
     "Scene",
     "SceneConfig",
     "SpectrumGrid",
-    "SubBandSpec",
     "VerificationReport",
     "arc_scene",
     "array_scene",
     "azimuth_power_spectrum",
-    "band_specs",
     "build_scenes",
     "catenary_scene",
     "chart_data",
     "chart_to_csv",
     "classify_hue",
     "compose_rgb",
-    "doppler_centroid",
     "doppler_from_squint",
-    "dirichlet_peaks_oracle",
     "effective_squint_3d",
     "encode_ppm",
     "estimate_orientation_map",
@@ -117,22 +106,17 @@ __all__ = [
     "generate_scene",
     "high_order_squint",
     "invert_orientation_from_doppler",
-    "is_green_condition",
     "line_scene",
-    "load_grid",
     "make_params",
     "merge_scenes",
     "observable",
     "orders_in_window",
     "parse_scene_config",
     "project_segment_3d",
-    "render_psf",
-    "save_grid",
     "segment3d_scene",
     "split_subbands",
     "squint_from_doppler",
     "synth_spectrum",
     "verify_scene_against_model",
-    "zero_order_peak_oracle",
     "zero_order_squint",
 ]

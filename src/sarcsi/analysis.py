@@ -162,14 +162,6 @@ def report_to_json(report: VerificationReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def doppler_centroid(f_a: np.ndarray, power: np.ndarray) -> float:
-    """Power-weighted mean Doppler of a full azimuth spectrum [Hz]."""
-    total = float(np.sum(power))
-    if total <= 0:
-        raise ValueError("spectrum carries no power")
-    return float(np.sum(f_a * power) / total)
-
-
 def estimate_orientation_map(
     r: np.ndarray,
     g: np.ndarray,
@@ -181,8 +173,9 @@ def estimate_orientation_map(
 
     Only the three band energies survive in a CSI product, so the Doppler
     estimate is the coarse band centroid: f_hat = sum(center_b E_b) / sum(E_b)
-    with band centres at f_dc and f_dc -/+ B_a/3.  Pixels whose total energy
-    is at or below noise_floor times the strongest pixel are masked out.
+    with each band centred between its RadarParams.band_edges, at f_dc and
+    f_dc -/+ B_a/3.  Pixels whose total energy is at or below noise_floor
+    times the strongest pixel are masked out.
     Returns (theta_az [rad] with NaN where masked, mask).
     """
     if not (r.shape == g.shape == b.shape):
@@ -190,7 +183,8 @@ def estimate_orientation_map(
     e = np.stack([np.abs(r) ** 2, np.abs(g) ** 2, np.abs(b) ** 2])
     total = e.sum(axis=0)
     mask = total > noise_floor * total.max() if total.size else total.astype(bool)
-    centers = np.array([p.f_dc - p.B_a / 3, p.f_dc, p.f_dc + p.B_a / 3])
+    edges = p.band_edges
+    centers = np.array([(lo + hi) / 2 for lo, hi in zip(edges, edges[1:])])
     theta = np.full(r.shape, np.nan)
     if mask.any():
         f_hat = np.einsum("b,bij->ij", centers, e)[mask] / total[mask]

@@ -20,7 +20,6 @@ import numpy as np
 from .analysis import merge_reports, report_to_json, verify_scene_against_model
 from .csi import NORM_MODES, compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
-    DiffractionSolution,
     GratingTarget,
     Orientation3D,
     chart_data,
@@ -43,6 +42,7 @@ from .params import (
     observable,
 )
 from .scene import (
+    KINDS,
     SceneConfig,
     build_scenes,
     generate_scene,
@@ -57,11 +57,7 @@ from .simulator import (
 )
 
 # Calculation defaults: X-band spaceborne case, 0.1 m resolution both axes.
-DEFAULT_FC = 9.6e9       # [Hz]
-DEFAULT_V = 7600.0       # [m/s]
-DEFAULT_RHO_A = 0.1      # [m]
-DEFAULT_RHO_R = 0.1      # [m]
-DEFAULT_FDC = 0.0        # [Hz]
+DEFAULT_RADAR = make_params(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1)
 DEFAULT_DX = 0.05        # [m]
 
 _ORDERS_RE = re.compile(r"(-?\d+):(-?\d+)")
@@ -75,6 +71,23 @@ def _parse_orders(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ConfigError(f"--orders range {text!r} is empty (need a <= b)")
     return lo, hi
+
+
+def _finite(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
+class _Parser(argparse.ArgumentParser):
+    # Usage errors start with "error:" like every other error of the CLI.
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
 def _glue_orders(argv: list[str]) -> list[str]:
@@ -92,28 +105,17 @@ def _glue_orders(argv: list[str]) -> list[str]:
     return out
 
 
-def _add_radar_flags(sp: argparse.ArgumentParser, with_defaults: bool) -> None:
-    d = {
-        "fc": DEFAULT_FC,
-        "v": DEFAULT_V,
-        "rho_a": DEFAULT_RHO_A,
-        "rho_r": DEFAULT_RHO_R,
-        "fdc": DEFAULT_FDC,
-    }
-    get = d.get if with_defaults else (lambda k: None)
-    sp.add_argument("--fc", type=float, default=get("fc"), help="carrier frequency [Hz]")
-    sp.add_argument("--v", type=float, default=get("v"), help="platform speed [m/s]")
-    sp.add_argument("--rho-a", type=float, default=get("rho_a"), help="azimuth resolution [m]")
-    sp.add_argument("--rho-r", type=float, default=get("rho_r"), help="range resolution [m]")
-    sp.add_argument("--fdc", type=float, default=get("fdc"), help="Doppler centroid [Hz]")
+def _add_radar_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--fc", type=_finite, help="carrier frequency [Hz]")
+    sp.add_argument("--v", type=_finite, help="platform speed [m/s]")
+    sp.add_argument("--rho-a", type=_finite, help="azimuth resolution [m]")
+    sp.add_argument("--rho-r", type=_finite, help="range resolution [m]")
+    sp.add_argument("--fdc", type=_finite, help="Doppler centroid [Hz]")
 
 
-def _radar_from_flags(args: argparse.Namespace) -> RadarParams:
-    return make_params(args.fc, args.v, args.rho_a, args.rho_r, args.fdc)
-
-
-def _radar_with_overrides(base: RadarParams, args: argparse.Namespace) -> RadarParams:
-    # Flags beat config values; resolutions come back out of the bandwidths.
+def _radar(args: argparse.Namespace, base: RadarParams = DEFAULT_RADAR) -> RadarParams:
+    # Flags beat config (or default) values; resolutions come back out of the
+    # bandwidths, exactly for the defaults.
     rho_a = base.V / base.B_a
     rho_r = C / (2 * base.B_r)
     return make_params(
@@ -127,14 +129,11 @@ def _radar_with_overrides(base: RadarParams, args: argparse.Namespace) -> RadarP
 
 def _grid(cfg: SceneConfig, args: argparse.Namespace) -> tuple[int, int]:
     # Flags beat config values; either way the sizes are checked here, before
-    # any work, so a bad size is a usage error and not a library ValueError.
+    # any work.
     na = args.na if args.na is not None else cfg.na
     nr = args.nr if args.nr is not None else cfg.nr
-    try:
-        check_grid_size(na, "na")
-        check_grid_size(nr, "nr")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    check_grid_size(na, "na")
+    check_grid_size(nr, "nr")
     return na, nr
 
 
@@ -146,11 +145,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    p = _radar_from_flags(args)
-    try:
-        target = GratingTarget(theta_az=math.radians(args.theta_az), d_x=args.dx)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    p = _radar(args)
+    target = GratingTarget(theta_az=math.radians(args.theta_az), d_x=args.dx)
     sols = orders_in_window(target, p, _parse_orders(args.orders))
     if not sols:
         raise EvanescentOrderError(
@@ -167,15 +163,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict3d(args: argparse.Namespace) -> int:
-    p = _radar_from_flags(args)
-    try:
-        o = Orientation3D(
-            theta_h=math.radians(args.theta_h),
-            theta_v=math.radians(args.theta_v),
-            theta_inc=math.radians(args.theta_inc),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    p = _radar(args)
+    o = Orientation3D(
+        theta_h=math.radians(args.theta_h),
+        theta_v=math.radians(args.theta_v),
+        theta_inc=math.radians(args.theta_inc),
+    )
     theta_sq = effective_squint_3d(o)
     f_d = doppler_from_squint(p, theta_sq)
     row = (
@@ -187,7 +180,7 @@ def _cmd_predict3d(args: argparse.Namespace) -> int:
 
 
 def _cmd_chart(args: argparse.Namespace) -> int:
-    p = _radar_from_flags(args)
+    p = _radar(args)
     lo, hi = _parse_orders(args.orders)
     if args.sq_step <= 0:
         raise ConfigError(f"--sq-step must be positive, got {args.sq_step}")
@@ -199,8 +192,6 @@ def _cmd_chart(args: argparse.Namespace) -> int:
     grid_deg = np.linspace(args.sq_min, args.sq_min + steps * args.sq_step, steps + 1)
     if grid_deg[-1] > args.sq_max + 1e-12:
         grid_deg = grid_deg[:-1]
-    if args.dx <= 0:
-        raise ConfigError(f"--dx must be positive, got {args.dx}")
     chart = chart_data(
         p, args.dx, list(range(lo, hi + 1)), [math.radians(v) for v in grid_deg]
     )
@@ -210,13 +201,9 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_scene_config(args.scene)
-    p = _radar_with_overrides(cfg.radar, args)
+    p = _radar(args, cfg.radar)
     na, nr = _grid(cfg, args)
-    try:
-        scene = merge_scenes(build_scenes(cfg))
-        g = synth_spectrum(scene, p, na, nr)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    g = synth_spectrum(merge_scenes(build_scenes(cfg)), p, na, nr)
     red, green, blue = split_subbands(g)
     rgb = compose_rgb(
         np.abs(red.data), np.abs(green.data), np.abs(blue.data), norm=args.norm
@@ -260,48 +247,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predictions_for_target(target: dict, p: RadarParams, m_range) -> list:
-    kind = target["kind"]
-    if kind == "line":
-        t = GratingTarget(theta_az=math.radians(target["theta_az_deg"]))
-        return orders_in_window(t, p, m_range)
-    if kind == "array":
-        t = GratingTarget(
-            theta_az=math.radians(target["theta_az_deg"]), d_x=target["dx_m"]
-        )
-        return orders_in_window(t, p, m_range)
-    if kind == "segment3d":
-        o = Orientation3D(
-            theta_h=math.radians(target["theta_h_deg"]),
-            theta_v=math.radians(target["theta_v_deg"]),
-            theta_inc=math.radians(target["theta_inc_deg"]),
-        )
-        theta_sq = effective_squint_3d(o)
-        f_d = doppler_from_squint(p, theta_sq)
-        return [
-            DiffractionSolution(
-                m=0,
-                theta_sq=theta_sq,
-                f_d=f_d,
-                observable=observable(p, f_d),
-                hue=classify_hue(p, f_d),
-            )
-        ]
-    raise ConfigError(
-        f"analyze supports line, array, and segment3d targets, not {kind!r}"
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = parse_scene_config(args.scene)
-    p = _radar_with_overrides(cfg.radar, args)
+    p = _radar(args, cfg.radar)
     na, nr = _grid(cfg, args)
     m_range = _parse_orders(args.orders)
     if args.tol_bins <= 0:
         raise ConfigError(f"--tol-bins must be positive, got {args.tol_bins}")
     reports = []
     for target in cfg.targets:
-        predictions = _predictions_for_target(target, p, m_range)
+        grating = KINDS[target["kind"]].grating
+        if grating is None:
+            supported = ", ".join(k for k, kind in KINDS.items() if kind.grating)
+            raise ConfigError(
+                f"analyze supports {supported} targets, not {target['kind']!r}"
+            )
+        predictions = orders_in_window(grating(target), p, m_range)
         if not predictions:
             raise EvanescentOrderError(
                 f"target {target['label']!r} has no propagating order in {args.orders}"
@@ -317,7 +278,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sarcsi",
         description="Geometric-dispersion SAR toolkit: predict diffraction "
         "orders, simulate spectra, compose colorized sub-aperture images.",
@@ -325,30 +286,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("predict", help="diffraction-order table for an in-plane target")
-    sp.add_argument("--theta-az", type=float, required=True, help="orientation [deg]")
-    sp.add_argument("--dx", type=float, default=None,
+    sp.add_argument("--theta-az", type=_finite, required=True, help="orientation [deg]")
+    sp.add_argument("--dx", type=_finite, default=None,
                     help="azimuth period [m]; omit for a continuous target")
     sp.add_argument("--orders", default="-2:2", help="inclusive order range a:b")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    _add_radar_flags(sp, with_defaults=True)
+    _add_radar_flags(sp)
     sp.set_defaults(func=_cmd_predict)
 
     sp = sub.add_parser("predict3d", help="projected response of a 3D linear target")
-    sp.add_argument("--theta-h", type=float, required=True, help="horizontal angle [deg]")
-    sp.add_argument("--theta-v", type=float, required=True, help="vertical angle [deg]")
-    sp.add_argument("--theta-inc", type=float, required=True, help="incidence angle [deg]")
+    sp.add_argument("--theta-h", type=_finite, required=True, help="horizontal angle [deg]")
+    sp.add_argument("--theta-v", type=_finite, required=True, help="vertical angle [deg]")
+    sp.add_argument("--theta-inc", type=_finite, required=True, help="incidence angle [deg]")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    _add_radar_flags(sp, with_defaults=True)
+    _add_radar_flags(sp)
     sp.set_defaults(func=_cmd_predict3d)
 
     sp = sub.add_parser("chart", help="orientation-vs-squint interpretation chart")
-    sp.add_argument("--dx", type=float, default=DEFAULT_DX, help="azimuth period [m]")
+    sp.add_argument("--dx", type=_finite, default=DEFAULT_DX, help="azimuth period [m]")
     sp.add_argument("--orders", default="-1:1", help="inclusive order range a:b")
-    sp.add_argument("--sq-min", type=float, default=-6.0, help="squint grid start [deg]")
-    sp.add_argument("--sq-max", type=float, default=6.0, help="squint grid end [deg]")
-    sp.add_argument("--sq-step", type=float, default=0.25, help="squint grid step [deg]")
+    sp.add_argument("--sq-min", type=_finite, default=-6.0, help="squint grid start [deg]")
+    sp.add_argument("--sq-max", type=_finite, default=6.0, help="squint grid end [deg]")
+    sp.add_argument("--sq-step", type=_finite, default=0.25, help="squint grid step [deg]")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    _add_radar_flags(sp, with_defaults=True)
+    _add_radar_flags(sp)
     sp.set_defaults(func=_cmd_chart)
 
     sp = sub.add_parser("simulate", help="synthesize a scene and write its CSI product")
@@ -358,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nr", type=int, default=None, help="range grid size")
     sp.add_argument("--norm", choices=NORM_MODES, default="linear",
                     help="RGB normalization rule")
-    _add_radar_flags(sp, with_defaults=False)
+    _add_radar_flags(sp)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("analyze", help="verify simulated peaks against the model")
     sp.add_argument("--scene", required=True, help="scene config JSON path")
     sp.add_argument("--orders", default="-2:2", help="inclusive order range a:b")
-    sp.add_argument("--tol-bins", type=float, default=2.0, help="match tolerance [bins]")
+    sp.add_argument("--tol-bins", type=_finite, default=2.0, help="match tolerance [bins]")
     sp.add_argument("--na", type=int, default=None, help="azimuth grid size")
     sp.add_argument("--nr", type=int, default=None, help="range grid size")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    _add_radar_flags(sp, with_defaults=False)
+    _add_radar_flags(sp)
     sp.set_defaults(func=_cmd_analyze)
     return parser
 
@@ -378,7 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_glue_orders(argv))
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
+        # Library functions raise ValueError on bad arguments; from the
+        # command line those are usage errors.
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (EvanescentOrderError, DopplerRangeError) as e:

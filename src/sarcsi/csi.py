@@ -1,9 +1,10 @@
 """Colorized sub-aperture composition: three Doppler bands become R, G, B.
 
-The azimuth spectrum is cut into three equal-width bands, low to high
-Doppler mapping to red, green, blue.  Each band is focused on its own and
-the three magnitudes are composed into one 8-bit image, so a target's
-colour encodes where its energy sits in Doppler, hence its orientation.
+The azimuth spectrum is cut into the three equal thirds of the Doppler
+window that classify_hue names, low to high Doppler mapping to red, green,
+blue.  Each band is focused on its own and the three magnitudes are composed
+into one 8-bit image, so a target's colour encodes where its energy sits in
+Doppler, hence its orientation.
 """
 
 from __future__ import annotations
@@ -12,25 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import Hue
 from .simulator import ComplexImage, SpectrumGrid, focus_image
 
 NORM_MODES = ("linear", "clip_p999")
-
-
-@dataclass(frozen=True)
-class SubBandSpec:
-    """One colour band: a contiguous chunk [f_lo, f_hi) of the Doppler window."""
-
-    band: Hue
-    f_lo: float      # [Hz]
-    f_hi: float      # [Hz]
-
-    def __post_init__(self) -> None:
-        if not self.f_lo < self.f_hi:
-            raise ValueError("band needs f_lo < f_hi")
-        if self.band not in (Hue.RED, Hue.GREEN, Hue.BLUE):
-            raise ValueError(f"not a colour band: {self.band}")
 
 
 @dataclass(frozen=True)
@@ -48,34 +33,25 @@ class RGBImage:
             raise ValueError("pixels must be uint8")
 
 
-def band_specs(f_dc: float, b_a: float) -> tuple[SubBandSpec, SubBandSpec, SubBandSpec]:
-    """The three equal thirds of [f_dc - B_a/2, f_dc + B_a/2], low to high."""
-    edges = [f_dc - b_a / 2 + k * b_a / 3 for k in range(4)]
-    return (
-        SubBandSpec(Hue.RED, edges[0], edges[1]),
-        SubBandSpec(Hue.GREEN, edges[1], edges[2]),
-        SubBandSpec(Hue.BLUE, edges[2], edges[3]),
-    )
-
-
 def split_subbands(
     g: SpectrumGrid,
 ) -> tuple[ComplexImage, ComplexImage, ComplexImage]:
-    """Focus each Doppler third of the spectrum separately.
+    """Focus each colour band of the spectrum separately.
 
-    Band edges snap to bin boundaries by flooring the edge's bin index, so
-    every azimuth bin lands in exactly one band and the three band energies
-    add up to the full-grid energy (disjoint masks plus a unitary DFT).
-    Returns (red, green, blue) complex images.
+    Every azimuth bin goes to the band RadarParams.band_index gives its
+    Doppler f_a, the rule classify_hue applies, so the colour a frequency is
+    predicted in is the colour it is rendered in.  Each bin lands in exactly
+    one band, so the three band energies add up to the full-grid energy
+    (disjoint masks plus a unitary DFT).  Returns (red, green, blue) complex
+    images.
     """
-    na = g.data.shape[0]
-    if na < 3:
+    if g.data.shape[0] < 3:
         raise ValueError("need at least 3 azimuth bins to split into bands")
-    cuts = (0, na // 3, (2 * na) // 3, na)
+    band = g.params.band_index(g.f_a)
     out = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for b in range(3):
         masked = np.zeros_like(g.data)
-        masked[lo:hi, :] = g.data[lo:hi, :]
+        np.copyto(masked, g.data, where=(band == b)[:, None])
         out.append(focus_image(SpectrumGrid(masked, g.f_a, g.f_r, g.params)))
     return out[0], out[1], out[2]
 

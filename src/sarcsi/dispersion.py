@@ -110,21 +110,11 @@ def high_order_squint(t: GratingTarget, m: int, lam: float) -> float:
 
 
 def classify_hue(p: RadarParams, f_d: float) -> Hue:
-    """Colour class of f_d under the equal-thirds band convention.
-
-    The observable window splits into three equal bands: red is the low
-    third [f_dc - B_a/2, f_dc - B_a/6), green the middle third (closed both
-    sides), blue the high third (f_dc + B_a/6, f_dc + B_a/2].  Everything
-    outside the window is OUT_OF_WINDOW.
-    """
+    """Colour class of f_d: the band RadarParams.band_index gives it inside
+    the observable window, OUT_OF_WINDOW outside it."""
     if not observable(p, f_d):
         return Hue.OUT_OF_WINDOW
-    third = p.B_a / 6
-    if f_d < p.f_dc - third:
-        return Hue.RED
-    if f_d > p.f_dc + third:
-        return Hue.BLUE
-    return Hue.GREEN
+    return (Hue.RED, Hue.GREEN, Hue.BLUE)[p.band_index(f_d)]
 
 
 def orders_in_window(
@@ -174,11 +164,6 @@ def effective_squint_3d(o: Orientation3D) -> float:
         math.tan(o.theta_inc) * math.tan(o.theta_h) + math.tan(o.theta_v)
     )
     return math.atan(rhs)
-
-
-def is_green_condition(o: Orientation3D, tol: float) -> bool:
-    """True when the projected response sits at zero squint to within tol [rad]."""
-    return abs(effective_squint_3d(o)) <= tol
 
 
 def invert_orientation_from_doppler(p: RadarParams, f_d: float) -> float:
@@ -241,13 +226,11 @@ def chart_data(
             rows.append((theta, min(az), max(az)))
         regions[m] = rows
 
-    lo, hi = p.doppler_window
-    third = p.B_a / 6
     return ChartData(
         zero_order_curve=curve,
         order_regions=regions,
-        window=(lo, hi),
-        band_edges=(lo, p.f_dc - third, p.f_dc + third, hi),
+        window=p.doppler_window,
+        band_edges=p.band_edges,
     )
 
 

@@ -47,6 +47,22 @@ class RadarParams:
         """Observable Doppler interval [f_dc - B_a/2, f_dc + B_a/2] in Hz."""
         return (self.f_dc - self.B_a / 2, self.f_dc + self.B_a / 2)
 
+    @property
+    def band_edges(self) -> tuple[float, float, float, float]:
+        """The window cut into equal red, green, blue thirds: four edges [Hz], ascending."""
+        lo, hi = self.doppler_window
+        return (lo, self.f_dc - self.B_a / 6, self.f_dc + self.B_a / 6, hi)
+
+    def band_index(self, f_d):
+        """Band of a Doppler in the window, elementwise: 0 red, 1 green, 2 blue.
+
+        Red is [lo, e1), green [e1, e2] closed, blue (e2, hi]: the one band
+        rule, which hue classification and sub-band splitting both apply.
+        """
+        _, e1, e2, _ = self.band_edges
+        # "* 1" so numpy adds the two boolean arrays instead of OR-ing them
+        return (f_d >= e1) * 1 + (f_d > e2)
+
 
 def make_params(
     f_c: float,

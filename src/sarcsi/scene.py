@@ -9,17 +9,20 @@ reflectors in the simulated spectrum.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dispersion import Orientation3D
+from .dispersion import GratingTarget, Orientation3D, effective_squint_3d
 from .errors import ConfigError
 from .params import RadarParams, make_params
+
+_rad = math.radians
 
 
 @dataclass(frozen=True)
@@ -83,13 +86,6 @@ def line_scene(
         y=t * math.sin(theta_az),
         amp=np.full(t.size, amp),
         label=label,
-        config={
-            "kind": "line",
-            "theta_az_deg": math.degrees(theta_az),
-            "length_m": length,
-            "spacing_m": spacing,
-            "amp": amp,
-        },
     )
 
 
@@ -116,13 +112,6 @@ def array_scene(
         y=x * math.tan(theta_az),
         amp=np.full(n, amp),
         label=label,
-        config={
-            "kind": "array",
-            "theta_az_deg": math.degrees(theta_az),
-            "dx_m": d_x,
-            "n": n,
-            "amp": amp,
-        },
     )
 
 
@@ -152,14 +141,6 @@ def arc_scene(
         y=-radius * (np.cos(theta) - math.cos(theta_c)),
         amp=np.full(theta.size, amp),
         label=label,
-        config={
-            "kind": "arc",
-            "radius_m": radius,
-            "tan_lo_deg": math.degrees(tan_lo),
-            "tan_hi_deg": math.degrees(tan_hi),
-            "spacing_m": spacing,
-            "amp": amp,
-        },
     )
 
 
@@ -191,15 +172,6 @@ def catenary_scene(
         y=y,
         amp=np.full(u.size, amp),
         label=label,
-        config={
-            "kind": "catenary",
-            "a_m": a,
-            "half_span_m": half_span,
-            "theta_inc_deg": math.degrees(theta_inc),
-            "theta_h_deg": math.degrees(theta_h),
-            "spacing_m": spacing,
-            "amp": amp,
-        },
     )
 
 
@@ -239,35 +211,7 @@ def segment3d_scene(
         y=y,
         amp=np.full(t.size, amp),
         label=label,
-        config={
-            "kind": "segment3d",
-            "theta_h_deg": math.degrees(o.theta_h),
-            "theta_v_deg": math.degrees(o.theta_v),
-            "theta_inc_deg": math.degrees(o.theta_inc),
-            "length_m": length,
-            "spacing_m": spacing,
-            "amp": amp,
-        },
     )
-
-
-# Field tables for the JSON target schema.  Everything not listed here is an
-# error: silent extra keys usually mean a typo in a hand-written config.
-_REQUIRED = {
-    "line": ("theta_az_deg", "length_m"),
-    "array": ("theta_az_deg", "dx_m", "n"),
-    "arc": ("radius_m", "tan_lo_deg", "tan_hi_deg"),
-    "catenary": ("a_m", "half_span_m", "theta_inc_deg"),
-    "segment3d": ("theta_h_deg", "theta_v_deg", "theta_inc_deg", "length_m"),
-}
-_OPTIONAL = {
-    "line": ("spacing_m",),
-    "array": (),
-    "arc": ("spacing_m",),
-    "catenary": ("spacing_m", "theta_h_deg"),
-    "segment3d": ("spacing_m",),
-}
-_COMMON_OPTIONAL = ("amp", "label")
 
 
 @dataclass(frozen=True)
@@ -298,59 +242,166 @@ def _number(obj: dict, key: str, where: str, positive: bool = False) -> float:
 
 
 def _check_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
+    # Silent extra keys usually mean a typo in a hand-written config.
     for k in obj:
         if k not in allowed:
             raise ConfigError(f"{where}: unknown field {k!r}")
+
+
+# Field checks of the config schema: check(obj, key, where) returns the
+# validated value of obj[key] or raises ConfigError.
+Check = Callable[[dict, str, str], object]
+
+
+def _fields(obj: object, required: dict[str, Check], optional: dict[str, Check],
+            where: str) -> dict:
+    """A copy of the object obj with every field checked, in table order."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    checks = {**required, **optional}
+    _check_keys(obj, tuple(checks), where)
+    for k in required:
+        if k not in obj:
+            raise ConfigError(f"{where}: missing field {k!r}")
+    out = dict(obj)
+    for k, check in checks.items():
+        if k in out:
+            out[k] = check(out, k, where)
+    return out
+
+
+_positive = functools.partial(_number, positive=True)
+
+
+def _inside(lo: float, hi: float) -> Check:
+    """Check for a number strictly inside (lo, hi)."""
+
+    def check(t: dict, key: str, where: str) -> float:
+        v = _number(t, key, where)
+        if not lo < v < hi:
+            raise ConfigError(f"{where}: field {key!r} must lie in ({lo}, {hi})")
+        return v
+
+    return check
+
+
+_angle = _inside(-90, 90)
+_incidence = _inside(0, 90)
+
+
+def _angle_above(lower: str) -> Check:
+    """Check for an angle that must also exceed the already checked `lower`."""
+
+    def check(t: dict, key: str, where: str) -> float:
+        v = _angle(t, key, where)
+        if not t[lower] < v:
+            raise ConfigError(f"{where}: need {lower} < {key}")
+        return v
+
+    return check
+
+
+def _integer(t: dict, key: str, where: str) -> int:
+    v = t[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: field {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _count(t: dict, key: str, where: str) -> int:
+    v = _integer(t, key, where)
+    if v < 2:
+        raise ConfigError(f"{where}: field {key!r} must be at least 2, got {v!r}")
+    return v
+
+
+def _label(t: dict, key: str, where: str) -> str:
+    if not isinstance(t[key], str):
+        raise ConfigError(f"{where}: field {key!r} must be a string")
+    return t[key]
+
+
+@dataclass(frozen=True)
+class TargetKind:
+    """One target kind: its config fields, its builder and its analytic model.
+
+    required, optional: field name -> check, applied in this order.
+    build(target, spacing, amp, label) -> Scene, degrees turned to radians.
+    grating(target) -> GratingTarget, the model `analyze` checks the kind
+    against; None for kinds with no single closed-form prediction per order.
+    """
+
+    required: dict[str, Check]
+    optional: dict[str, Check]
+    build: Callable[[dict, float, float, str], Scene]
+    grating: Callable[[dict], GratingTarget] | None = None
+
+
+def _orientation_3d(t: dict) -> Orientation3D:
+    return Orientation3D(*(_rad(t[k]) for k in ("theta_h_deg", "theta_v_deg", "theta_inc_deg")))
+
+
+# The kind table, the one place that knows each kind's fields.  In build,
+# *common is (spacing, amp, label).
+KINDS: dict[str, TargetKind] = {
+    "line": TargetKind(
+        required={"theta_az_deg": _angle, "length_m": _positive},
+        optional={"spacing_m": _positive},
+        build=lambda t, *common: line_scene(_rad(t["theta_az_deg"]), t["length_m"], *common),
+        grating=lambda t: GratingTarget(_rad(t["theta_az_deg"])),
+    ),
+    "array": TargetKind(
+        required={"theta_az_deg": _angle, "dx_m": _positive, "n": _count},
+        optional={},
+        build=lambda t, _spacing, *common: array_scene(
+            _rad(t["theta_az_deg"]), t["dx_m"], t["n"], *common
+        ),
+        grating=lambda t: GratingTarget(_rad(t["theta_az_deg"]), t["dx_m"]),
+    ),
+    "arc": TargetKind(
+        required={"radius_m": _positive, "tan_lo_deg": _angle,
+                  "tan_hi_deg": _angle_above("tan_lo_deg")},
+        optional={"spacing_m": _positive},
+        build=lambda t, *common: arc_scene(
+            t["radius_m"], _rad(t["tan_lo_deg"]), _rad(t["tan_hi_deg"]), *common
+        ),
+    ),
+    "catenary": TargetKind(
+        required={"a_m": _positive, "half_span_m": _positive, "theta_inc_deg": _incidence},
+        optional={"spacing_m": _positive, "theta_h_deg": _angle},
+        build=lambda t, *common: catenary_scene(
+            t["a_m"], t["half_span_m"], _rad(t["theta_inc_deg"]),
+            _rad(t.get("theta_h_deg", 0.0)), *common,
+        ),
+    ),
+    # A straight 3-D segment responds like a line at the projected
+    # orientation theta_az = -theta_sq of its effective squint.
+    "segment3d": TargetKind(
+        required={"theta_h_deg": _angle, "theta_v_deg": _angle,
+                  "theta_inc_deg": _incidence, "length_m": _positive},
+        optional={"spacing_m": _positive},
+        build=lambda t, *common: segment3d_scene(_orientation_3d(t), t["length_m"], *common),
+        grating=lambda t: GratingTarget(-effective_squint_3d(_orientation_3d(t))),
+    ),
+}
+# Fields every target may carry; "kind" is checked against KINDS first.
+_COMMON = {"kind": lambda t, key, where: t[key], "amp": _positive, "label": _label}
+_RADAR = {"fc_hz": _positive, "v_mps": _positive, "rho_a_m": _positive, "rho_r_m": _positive}
+_GRID = {"na": _integer, "nr": _integer}
 
 
 def _validate_target(t: object, i: int) -> dict:
     where = f"targets[{i}]"
     if not isinstance(t, dict):
         raise ConfigError(f"{where}: expected an object")
-    kind = t.get("kind")
-    if kind not in _REQUIRED:
+    name = t.get("kind")
+    if not isinstance(name, str) or name not in KINDS:
         raise ConfigError(
-            f"{where}: field 'kind' must be one of {sorted(_REQUIRED)}, got {kind!r}"
+            f"{where}: field 'kind' must be one of {sorted(KINDS)}, got {name!r}"
         )
-    required = _REQUIRED[kind]
-    allowed = ("kind",) + required + _OPTIONAL[kind] + _COMMON_OPTIONAL
-    _check_keys(t, allowed, where)
-    for k in required:
-        if k not in t:
-            raise ConfigError(f"{where}: {kind} target is missing field {k!r}")
-
-    out = dict(t)
-    # Numeric checks, per field semantics.
-    half_open = {"theta_az_deg": 90.0, "theta_h_deg": 90.0, "theta_v_deg": 90.0}
-    for k, lim in half_open.items():
-        if k in out:
-            v = _number(out, k, where)
-            if not abs(v) < lim:
-                raise ConfigError(f"{where}: field {k!r} must satisfy |value| < {lim}")
-            out[k] = v
-    for k in ("length_m", "dx_m", "radius_m", "a_m", "half_span_m", "spacing_m", "amp"):
-        if k in out:
-            out[k] = _number(out, k, where, positive=True)
-    if "n" in out:
-        v = out["n"]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-            raise ConfigError(f"{where}: field 'n' must be an integer >= 2, got {v!r}")
-    if "theta_inc_deg" in out:
-        v = _number(out, "theta_inc_deg", where)
-        if not 0 < v < 90:
-            raise ConfigError(f"{where}: field 'theta_inc_deg' must lie in (0, 90)")
-        out["theta_inc_deg"] = v
-    if kind == "arc":
-        lo = _number(out, "tan_lo_deg", where)
-        hi = _number(out, "tan_hi_deg", where)
-        if not (abs(lo) < 90 and abs(hi) < 90):
-            raise ConfigError(f"{where}: tangent angles must satisfy |value| < 90")
-        if not lo < hi:
-            raise ConfigError(f"{where}: need tan_lo_deg < tan_hi_deg")
-        out["tan_lo_deg"], out["tan_hi_deg"] = lo, hi
-    if "label" in out and not isinstance(out["label"], str):
-        raise ConfigError(f"{where}: field 'label' must be a string")
-    out.setdefault("label", f"{kind}_{i}")
+    kind = KINDS[name]
+    out = _fields(t, kind.required, {**kind.optional, **_COMMON}, where)
+    out.setdefault("label", f"{name}_{i}")
     out.setdefault("amp", 1.0)
     return out
 
@@ -360,39 +411,15 @@ def scene_config_from_dict(obj: object) -> SceneConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
     _check_keys(obj, ("radar", "grid", "targets"), "config")
-    if "radar" not in obj or not isinstance(obj["radar"], dict):
-        raise ConfigError("config: field 'radar' must be an object")
-    radar = obj["radar"]
-    _check_keys(radar, ("fc_hz", "v_mps", "rho_a_m", "rho_r_m", "fdc_hz"), "radar")
-    for k in ("fc_hz", "v_mps", "rho_a_m", "rho_r_m"):
-        if k not in radar:
-            raise ConfigError(f"radar: missing field {k!r}")
-    params = make_params(
-        f_c=_number(radar, "fc_hz", "radar", positive=True),
-        V=_number(radar, "v_mps", "radar", positive=True),
-        rho_a=_number(radar, "rho_a_m", "radar", positive=True),
-        rho_r=_number(radar, "rho_r_m", "radar", positive=True),
-        f_dc=_number(radar, "fdc_hz", "radar") if "fdc_hz" in radar else 0.0,
-    )
-
-    na, nr = 2048, 256
-    if "grid" in obj:
-        grid = obj["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("config: field 'grid' must be an object")
-        _check_keys(grid, ("na", "nr"), "grid")
-        for k in ("na", "nr"):
-            if k not in grid:
-                raise ConfigError(f"grid: missing field {k!r}")
-            v = grid[k]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"grid: field {k!r} must be an integer, got {v!r}")
-        na, nr = grid["na"], grid["nr"]
-
-    if "targets" not in obj or not isinstance(obj["targets"], list) or not obj["targets"]:
+    radar = _fields(obj.get("radar"), _RADAR, {"fdc_hz": _number}, "radar")
+    params = make_params(radar["fc_hz"], radar["v_mps"], radar["rho_a_m"],
+                         radar["rho_r_m"], radar.get("fdc_hz", 0.0))
+    grid = _fields(obj.get("grid", {"na": 2048, "nr": 256}), _GRID, {}, "grid")
+    targets = obj.get("targets")
+    if not isinstance(targets, list) or not targets:
         raise ConfigError("config: field 'targets' must be a non-empty array")
-    targets = [_validate_target(t, i) for i, t in enumerate(obj["targets"])]
-    return SceneConfig(radar=params, na=na, nr=nr, targets=targets)
+    targets = [_validate_target(t, i) for i, t in enumerate(targets)]
+    return SceneConfig(radar=params, na=grid["na"], nr=grid["nr"], targets=targets)
 
 
 def parse_scene_config(path: str | Path) -> SceneConfig:
@@ -414,50 +441,18 @@ def parse_scene_config(path: str | Path) -> SceneConfig:
 def generate_scene(target: dict, lam: float) -> Scene:
     """Build the scatterer cloud for one validated target description.
 
-    Degree-valued config fields become radians here; the default sample
-    spacing is a quarter wavelength so curved shapes stay effectively
-    continuous for the radar.
+    Degree-valued config fields become radians in the kind table; the
+    default sample spacing is a quarter wavelength so curved shapes stay
+    effectively continuous for the radar.  The target itself becomes the
+    scene's config.
     """
-    rad = math.radians
-    kind = target["kind"]
-    spacing = target.get("spacing_m", lam / 4)
-    amp = target.get("amp", 1.0)
-    label = target.get("label", kind)
-    if kind == "line":
-        return line_scene(
-            rad(target["theta_az_deg"]), target["length_m"], spacing, amp, label
-        )
-    if kind == "array":
-        return array_scene(
-            rad(target["theta_az_deg"]), target["dx_m"], target["n"], amp, label
-        )
-    if kind == "arc":
-        return arc_scene(
-            target["radius_m"],
-            rad(target["tan_lo_deg"]),
-            rad(target["tan_hi_deg"]),
-            spacing,
-            amp,
-            label,
-        )
-    if kind == "catenary":
-        return catenary_scene(
-            target["a_m"],
-            target["half_span_m"],
-            rad(target["theta_inc_deg"]),
-            rad(target.get("theta_h_deg", 0.0)),
-            spacing,
-            amp,
-            label,
-        )
-    if kind == "segment3d":
-        o = Orientation3D(
-            theta_h=rad(target["theta_h_deg"]),
-            theta_v=rad(target["theta_v_deg"]),
-            theta_inc=rad(target["theta_inc_deg"]),
-        )
-        return segment3d_scene(o, target["length_m"], spacing, amp, label)
-    raise ConfigError(f"unknown target kind {kind!r}")
+    scene = KINDS[target["kind"]].build(
+        target,
+        target.get("spacing_m", lam / 4),
+        target.get("amp", 1.0),
+        target.get("label", target["kind"]),
+    )
+    return replace(scene, config=target)
 
 
 def build_scenes(cfg: SceneConfig) -> list[Scene]:

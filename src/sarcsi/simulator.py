@@ -1,4 +1,4 @@
-"""Signal-level spectrum synthesis, focusing, PSF rendering, and peak oracles.
+"""Signal-level spectrum synthesis, focusing, azimuth marginal and peak finding.
 
 The observed 2D spectrum of a scatterer cloud is modelled sample by sample:
 
@@ -16,20 +16,19 @@ samples themselves.  A uniformly sampled collinear run of equal amplitudes
 closed form as its array factor; every other cloud is summed term by term in
 chunks of scatterers under a fixed memory block.  Either path stays within
 max|dG| / max|G| <= 1e-10 of the plain direct sum, which the tests keep as
-the reference.
+the reference.  The independent peak oracles and the ideal point response
+that the simulator is checked against live with the tests, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import AliasingError, DopplerRangeError
-from .params import C, RadarParams, doppler_from_squint
+from .params import C, RadarParams
 from .scene import Scene
 
 # Scatterer count from which a uniform collinear run is summed in closed form.
@@ -261,26 +260,6 @@ def focus_image(g: SpectrumGrid) -> ComplexImage:
     )
 
 
-def render_psf(p: RadarParams, theta_sq: float, na: int, nr: int) -> ComplexImage:
-    """Focused response of an ideal point seen at squint theta_sq.
-
-    Both sinc envelopes shrink their effective bandwidth by cos(theta_sq),
-    and the carrier rides at (f_c cos(theta_sq), f_d).  Peak magnitude is 1
-    at the grid origin.
-    """
-    if not abs(theta_sq) < math.pi / 2:
-        raise ValueError("squint must satisfy |theta_sq| < 90 deg")
-    co = math.cos(theta_sq)
-    f_d = doppler_from_squint(p, theta_sq)
-    t_a = _time_axis(na, p.B_a)
-    t_r = _time_axis(nr, p.B_r)
-    env = np.outer(np.sinc(t_a * p.B_a * co), np.sinc(t_r * p.B_r * co))
-    carrier = np.exp(
-        2j * np.pi * (f_d * t_a[:, None] + p.f_c * co * t_r[None, :])
-    )
-    return ComplexImage(data=env * carrier, t_a=t_a, t_r=t_r, params=p)
-
-
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:
     """Range-marginal power per Doppler bin: P[k] = sum_l |G[k, l]|^2."""
     return g.f_a, np.sum(np.abs(g.data) ** 2, axis=1)
@@ -309,133 +288,3 @@ def peak_indices(values: np.ndarray, min_height: float) -> np.ndarray:
     top = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
     mid = (starts[1:-1][top] + ends[1:-1][top]) // 2
     return mid[padded[mid] >= min_height] - 1
-
-
-def dirichlet_peaks_oracle(
-    n_elem: int,
-    d_u: float,
-    K: float,
-    p: RadarParams,
-    f_grid: np.ndarray,
-) -> np.ndarray:
-    """Brute-force array-factor oracle for the diffraction-order frequencies.
-
-    Evaluates |sum_n exp(j2pi (f_d + f_c K cos(theta_sq(f_d))) n d_u)| on
-    f_grid and keeps local maxima at or above half the coherent maximum
-    n_elem, which deterministically rejects sidelobes (largest is about
-    0.217 n_elem).  Every returned frequency makes the interference argument
-    (f_d + f_c K cos theta_sq) d_u lie within 1/n_elem of an integer.
-    """
-    if n_elem < 2:
-        raise ValueError("array factor needs at least 2 elements")
-    if d_u <= 0:
-        raise ValueError(f"element step must be positive, got {d_u}")
-    f = np.asarray(f_grid, dtype=float)
-    phi = (f + p.f_c * K * _cos_squint(p, f)) * d_u    # cycles per element
-    amp = np.abs(np.exp(2j * np.pi * np.outer(phi, np.arange(n_elem))).sum(axis=1))
-    return f[peak_indices(amp, n_elem / 2)]
-
-
-def zero_order_peak_oracle(
-    theta_az: float,
-    p: RadarParams,
-    f_grid: np.ndarray,
-    support_cells: int = 32,
-) -> float:
-    """Time-domain oracle for the zero-order peak of a line at theta_az.
-
-    For each candidate Doppler the line's focused azimuth envelope (the
-    magnitude of the two sinc factors, bandwidths scaled by cos theta) is
-    integrated against the residual carrier f' = f_d + f_c K cos(theta);
-    the integral magnitude is maximal where f' crosses zero.  The u support
-    spans support_cells azimuth resolution cells (at least 20, else the
-    envelope truncation biases the argmax).
-    """
-    if not abs(theta_az) < math.pi / 2:
-        raise ValueError("orientation must satisfy |theta_az| < 90 deg")
-    if support_cells < 20:
-        raise ValueError("need integration support of at least 20 azimuth cells")
-    f = np.asarray(f_grid, dtype=float)
-    K = math.tan(theta_az) * 2 * p.V / C
-    cos_th = _cos_squint(p, f)
-    f_prime = f + p.f_c * K * cos_th
-
-    half = support_cells / 2 / p.B_a
-    u = np.linspace(-half, half, support_cells * 128 + 1)
-    vals = np.empty(f.size)
-    # Chunk the candidate axis: the (chunk, u) intermediates stay ~10 MB.
-    for lo in range(0, f.size, 128):
-        sl = slice(lo, min(lo + 128, f.size))
-        co = cos_th[sl, None]
-        env = np.abs(
-            np.sinc(u[None, :] * p.B_a * co) * np.sinc(u[None, :] * K * p.B_r * co)
-        )
-        phase = np.exp(2j * np.pi * f_prime[sl, None] * u[None, :])
-        vals[sl] = np.abs(np.trapezoid(env * phase, u, axis=1))
-    return float(f[np.argmax(vals)])
-
-
-# --- flat-file persistence -------------------------------------------------
-#
-# <base>.json holds dimensions, axis descriptions, and radar params;
-# <base>.bin holds the samples as little-endian (re, im) float64 pairs,
-# row-major with azimuth as the leading dimension.
-
-def save_grid(obj: SpectrumGrid | ComplexImage, base: str | Path) -> tuple[Path, Path]:
-    """Write a spectrum or image as a JSON header plus raw binary sidecar."""
-    base = Path(base)
-    if isinstance(obj, SpectrumGrid):
-        kind, a_name, r_name = "spectrum", "f_a_hz", "f_r_hz"
-        ax_a, ax_r = obj.f_a, obj.f_r
-    elif isinstance(obj, ComplexImage):
-        kind, a_name, r_name = "image", "t_a_s", "t_r_s"
-        ax_a, ax_r = obj.t_a, obj.t_r
-    else:
-        raise TypeError(f"cannot persist {type(obj).__name__}")
-    na, nr = obj.data.shape
-    p = obj.params
-    header = {
-        "kind": kind,
-        "na": na,
-        "nr": nr,
-        "axis_a": {"name": a_name, "start": float(ax_a[0]), "step": float(ax_a[1] - ax_a[0])},
-        "axis_r": {"name": r_name, "start": float(ax_r[0]), "step": float(ax_r[1] - ax_r[0])},
-        "params": {
-            "fc_hz": p.f_c,
-            "v_mps": p.V,
-            "ba_hz": p.B_a,
-            "br_hz": p.B_r,
-            "fdc_hz": p.f_dc,
-        },
-    }
-    json_path = base.with_suffix(".json")
-    bin_path = base.with_suffix(".bin")
-    json_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    bin_path.write_bytes(np.ascontiguousarray(obj.data, dtype="<c16").tobytes())
-    return json_path, bin_path
-
-
-def load_grid(base: str | Path) -> SpectrumGrid | ComplexImage:
-    """Read back a grid written by save_grid; exact to the bit."""
-    base = Path(base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    na, nr = header["na"], header["nr"]
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16")
-    if raw.size != na * nr:
-        raise ValueError(
-            f"sidecar holds {raw.size} samples, header says {na}x{nr}"
-        )
-    data = raw.reshape(na, nr).copy()
-    pr = header["params"]
-    p = RadarParams(
-        f_c=pr["fc_hz"], V=pr["v_mps"], B_a=pr["ba_hz"], B_r=pr["br_hz"], f_dc=pr["fdc_hz"]
-    )
-    axes = []
-    for key, n in (("axis_a", na), ("axis_r", nr)):
-        ax = header[key]
-        axes.append(ax["start"] + np.arange(n) * ax["step"])
-    if header["kind"] == "spectrum":
-        return SpectrumGrid(data=data, f_a=axes[0], f_r=axes[1], params=p)
-    if header["kind"] == "image":
-        return ComplexImage(data=data, t_a=axes[0], t_r=axes[1], params=p)
-    raise ValueError(f"unknown grid kind {header['kind']!r}")

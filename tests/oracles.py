@@ -1,0 +1,99 @@
+"""Independent references for the simulator: peak oracles and the ideal PSF.
+
+These compute the same physics as the simulator by other routes (the array
+factor sampled on a frequency grid, a time-domain integral over the line's
+focused envelope, the closed-form point response), so tests and acceptance
+criteria C3 and C8 can check the simulator against them.  They are test
+code, not part of the sarcsi library.
+"""
+
+import math
+
+import numpy as np
+
+from sarcsi.params import C, RadarParams, doppler_from_squint
+from sarcsi.simulator import ComplexImage, _cos_squint, _time_axis, peak_indices
+
+
+def render_psf(p: RadarParams, theta_sq: float, na: int, nr: int) -> ComplexImage:
+    """Focused response of an ideal point seen at squint theta_sq.
+
+    Both sinc envelopes shrink their effective bandwidth by cos(theta_sq),
+    and the carrier rides at (f_c cos(theta_sq), f_d).  Peak magnitude is 1
+    at the grid origin.
+    """
+    if not abs(theta_sq) < math.pi / 2:
+        raise ValueError("squint must satisfy |theta_sq| < 90 deg")
+    co = math.cos(theta_sq)
+    f_d = doppler_from_squint(p, theta_sq)
+    t_a = _time_axis(na, p.B_a)
+    t_r = _time_axis(nr, p.B_r)
+    env = np.outer(np.sinc(t_a * p.B_a * co), np.sinc(t_r * p.B_r * co))
+    carrier = np.exp(
+        2j * np.pi * (f_d * t_a[:, None] + p.f_c * co * t_r[None, :])
+    )
+    return ComplexImage(data=env * carrier, t_a=t_a, t_r=t_r, params=p)
+
+
+def dirichlet_peaks_oracle(
+    n_elem: int,
+    d_u: float,
+    K: float,
+    p: RadarParams,
+    f_grid: np.ndarray,
+) -> np.ndarray:
+    """Brute-force array-factor oracle for the diffraction-order frequencies.
+
+    Evaluates |sum_n exp(j2pi (f_d + f_c K cos(theta_sq(f_d))) n d_u)| on
+    f_grid and keeps local maxima at or above half the coherent maximum
+    n_elem, which deterministically rejects sidelobes (largest is about
+    0.217 n_elem).  Every returned frequency makes the interference argument
+    (f_d + f_c K cos theta_sq) d_u lie within 1/n_elem of an integer.
+    """
+    if n_elem < 2:
+        raise ValueError("array factor needs at least 2 elements")
+    if d_u <= 0:
+        raise ValueError(f"element step must be positive, got {d_u}")
+    f = np.asarray(f_grid, dtype=float)
+    phi = (f + p.f_c * K * _cos_squint(p, f)) * d_u    # cycles per element
+    amp = np.abs(np.exp(2j * np.pi * np.outer(phi, np.arange(n_elem))).sum(axis=1))
+    return f[peak_indices(amp, n_elem / 2)]
+
+
+def zero_order_peak_oracle(
+    theta_az: float,
+    p: RadarParams,
+    f_grid: np.ndarray,
+    support_cells: int = 32,
+) -> float:
+    """Time-domain oracle for the zero-order peak of a line at theta_az.
+
+    For each candidate Doppler the line's focused azimuth envelope (the
+    magnitude of the two sinc factors, bandwidths scaled by cos theta) is
+    integrated against the residual carrier f' = f_d + f_c K cos(theta);
+    the integral magnitude is maximal where f' crosses zero.  The u support
+    spans support_cells azimuth resolution cells (at least 20, else the
+    envelope truncation biases the argmax).
+    """
+    if not abs(theta_az) < math.pi / 2:
+        raise ValueError("orientation must satisfy |theta_az| < 90 deg")
+    if support_cells < 20:
+        raise ValueError("need integration support of at least 20 azimuth cells")
+    f = np.asarray(f_grid, dtype=float)
+    K = math.tan(theta_az) * 2 * p.V / C
+    cos_th = _cos_squint(p, f)
+    f_prime = f + p.f_c * K * cos_th
+
+    half = support_cells / 2 / p.B_a
+    u = np.linspace(-half, half, support_cells * 128 + 1)
+    vals = np.empty(f.size)
+    # Chunk the candidate axis: the (chunk, u) intermediates stay ~10 MB.
+    for lo in range(0, f.size, 128):
+        sl = slice(lo, min(lo + 128, f.size))
+        co = cos_th[sl, None]
+        env = np.abs(
+            np.sinc(u[None, :] * p.B_a * co) * np.sinc(u[None, :] * K * p.B_r * co)
+        )
+        phase = np.exp(2j * np.pi * f_prime[sl, None] * u[None, :])
+        vals[sl] = np.abs(np.trapezoid(env * phase, u, axis=1))
+    return float(f[np.argmax(vals)])

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import sarcsi as s
 from sarcsi.analysis import detect_peaks
 
@@ -101,7 +102,7 @@ def test_c3_triple_oracle(xband, arr_params, bin_hz):
         f_sim = marginal_argmax(
             s.line_scene(math.radians(deg), 1.0, xband.lam / 4), xband, 2048, 256
         )
-        f_orc = s.zero_order_peak_oracle(math.radians(deg), xband, f_grid)
+        f_orc = oracles.zero_order_peak_oracle(math.radians(deg), xband, f_grid)
         f_law = law_fd(xband, deg)
         assert abs(f_sim - f_orc) <= bin_hz, f"line {deg} deg: sim vs oracle"
         assert abs(f_sim - f_law) <= bin_hz, f"line {deg} deg: sim vs law"
@@ -116,8 +117,8 @@ def test_c3_triple_oracle(xband, arr_params, bin_hz):
         if not sols:
             continue
         K = math.tan(math.radians(deg)) * 2.0 * arr_params.V / s.C
-        f_orc = s.dirichlet_peaks_oracle(n, dx / arr_params.V, K, arr_params,
-                                         f_grid)
+        f_orc = oracles.dirichlet_peaks_oracle(n, dx / arr_params.V, K,
+                                               arr_params, f_grid)
         sc = s.array_scene(math.radians(deg), dx, n)
         g = s.synth_spectrum(sc, arr_params, 2048, 256)
         f_a, power = s.azimuth_power_spectrum(g)
@@ -130,7 +131,7 @@ def test_c3_triple_oracle(xband, arr_params, bin_hz):
         # broadside cells carry only m = 0, where the array is a sampled
         # line and the time-domain oracle applies as well
         if deg == 0:
-            f_zero = s.zero_order_peak_oracle(0.0, arr_params, f_grid)
+            f_zero = oracles.zero_order_peak_oracle(0.0, arr_params, f_grid)
             assert abs(f_zero - detected[0][0]) <= bin_hz, cell
 
 
@@ -251,7 +252,7 @@ def test_c8_conservation_and_psf(xband):
 
     # first azimuth null of the squinted PSF at 1 / (B_a cos theta)
     for deg in (0, 30, 60):
-        psf = s.render_psf(xband, math.radians(deg), 256, 16)
+        psf = oracles.render_psf(xband, math.radians(deg), 256, 16)
         row = psf.data[:, 8]
         f_d = s.doppler_from_squint(xband, math.radians(deg))
         env = np.real(row * np.exp(-2j * np.pi * f_d * psf.t_a))

@@ -116,14 +116,6 @@ def test_report_json_shape(xband):
     assert text == report_to_json(rep)
 
 
-def test_doppler_centroid():
-    f = np.array([-10.0, 0.0, 10.0])
-    assert s.doppler_centroid(f, np.array([1.0, 0.0, 1.0])) == 0.0
-    assert s.doppler_centroid(f, np.array([0.0, 0.0, 2.0])) == 10.0
-    with pytest.raises(ValueError):
-        s.doppler_centroid(f, np.zeros(3))
-
-
 class TestOrientationMap:
     def test_shape_mismatch(self, xband):
         with pytest.raises(ValueError):

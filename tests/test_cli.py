@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import sarcsi as s
 from sarcsi.cli import main
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -46,6 +48,8 @@ def scene_file(tmp_path, targets, rho_r=1.0, na=256, nr=8):
 
 LINE2 = {"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}
 ARRAY20 = {"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}
+SEGMENT = {"kind": "segment3d", "theta_h_deg": 2.0, "theta_v_deg": -1.0,
+           "theta_inc_deg": 40.0, "length_m": 1.0}
 
 
 class TestPredict:
@@ -280,6 +284,17 @@ class TestAnalyze:
                            "--orders", "2:2")
         assert code == 3
 
+    def test_segment_follows_orders(self, capsys, tmp_path):
+        # a 3-D segment is a continuous line: only m = 0, like LINE2
+        scene = scene_file(tmp_path, [SEGMENT])
+        code, _, err = run(capsys, "analyze", "--scene", str(scene),
+                           "--orders", "1:2")
+        assert code == 3
+        assert "segment3d_0" in err
+        code, out, _ = run(capsys, "analyze", "--scene", str(scene))
+        assert code == 0
+        assert [m["m"] for m in json.loads(out)["targets"][0]["matches"]] == [0]
+
     def test_bad_tolerance(self, capsys, tmp_path):
         scene = scene_file(tmp_path, [LINE2])
         code, _, err = run(capsys, "analyze", "--scene", str(scene),
@@ -315,6 +330,35 @@ class TestRejectedInput:
         assert code == 2
         assert "na must be a power of two" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chart", "--dx", "nan"),
+            ("chart", "--sq-step", "nan"),
+            ("analyze", "--scene", "{scene}", "--tol-bins", "nan"),
+            ("predict", "--theta-az", "10", "--dx", "inf"),
+        ],
+    )
+    def test_non_finite_float_flag(self, tmp_path, argv):
+        scene = scene_file(tmp_path, [LINE2])
+        code, err = run_process(*(a.format(scene=scene) for a in argv))
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+        assert "usage:" in err and "Traceback" not in err
+
 
 def test_module_entry_point():
     import sarcsi.__main__  # noqa: F401  (importable; exercised in CI runs)
+
+
+def test_traced_functions_exist():
+    # the benchmark's per-layer tracer wraps these by name and only warns
+    # when one is missing, so a rename would silently drop a layer metric
+    path = ROOT / "bench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("trace_cli", path)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    assert trace_cli.TRACED
+    for mod_name, fn_name in trace_cli.TRACED:
+        fn = getattr(importlib.import_module(mod_name), fn_name, None)
+        assert callable(fn), f"{mod_name}.{fn_name}"

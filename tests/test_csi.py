@@ -15,24 +15,17 @@ def point_grid(p, na, nr, x=0.0):
 
 
 def test_band_specs_thirds(xband):
-    r, g, b = s.band_specs(xband.f_dc, xband.B_a)
+    lo, e1, e2, hi = xband.band_edges
     third = xband.B_a / 3.0
-    assert (r.band, g.band, b.band) == (s.Hue.RED, s.Hue.GREEN, s.Hue.BLUE)
-    assert r.f_lo == -38000.0 and b.f_hi == 38000.0
-    assert r.f_hi == pytest.approx(r.f_lo + third)
-    assert g.f_lo == pytest.approx(-xband.B_a / 6)
-    assert g.f_hi == pytest.approx(xband.B_a / 6)
-    # a shifted centroid shifts all six edges rigidly
-    r2, _, b2 = s.band_specs(5000.0, xband.B_a)
-    assert r2.f_lo == pytest.approx(r.f_lo + 5000.0)
-    assert b2.f_hi == pytest.approx(b.f_hi + 5000.0)
-
-
-def test_band_spec_validation():
-    with pytest.raises(ValueError):
-        s.SubBandSpec(s.Hue.RED, 10.0, 10.0)
-    with pytest.raises(ValueError):
-        s.SubBandSpec(s.Hue.OUT_OF_WINDOW, 0.0, 1.0)
+    assert (lo, hi) == xband.doppler_window == (-38000.0, 38000.0)
+    assert e1 == pytest.approx(lo + third)
+    assert e1 == pytest.approx(-xband.B_a / 6)
+    assert e2 == pytest.approx(xband.B_a / 6)
+    # a shifted centroid shifts all four edges rigidly
+    shifted = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=5000.0)
+    assert shifted.band_edges == pytest.approx(
+        [e + 5000.0 for e in xband.band_edges]
+    )
 
 
 def test_split_needs_three_bins(xband):
@@ -60,17 +53,38 @@ def test_split_partitions_energy_exactly(xband):
     r, gr, b = s.split_subbands(g)
     total = np.sum(np.abs(g.data) ** 2)
     parts = [np.sum(np.abs(im.data) ** 2) for im in (r, gr, b)]
-    # flat spectrum, 96 divisible by 3: each third holds exactly 32 columns
-    assert np.allclose(parts, total / 3.0, rtol=1e-12)
+    # flat spectrum: each band holds exactly 8 units per bin of its hue.
+    # 96 bins put bins 32 and 64 on the band edges up to rounding, so the
+    # split is not 32/32/32; it follows classify_hue bin by bin
+    hues = [s.classify_hue(xband, f) for f in g.f_a]
+    counts = [hues.count(h) for h in (s.Hue.RED, s.Hue.GREEN, s.Hue.BLUE)]
+    assert sum(counts) == 96
+    assert np.allclose(parts, 8.0 * np.array(counts), rtol=1e-12)
     assert sum(parts) == pytest.approx(total, rel=1e-12)
 
 
 def test_split_floor_rule_bin_counts(xband):
-    # na = 2048 cuts at (682, 1365): band widths 682/683/683
+    # na = 2048: bins 0-682 red, 683-1365 green (closed band), 1366-2047
+    # blue, as classify_hue names their frequencies
     g = flat_grid(xband, 2048, 4)
     r, gr, b = s.split_subbands(g)
     widths = [np.sum(np.abs(im.data) ** 2) / 4.0 for im in (r, gr, b)]
-    assert [round(w) for w in widths] == [682, 683, 683]
+    assert [round(w) for w in widths] == [683, 683, 682]
+
+
+@pytest.mark.parametrize("f_dc", [0.0, 5000.0, -12345.6])
+@pytest.mark.parametrize("na", [2**k for k in range(3, 13)])
+def test_rendered_band_is_the_hue(na, f_dc):
+    # every bin's energy ends up in the band classify_hue names for its
+    # Doppler: undo each band's focusing and see which rows it kept
+    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
+    g = point_grid(p, na, 8)
+    hues = [s.classify_hue(p, f) for f in g.f_a]
+    assert s.Hue.OUT_OF_WINDOW not in hues
+    for hue, img in zip((s.Hue.RED, s.Hue.GREEN, s.Hue.BLUE), s.split_subbands(g)):
+        kept = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(img.data), norm="ortho"))
+        rendered = np.abs(kept).max(axis=1) > 0.5
+        assert list(rendered) == [h is hue for h in hues]
 
 
 @settings(deadline=None, max_examples=20)

@@ -110,7 +110,7 @@ def test_projected_orientation_small_slope():
 
 def test_green_condition_cancellation():
     o = s.Orientation3D(theta_h=DEG(10.0), theta_v=DEG(-10.0), theta_inc=DEG(45.0))
-    assert s.is_green_condition(o, 1e-10)
+    assert abs(s.effective_squint_3d(o)) <= 1e-10
 
 
 @given(st.floats(-1.0, 1.0), st.floats(0.4, 1.2))

@@ -177,6 +177,14 @@ def test_schema_violations_name_the_field(tmp_path, mutate, message):
         s.parse_scene_config(write_cfg(tmp_path, obj))
 
 
+def test_unhashable_kind_is_a_config_error(tmp_path):
+    # a list is not a kind; the lookup must not raise TypeError
+    obj = json.loads(json.dumps(GOOD))
+    obj["targets"][0]["kind"] = ["line"]
+    with pytest.raises(ConfigError, match="one of"):
+        s.parse_scene_config(write_cfg(tmp_path, obj))
+
+
 def test_arc_needs_ordered_tangents(tmp_path):
     obj = json.loads(json.dumps(GOOD))
     obj["targets"] = [
@@ -217,6 +225,7 @@ def test_generate_scene_all_kinds():
     for t in targets:
         sc = s.generate_scene(t, LAM)
         assert sc.n >= 2 and sc.label == t["label"]
+        assert sc.config == t    # the target itself, "kind" included
 
 
 def test_default_spacing_is_quarter_wavelength():
