@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dispersion import DiffractionSolution
+from .dispersion import DiffractionSolution, invert_orientation_from_doppler
 from .params import RadarParams
 from .scene import Scene
 from .simulator import azimuth_power_spectrum, peak_indices, synth_spectrum
@@ -188,7 +188,5 @@ def estimate_orientation_map(
     theta = np.full(r.shape, np.nan)
     if mask.any():
         f_hat = np.einsum("b,bij->ij", centers, e)[mask] / total[mask]
-        # vectorized invert_orientation_from_doppler; |f_hat| <= B_a/3 keeps
-        # the arcsine argument well inside [-1, 1]
-        theta[mask] = -np.arcsin(p.lam * f_hat / (2 * p.V))
+        theta[mask] = invert_orientation_from_doppler(p, f_hat)
     return theta, mask

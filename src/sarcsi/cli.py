@@ -200,28 +200,28 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    prefix = Path(args.out_prefix)
+    if not prefix.parent.is_dir():
+        raise ConfigError(f"output directory {prefix.parent} is not an existing directory")
     cfg = parse_scene_config(args.scene)
     p = _radar(args, cfg.radar)
     na, nr = _grid(cfg, args)
     g = synth_spectrum(merge_scenes(build_scenes(cfg)), p, na, nr)
     red, green, blue = split_subbands(g)
-    rgb = compose_rgb(
-        np.abs(red.data), np.abs(green.data), np.abs(blue.data), norm=args.norm
-    )
+    rgb = compose_rgb(red.data, green.data, blue.data, norm=args.norm)
     f_a, power = azimuth_power_spectrum(g)
 
-    prefix = Path(args.out_prefix)
-    if prefix.parent and not prefix.parent.exists():
-        raise ConfigError(f"output directory {prefix.parent} does not exist")
     ppm_path = prefix.with_name(prefix.name + "_rgb.ppm")
     csv_path = prefix.with_name(prefix.name + "_azspec.csv")
     json_path = prefix.with_name(prefix.name + "_report.json")
     ppm_path.write_bytes(encode_ppm(rgb))
     csv_path.write_text(azimuth_spectrum_csv(f_a, power))
 
+    # Parseval: a band image's energy is the power of the rows in that band.
+    band = p.band_index(f_a)
     energies = {
-        name: float(np.sum(np.abs(img.data) ** 2))
-        for name, img in (("red", red), ("green", green), ("blue", blue))
+        name: float(power[band == b].sum())
+        for b, name in enumerate(("red", "green", "blue"))
     }
     report = {
         "band_energy": energies,
@@ -240,7 +240,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "v_mps": p.V,
         },
         "targets": [t["label"] for t in cfg.targets],
-        "total_energy": float(np.sum(np.abs(g.data) ** 2)),
+        "total_energy": float(power.sum()),
     }
     json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     sys.stdout.write(f"wrote {ppm_path} {csv_path} {json_path}\n")
@@ -254,7 +254,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     m_range = _parse_orders(args.orders)
     if args.tol_bins <= 0:
         raise ConfigError(f"--tol-bins must be positive, got {args.tol_bins}")
-    reports = []
+    predictions = []    # every target is checked before any is synthesized
     for target in cfg.targets:
         grating = KINDS[target["kind"]].grating
         if grating is None:
@@ -262,17 +262,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"analyze supports {supported} targets, not {target['kind']!r}"
             )
-        predictions = orders_in_window(grating(target), p, m_range)
-        if not predictions:
+        sols = orders_in_window(grating(target), p, m_range)
+        if not sols:
             raise EvanescentOrderError(
                 f"target {target['label']!r} has no propagating order in {args.orders}"
             )
-        scene = generate_scene(target, p.lam)
-        reports.append(
-            verify_scene_against_model(
-                scene, p, predictions, tol_bins=args.tol_bins, na=na, nr=nr
-            )
+        predictions.append(sols)
+    reports = [
+        verify_scene_against_model(
+            generate_scene(target, p.lam), p, sols, tol_bins=args.tol_bins, na=na, nr=nr
         )
+        for target, sols in zip(cfg.targets, predictions)
+    ]
     _emit(report_to_json(merge_reports(reports)), args.out)
     return 0
 

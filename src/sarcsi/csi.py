@@ -4,7 +4,8 @@ The azimuth spectrum is cut into the three equal thirds of the Doppler
 window that classify_hue names, low to high Doppler mapping to red, green,
 blue.  Each band is focused on its own and the three magnitudes are composed
 into one 8-bit image, so a target's colour encodes where its energy sits in
-Doppler, hence its orientation.
+Doppler, hence its orientation.  By Parseval a band image's energy is the
+summed power of its spectrum rows.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ def split_subbands(
     Every azimuth bin goes to the band RadarParams.band_index gives its
     Doppler f_a, the rule classify_hue applies, so the colour a frequency is
     predicted in is the colour it is rendered in.  Each bin lands in exactly
-    one band, so the three band energies add up to the full-grid energy
-    (disjoint masks plus a unitary DFT).  Returns (red, green, blue) complex
-    images.
+    one band and the DFT is unitary, so each band image carries exactly the
+    power of its rows.  Returns (red, green, blue) complex images.
     """
     if g.data.shape[0] < 3:
         raise ValueError("need at least 3 azimuth bins to split into bands")
@@ -59,13 +59,14 @@ def split_subbands(
 def compose_rgb(
     r: np.ndarray, g: np.ndarray, b: np.ndarray, norm: str = "linear"
 ) -> RGBImage:
-    """Fuse three per-band magnitude grids into one 8-bit RGB raster.
+    """Fuse three per-band grids into one 8-bit RGB raster of their magnitudes.
 
     The channels share a single normalizer so their relative strengths, and
     therefore the perceived hue, survive quantization: the joint maximum
     (norm="linear") or the joint 99.9th percentile with clipping
     (norm="clip_p999").  Grids arrive azimuth-major and come out as an
-    image with azimuth across and range down.  Quantization rounds half up.
+    image with azimuth across and range down.  The grids may be the complex
+    band images themselves; |.| is taken here.  Quantization rounds half up.
     """
     if norm not in NORM_MODES:
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")

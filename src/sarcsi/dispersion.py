@@ -61,8 +61,8 @@ class GratingTarget:
     def __post_init__(self) -> None:
         if not abs(self.theta_az) < math.pi / 2:
             raise ValueError("orientation must satisfy |theta_az| < 90 deg")
-        if self.d_x is not None and self.d_x <= 0:
-            raise ValueError(f"grating period must be positive, got {self.d_x}")
+        if self.d_x is not None and not 0 < self.d_x < math.inf:
+            raise ValueError(f"grating period must be positive and finite, got {self.d_x}")
 
 
 @dataclass(frozen=True)
@@ -154,20 +154,24 @@ def orders_in_window(
     return out
 
 
+def _projected_slope(o: Orientation3D) -> float:
+    # Slant-range metres per azimuth metre of a 3D segment in the imaging plane.
+    return math.cos(o.theta_inc) * (
+        math.tan(o.theta_inc) * math.tan(o.theta_h) + math.tan(o.theta_v)
+    )
+
+
 def effective_squint_3d(o: Orientation3D) -> float:
     """Peak squint [rad] of a 3D linear target projected into the imaging plane.
 
     tan(theta_sq) = -cos(theta_inc) * (tan(theta_inc) tan(theta_h) + tan(theta_v))
     The implied in-plane orientation is theta_az = -theta_sq.
     """
-    rhs = -math.cos(o.theta_inc) * (
-        math.tan(o.theta_inc) * math.tan(o.theta_h) + math.tan(o.theta_v)
-    )
-    return math.atan(rhs)
+    return math.atan(-_projected_slope(o))
 
 
-def invert_orientation_from_doppler(p: RadarParams, f_d: float) -> float:
-    """In-plane orientation [rad] whose zero order peaks at Doppler f_d."""
+def invert_orientation_from_doppler(p: RadarParams, f_d):
+    """In-plane orientation [rad] whose zero order peaks at Doppler f_d, elementwise."""
     return -squint_from_doppler(p, f_d)
 
 

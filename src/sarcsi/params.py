@@ -5,13 +5,15 @@ and file boundaries.  A squint angle theta_sq maps to Doppler frequency via
 
     f_d = (2V / lambda) * sin(theta_sq)
 
-which every other module builds on.
+which every other module builds on; its inverse applies to arrays as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DopplerRangeError, ParameterError
 
@@ -105,15 +107,16 @@ def doppler_from_squint(p: RadarParams, theta_sq: float) -> float:
     return 2 * p.V / p.lam * math.sin(theta_sq)
 
 
-def squint_from_doppler(p: RadarParams, f_d: float) -> float:
-    """Squint angle [rad] observing Doppler f_d; inverse of doppler_from_squint."""
+def squint_from_doppler(p: RadarParams, f_d):
+    """Squint angle [rad] observing Doppler f_d, elementwise; inverse of
+    doppler_from_squint.  Any |f_d| beyond 2V/lambda raises DopplerRangeError."""
     arg = p.lam * f_d / (2 * p.V)
-    if abs(arg) > 1:
+    if np.any(np.abs(arg) > 1):
         raise DopplerRangeError(
-            f"Doppler {f_d} Hz is not realizable at this geometry "
-            f"(|lambda*f_d/(2V)| = {abs(arg)} > 1)"
+            f"Doppler reaches |f_d| = {np.max(np.abs(f_d)):.6g} Hz, beyond the "
+            f"realizable 2V/lambda = {2 * p.V / p.lam:.6g} Hz"
         )
-    return math.asin(arg)
+    return np.arcsin(arg)
 
 
 def observable(p: RadarParams, f_d: float) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dispersion import GratingTarget, Orientation3D, effective_squint_3d
+from .dispersion import GratingTarget, Orientation3D, _projected_slope, effective_squint_3d
 from .errors import ConfigError
 from .params import RadarParams, make_params
 
@@ -183,15 +183,13 @@ def project_segment_3d(o: Orientation3D, t: np.ndarray) -> tuple[np.ndarray, np.
     of azimuth.  Ground range folds into slant range with sin(theta_inc),
     height with cos(theta_inc), so
 
-        y = t * (tan(theta_h) sin(theta_inc) + tan(theta_v) cos(theta_inc))
+        y = t * cos(theta_inc) * (tan(theta_inc) tan(theta_h) + tan(theta_v))
 
-    and the projected in-plane orientation satisfies tan(theta_az) = y / x.
+    with the very slope whose arctangent effective_squint_3d returns, so the
+    segment is built at exactly the orientation the model predicts for it.
     """
     t = np.asarray(t, dtype=float)
-    slope = math.tan(o.theta_h) * math.sin(o.theta_inc) + math.tan(o.theta_v) * math.cos(
-        o.theta_inc
-    )
-    return t.copy(), t * slope
+    return t.copy(), t * _projected_slope(o)
 
 
 def segment3d_scene(
@@ -205,13 +203,7 @@ def segment3d_scene(
     if length <= 0 or spacing <= 0:
         raise ValueError("length and spacing must be positive")
     t = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
-    x, y = project_segment_3d(o, t)
-    return Scene(
-        x=x,
-        y=y,
-        amp=np.full(t.size, amp),
-        label=label,
-    )
+    return Scene(*project_segment_3d(o, t), np.full(t.size, amp), label)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ The observed 2D spectrum of a scatterer cloud is modelled sample by sample:
     G[k, l] = sum_n a_n exp(-j2pi (f_a[k] u_n + (f_c cos(theta_k) + f_r[l]) v_n))
 
 with u = x / V, v = 2 y / c, and theta_k = arcsin(lam f_a[k] / (2V)) the squint
-angle of azimuth column k.  The f_a axis carries absolute Doppler (it contains
-f_dc), so the per-column range carrier f_c cos(theta_k) is exact, not a
-small-angle approximation.  Focusing is a unitary inverse 2D DFT, which keeps
-every energy bookkeeping check tolerance-free in formulation.
+angle of azimuth column k (params.squint_from_doppler over the whole axis).
+The f_a axis carries absolute Doppler (it contains f_dc), so the per-column
+range carrier f_c cos(theta_k) is exact, not a small-angle approximation.
+Focusing is a unitary inverse 2D DFT, which keeps every energy bookkeeping
+check tolerance-free in formulation.
 
 synth_spectrum evaluates that sum exactly in one of two ways, picked from the
 samples themselves.  A uniformly sampled collinear run of equal amplitudes
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, DopplerRangeError
-from .params import C, RadarParams
+from .errors import AliasingError
+from .params import C, RadarParams, squint_from_doppler
 from .scene import Scene
 
 # Scatterer count from which a uniform collinear run is summed in closed form.
@@ -84,19 +85,6 @@ def _freq_axis(n: int, bandwidth: float, center: float = 0.0) -> np.ndarray:
 
 def _time_axis(n: int, bandwidth: float) -> np.ndarray:
     return (np.arange(n) - n // 2) / bandwidth
-
-
-def _cos_squint(p: RadarParams, f_a: np.ndarray) -> np.ndarray:
-    # asin argument leaving [-1, 1] means the axis asks for Doppler beyond
-    # the 2V/lam limit, i.e. a physically empty part of the grid.
-    arg = p.lam * f_a / (2 * p.V)
-    bad = np.abs(arg) > 1
-    if bad.any():
-        raise DopplerRangeError(
-            f"Doppler axis reaches |f| = {np.abs(f_a[bad]).max():.6g} Hz, "
-            f"beyond the realizable 2V/lam = {2 * p.V / p.lam:.6g} Hz"
-        )
-    return np.cos(np.arcsin(arg))
 
 
 def _uniform_steps(
@@ -234,7 +222,7 @@ def synth_spectrum(
         )
     f_a = _freq_axis(na, p.B_a, p.f_dc)
     f_r = _freq_axis(nr, p.B_r)
-    carrier = p.f_c * _cos_squint(p, f_a)
+    carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
 
     u = scene.x / p.V                      # slow time per scatterer [s]
     v = 2 * scene.y / C                    # fast time per scatterer [s]

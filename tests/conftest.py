@@ -1,8 +1,18 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 import sarcsi as s
+
+# Tests that run `python -m sarcsi` in a child process (C10, the CLI
+# regression tests) need this checkout's package there too; pyproject's
+# pytest `pythonpath` only reaches this process.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")])
+)
 
 # Outcome of each acceptance criterion, keyed (id, label), filled by the
 # makereport hook and printed as one line per criterion at the end.

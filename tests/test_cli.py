@@ -1,7 +1,6 @@
 import importlib.util
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,6 @@ from sarcsi.cli import main
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -25,11 +23,7 @@ def run(capsys, *argv):
 
 def run_process(*argv):
     """Run `python -m sarcsi` in a child process; returns (code, stderr)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run([sys.executable, "-m", "sarcsi", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "sarcsi", *argv],
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr
 
@@ -48,6 +42,7 @@ def scene_file(tmp_path, targets, rho_r=1.0, na=256, nr=8):
 
 LINE2 = {"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}
 ARRAY20 = {"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}
+LINE500 = {"kind": "line", "theta_az_deg": 0.0, "length_m": 500.0}
 SEGMENT = {"kind": "segment3d", "theta_h_deg": 2.0, "theta_v_deg": -1.0,
            "theta_inc_deg": 40.0, "length_m": 1.0}
 
@@ -190,6 +185,15 @@ class TestSimulate:
         assert e["red"] > 5.0 * e["green"] > 0.0
         assert sum(e.values()) == pytest.approx(report["total_energy"],
                                                 rel=1e-9)
+        # Parseval: a band's energy is exactly the summed power of the
+        # azimuth spectrum rows band_index puts in that band
+        rows = [r.split(",") for r in csv.splitlines()[1:]]
+        f_a = np.array([float(f) for f, _ in rows])
+        power = np.array([float(pw) for _, pw in rows])
+        band = s.make_params(9.6e9, 7600.0, 0.1, 1.0).band_index(f_a)
+        for b, name in enumerate(("red", "green", "blue")):
+            assert e[name] == power[band == b].sum()
+        assert report["total_energy"] == power.sum()
 
     def test_deterministic_outputs(self, capsys, tmp_path):
         scene = scene_file(tmp_path, [LINE2])
@@ -295,6 +299,16 @@ class TestAnalyze:
         assert code == 0
         assert [m["m"] for m in json.loads(out)["targets"][0]["matches"]] == [0]
 
+    def test_every_target_checked_before_synthesis(self, capsys, tmp_path):
+        # the 500 m line would alias on 256x64, but the arc after it is
+        # refused before any target is synthesized
+        arc = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -4.0,
+               "tan_hi_deg": 4.0}
+        scene = scene_file(tmp_path, [LINE500, arc], nr=64)
+        code, _, err = run(capsys, "analyze", "--scene", str(scene))
+        assert code == 2
+        assert "analyze supports" in err
+
     def test_bad_tolerance(self, capsys, tmp_path):
         scene = scene_file(tmp_path, [LINE2])
         code, _, err = run(capsys, "analyze", "--scene", str(scene),
@@ -323,6 +337,17 @@ class TestRejectedInput:
                                 "--out-prefix", str(tmp_path / "x"))
         assert code == 2
         assert "fc_hz" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out_dir", ["missing", "a_file"])
+    def test_missing_out_dir_before_work(self, tmp_path, out_dir):
+        # the 500 m line would alias on 256x64; an output parent that is
+        # missing or not a directory is refused before the scene is built
+        scene = scene_file(tmp_path, [LINE500], nr=64)
+        (tmp_path / "a_file").touch()
+        code, err = run_process("simulate", "--scene", str(scene),
+                                "--out-prefix", str(tmp_path / out_dir / "x"))
+        assert code == 2
+        assert "output directory" in err and "Traceback" not in err
 
     def test_bad_grid_size_flag(self, tmp_path):
         scene = scene_file(tmp_path, [LINE2])

@@ -127,6 +127,12 @@ def test_orientation_validation():
         s.Orientation3D(DEG(95.0), 0.0, DEG(45.0))
 
 
+@pytest.mark.parametrize("d_x", [0.0, -1.0, math.nan, math.inf])
+def test_grating_period_validation(d_x):
+    with pytest.raises(ValueError, match="positive"):
+        s.GratingTarget(0.1, d_x)
+
+
 @given(st.floats(-1.2, 1.2))
 def test_inversion_recovers_orientation(theta_az):
     p = s.make_params(9.6e9, 7600.0, 0.1, 0.1)

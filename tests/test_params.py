@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +61,18 @@ def test_doppler_beyond_realizable_rejected(xband):
     limit = 2 * xband.V / xband.lam
     with pytest.raises(DopplerRangeError):
         s.squint_from_doppler(xband, limit * 1.0000001)
+
+
+def test_squint_from_doppler_is_elementwise(xband):
+    f = np.array([-30000.0, 0.0, 12345.6])
+    np.testing.assert_allclose(
+        s.squint_from_doppler(xband, f),
+        [s.squint_from_doppler(xband, v) for v in f], rtol=1e-15, atol=0,
+    )
+    # one out-of-range entry rejects the array; the error names the largest |f|
+    limit = 2 * xband.V / xband.lam
+    with pytest.raises(DopplerRangeError, match=f"{1.5 * limit:.6g} Hz"):
+        s.squint_from_doppler(xband, np.array([0.0, -1.5 * limit, 1.2 * limit]))
 
 
 @given(st.floats(-1.2, 1.2))

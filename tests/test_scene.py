@@ -85,9 +85,10 @@ def test_projected_segment_slope():
         DEG(40.0)
     )
     assert np.allclose(y, t * want)
-    # projected in-plane orientation matches the closed-form squint law
-    theta_az = math.atan2(y[2], x[2])
-    assert theta_az == pytest.approx(-s.effective_squint_3d(o), abs=1e-12)
+    # projected in-plane orientation is the closed-form squint law's, exactly:
+    # both take the one projected slope
+    theta_az = math.atan(y[2] / x[2])
+    assert theta_az == -s.effective_squint_3d(o)
 
 
 def test_green_segment_collapses_to_broadside():
