@@ -201,8 +201,6 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
-    if not prefix.parent.is_dir():
-        raise ConfigError(f"output directory {prefix.parent} is not an existing directory")
     cfg = parse_scene_config(args.scene)
     p = _radar(args, cfg.radar)
     na, nr = _grid(cfg, args)
@@ -339,6 +337,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_glue_orders(argv))
     try:
+        # Every command's output path is checked before any work.
+        out = getattr(args, "out", None) or getattr(args, "out_prefix", None)
+        if out and not Path(out).parent.is_dir():
+            raise ConfigError(f"output directory {Path(out).parent} is not an existing directory")
+        if getattr(args, "out", None) and Path(args.out).is_dir():
+            raise ConfigError(f"output path {args.out} is a directory")
         return args.func(args)
     except (ConfigError, ValueError) as e:
         # Library functions raise ValueError on bad arguments; from the

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import ComplexImage, SpectrumGrid, focus_image
+from .simulator import ComplexImage, SpectrumGrid, _centred_ifft, _image, _threaded_map
 
 NORM_MODES = ("linear", "clip_p999")
 
@@ -43,17 +43,21 @@ def split_subbands(
     Doppler f_a, the rule classify_hue applies, so the colour a frequency is
     predicted in is the colour it is rendered in.  Each bin lands in exactly
     one band and the DFT is unitary, so each band image carries exactly the
-    power of its rows.  Returns (red, green, blue) complex images.
+    power of its rows.  One range IFFT pass serves all three bands, as it acts
+    on each row alone; the bands' azimuth IFFTs run on worker threads.
+    Returns (red, green, blue) complex images.
     """
     if g.data.shape[0] < 3:
         raise ValueError("need at least 3 azimuth bins to split into bands")
     band = g.params.band_index(g.f_a)
-    out = []
-    for b in range(3):
-        masked = np.zeros_like(g.data)
-        np.copyto(masked, g.data, where=(band == b)[:, None])
-        out.append(focus_image(SpectrumGrid(masked, g.f_a, g.f_r, g.params)))
-    return out[0], out[1], out[2]
+    rows = _centred_ifft(g.data.copy(), 1)
+
+    def focus(b: int) -> ComplexImage:
+        img = np.zeros_like(rows)
+        np.copyto(img, rows, where=(band == b)[:, None])
+        return _image(_centred_ifft(img, 0), g.params)
+
+    return tuple(_threaded_map(focus, range(3)))
 
 
 def compose_rgb(
@@ -66,21 +70,28 @@ def compose_rgb(
     (norm="linear") or the joint 99.9th percentile with clipping
     (norm="clip_p999").  Grids arrive azimuth-major and come out as an
     image with azimuth across and range down.  The grids may be the complex
-    band images themselves; |.| is taken here.  Quantization rounds half up.
+    band images themselves; |.| is taken here, into the one (height, width, 3)
+    array that is then quantized in place, rounding half up.
     """
     if norm not in NORM_MODES:
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")
     if not (r.shape == g.shape == b.shape and r.ndim == 2):
         raise ValueError("channel grids must be three equal-shape 2-D arrays")
-    stack = np.stack([np.abs(r).T, np.abs(g).T, np.abs(b).T], axis=-1)
+    stack = np.empty(r.shape[::-1] + (3,))
+    for lo in range(0, r.shape[0], 64):   # 64-row tiles keep the transposed writes in cache
+        for c, grid in enumerate((r, g, b)):
+            np.abs(grid[lo : lo + 64].T, out=stack[:, lo : lo + 64, c])
     if norm == "linear":
         ref = stack.max()
     else:
         ref = float(np.percentile(stack, 99.9))
     if ref > 0:
-        stack = np.minimum(stack / ref, 1.0)
+        stack /= ref
+        np.minimum(stack, 1.0, out=stack)
     # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
-    pixels = np.floor(stack * 255 + 0.5).astype(np.uint8)
+    stack *= 255
+    stack += 0.5
+    pixels = np.floor(stack, out=stack).astype(np.uint8)
     return RGBImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
 
 

@@ -15,16 +15,19 @@ synth_spectrum evaluates that sum exactly in one of two ways, picked from the
 samples themselves.  A uniformly sampled collinear run of equal amplitudes
 (a line, an array, a 3-D segment) is a geometric series in n, summed in
 closed form as its array factor; every other cloud is summed term by term in
-chunks of scatterers under a fixed memory block.  Either path stays within
-max|dG| / max|G| <= 1e-10 of the plain direct sum, which the tests keep as
-the reference.  The independent peak oracles and the ideal point response
-that the simulator is checked against live with the tests, in
-tests/oracles.py.
+8 MiB phase blocks, built on one worker thread per CPU of the process and
+added in block order.  Either path stays within max|dG| / max|G| <= 1e-10 of
+the plain direct sum, which the tests keep as the reference, in
+tests/oracles.py with the peak oracles and the ideal point response.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -40,8 +43,8 @@ CLOSED_FORM_MIN_N = 256
 # progression that still counts as uniform.  Each term's phase error is then
 # below 2pi * 1e-11, far inside the 1e-10 error budget.
 UNIFORM_TOL_CYCLES = 1e-11
-# Complex samples in one (na, chunk) phase block of the direct sum: 32 MiB.
-CHUNK_SAMPLES = 1 << 21
+# Complex samples in one (na, chunk) phase block of the direct sum: 8 MiB.
+CHUNK_SAMPLES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,33 @@ class ComplexImage:
     t_a: np.ndarray
     t_r: np.ndarray
     params: RadarParams
+
+
+def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
+    """Yield fn(item) for every item of a sequence, in input order.
+
+    The calls run on one thread per CPU in the affinity mask (numpy releases
+    the GIL in its FFTs and ufuncs), at most one per worker ahead of the
+    caller, so memory stays bounded.  A call's exception is re-raised here,
+    cancelling the calls not yet started.  One item or one CPU runs inline.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # ~15 ms, so not at import
+
+    todo = iter(items)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        window = deque(pool.submit(fn, x) for x in islice(todo, workers))
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(fn, x) for x in islice(todo, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def check_grid_size(n: int, name: str) -> None:
@@ -156,6 +186,17 @@ def _closed_form(
     return g
 
 
+def _phasors(cycles: np.ndarray) -> np.ndarray:
+    """exp(-j2pi cycles), cos and sin after dropping whole cycles (exact);
+    cycles is overwritten."""
+    cycles -= np.rint(cycles)
+    cycles *= -2 * np.pi
+    out = np.empty(cycles.shape, complex)
+    np.cos(cycles, out=out.real)
+    np.sin(cycles, out=out.imag)
+    return out
+
+
 def _direct_block(
     f_a: np.ndarray,
     f_r: np.ndarray,
@@ -163,15 +204,14 @@ def _direct_block(
     u: np.ndarray,
     v: np.ndarray,
     amp: np.ndarray,
-) -> np.ndarray:
-    # (A * amp) @ B with A[k, n] the Doppler-and-carrier phase and B[n, l]
-    # the range-frequency phase; keeps the hot loop inside BLAS.
-    az = np.outer(f_a, u)
-    az += np.outer(carrier, v)
-    az = az * (-2j * np.pi)
-    np.exp(az, out=az)
+) -> tuple[np.ndarray, np.ndarray]:
+    # (A * amp, B), A[k, n] the Doppler-and-carrier phasor and B[n, l] the
+    # range-frequency one; their product, in BLAS, is the chunk's term.
+    phase = np.multiply.outer(f_a, u)
+    phase += np.multiply.outer(carrier, v)
+    az = _phasors(phase)
     az *= amp
-    return az @ np.exp(-2j * np.pi * np.outer(v, f_r))
+    return az, _phasors(np.multiply.outer(v, f_r))
 
 
 def _direct_sum(
@@ -182,12 +222,22 @@ def _direct_sum(
     v: np.ndarray,
     amp: np.ndarray,
 ) -> np.ndarray:
-    """Term-by-term sum, CHUNK_SAMPLES phase samples of (na, chunk) at a time."""
+    """Term-by-term sum in (na, chunk) blocks of <= CHUNK_SAMPLES phase samples.
+
+    Worker threads build the blocks; this thread multiplies them out and adds
+    the products in block order, so the sum depends on CHUNK_SAMPLES alone.
+    """
     step = max(1, CHUNK_SAMPLES // f_a.size)
-    g = _direct_block(f_a, f_r, carrier, u[:step], v[:step], amp[:step])
-    for lo in range(step, u.size, step):
+
+    def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(lo, lo + step)
-        g += _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl])
+        return _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl])
+
+    # An empty scene still gets one (empty) block, whose product is zero.
+    terms = (az @ rg for az, rg in _threaded_map(block, range(0, max(u.size, 1), step)))
+    g = next(terms)
+    for term in terms:
+        g += term
     return g
 
 
@@ -204,7 +254,8 @@ def synth_spectrum(
       O(na * nr) whatever the scatterer count;
     - direct sum otherwise: na * nr * n_scatterers phasors as matrix
       products, in chunks of scatterers so the phase block stays at
-      CHUNK_SAMPLES complex samples.
+      CHUNK_SAMPLES complex samples (8 MiB); worker threads build the
+      blocks, and the products are added in chunk order.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
     scene must fit the unambiguous extents of the grid or the result would
@@ -236,16 +287,29 @@ def synth_spectrum(
     return SpectrumGrid(data=data, f_a=f_a, f_r=f_r, params=p)
 
 
+def _centred_ifft(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unitary fftshift(ifft(ifftshift(x))) along axis, in x itself for even n,
+    where both shifts are exact sign flips: (-1)^(m - n/2) ifft((-1)^k x)[m]."""
+    n = x.shape[axis]
+    if n % 2:
+        shifted = np.fft.ifft(np.fft.ifftshift(x, axis), axis=axis, norm="ortho")
+        return np.fft.fftshift(shifted, axis)
+    lines = np.moveaxis(x, axis, 0)
+    np.negative(lines[1::2], out=lines[1::2])
+    np.fft.ifft(x, axis=axis, norm="ortho", out=x)
+    odd = lines[(n // 2 + 1) % 2 :: 2]          # m - n/2 odd
+    np.negative(odd, out=odd)
+    return x
+
+
+def _image(data: np.ndarray, p: RadarParams) -> ComplexImage:
+    na, nr = data.shape
+    return ComplexImage(data, _time_axis(na, p.B_a), _time_axis(nr, p.B_r), p)
+
+
 def focus_image(g: SpectrumGrid) -> ComplexImage:
     """Inverse 2D unitary DFT of the spectrum; energy is preserved exactly."""
-    data = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(g.data), norm="ortho"))
-    na, nr = g.data.shape
-    return ComplexImage(
-        data=data,
-        t_a=_time_axis(na, g.params.B_a),
-        t_r=_time_axis(nr, g.params.B_r),
-        params=g.params,
-    )
+    return _image(_centred_ifft(_centred_ifft(g.data.copy(), 1), 0), g.params)
 
 
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,28 @@ def fd_of_line():
         )
 
     return _fd
+
+
+@pytest.fixture
+def run_bounded():
+    """Run fn() on a daemon thread for at most timeout seconds.
+
+    Returns (finished, value), value being fn's result or the exception it
+    raised, so a test can tell a re-raised failure from a hang.
+    """
+
+    def _run(fn, timeout: float = 60.0):
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = fn()
+            except BaseException as e:  # handed to the test
+                outcome["value"] = e
+
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout)
+        return not worker.is_alive(), outcome.get("value")
+
+    return _run

@@ -3,16 +3,19 @@
 These compute the same physics as the simulator by other routes (the array
 factor sampled on a frequency grid, a time-domain integral over the line's
 focused envelope, the closed-form point response), so tests and acceptance
-criteria C3 and C8 can check the simulator against them.  They are test
-code, not part of the sarcsi library.
+criteria C3 and C8 can check the simulator against them.  The plain
+shift-and-transform focusing and CSI composition the library once used are
+kept here too, as references for its faster forms.  They are test code, not
+part of the sarcsi library.
 """
 
 import math
 
 import numpy as np
 
+from sarcsi.csi import RGBImage
 from sarcsi.params import C, RadarParams, doppler_from_squint
-from sarcsi.simulator import ComplexImage, _time_axis, peak_indices
+from sarcsi.simulator import ComplexImage, SpectrumGrid, _time_axis, peak_indices
 
 
 def _cos_squint(p: RadarParams, f: np.ndarray) -> np.ndarray:
@@ -103,3 +106,34 @@ def zero_order_peak_oracle(
         phase = np.exp(2j * np.pi * f_prime[sl, None] * u[None, :])
         vals[sl] = np.abs(np.trapezoid(env * phase, u, axis=1))
     return float(f[np.argmax(vals)])
+
+
+def focus_reference(data: np.ndarray) -> np.ndarray:
+    """Centred unitary inverse 2D DFT, written with the explicit shifts."""
+    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(data), norm="ortho"))
+
+
+def split_subbands_reference(g: SpectrumGrid) -> list[np.ndarray]:
+    """(red, green, blue) band images: mask each band's rows, focus in 2D."""
+    band = g.params.band_index(g.f_a)
+    out = []
+    for b in range(3):
+        masked = np.zeros_like(g.data)
+        np.copyto(masked, g.data, where=(band == b)[:, None])
+        out.append(focus_reference(masked))
+    return out
+
+
+def compose_rgb_reference(
+    r: np.ndarray, g: np.ndarray, b: np.ndarray, norm: str = "linear"
+) -> RGBImage:
+    """Joint-normalized 8-bit RGB of three magnitude grids, in plain steps."""
+    stack = np.stack([np.abs(r).T, np.abs(g).T, np.abs(b).T], axis=-1)
+    if norm == "linear":
+        ref = stack.max()
+    else:
+        ref = float(np.percentile(stack, 99.9))
+    if ref > 0:
+        stack = np.minimum(stack / ref, 1.0)
+    pixels = np.floor(stack * 255 + 0.5).astype(np.uint8)
+    return RGBImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)

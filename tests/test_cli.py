@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -349,6 +350,36 @@ class TestRejectedInput:
         assert code == 2
         assert "output directory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("out_dir", ["missing", "a_file", "is_dir"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--theta-az", "2"),
+            ("predict3d", "--theta-h", "10", "--theta-v", "5", "--theta-inc", "40"),
+            ("chart",),
+            ("analyze", "--scene", "{scene}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_out_dir_of_out_flag(self, tmp_path, argv, out_dir):
+        # the 500 m line would alias on 256x64 (exit 4) if analyze got as
+        # far as synthesizing it
+        scene = scene_file(tmp_path, [LINE500], nr=64)
+        (tmp_path / "a_file").touch()
+        out = tmp_path if out_dir == "is_dir" else tmp_path / out_dir / "x.csv"
+        code, err = run_process(*(a.format(scene=scene) for a in argv), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: output") and "Traceback" not in err
+
+    def test_analyze_checks_out_dir_before_synthesis(self, tmp_path, capsys):
+        scene = scene_file(tmp_path, [LINE2])
+        with mock.patch("sarcsi.analysis.synth_spectrum",
+                        side_effect=AssertionError("synth_spectrum was called")):
+            code, out, err = run(capsys, "analyze", "--scene", str(scene),
+                                 "--out", str(tmp_path / "missing" / "a.json"))
+        assert code == 2 and out == ""
+        assert "output directory" in err
+
     def test_bad_grid_size_flag(self, tmp_path):
         scene = scene_file(tmp_path, [LINE2])
         code, err = run_process("analyze", "--scene", str(scene), "--na", "100")
@@ -374,6 +405,15 @@ class TestRejectedInput:
 
 def test_module_entry_point():
     import sarcsi.__main__  # noqa: F401  (importable; exercised in CI runs)
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # the thread pool module is imported where a pool is made: at module
+    # level it would add about 15 ms to every start of the CLI
+    code = "import sys, sarcsi.cli; sys.exit('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_traced_functions_exist():

@@ -1,11 +1,16 @@
+import itertools
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import sarcsi as s
+from sarcsi import csi
 
 
 def point_grid(p, na, nr, x=0.0):
@@ -218,3 +223,92 @@ def test_compose_deterministic(xband):
     one = s.encode_ppm(s.compose_rgb(r.data, gr.data, b.data))
     two = s.encode_ppm(s.compose_rgb(r.data, gr.data, b.data))
     assert one == two
+
+
+def random_grid(p, na, nr, seed=5):
+    rng = np.random.default_rng(seed)
+    return s.SpectrumGrid(
+        data=rng.standard_normal((na, nr)) + 1j * rng.standard_normal((na, nr)),
+        f_a=np.linspace(-p.B_a / 2, p.B_a / 2, na, endpoint=False),
+        f_r=np.linspace(-p.B_r / 2, p.B_r / 2, nr, endpoint=False),
+        params=p,
+    )
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        lambda p: flat_grid(p, 96, 8),
+        lambda p: flat_grid(p, 2048, 4),
+        lambda p: random_grid(p, 16, 4),
+        lambda p: random_grid(p, 15, 5),
+        lambda p: random_grid(p, 18, 7),
+    ],
+    ids=["flat96x8", "flat2048x4", "random16x4", "odd15x5", "odd_range18x7"],
+)
+def test_split_matches_masked_2d_focus(xband, grid):
+    # the shared range pass and sign-flip shifts give the plain
+    # mask-shift-ifft2-shift bands; odd sizes take the explicit shifts
+    g = grid(xband)
+    data = g.data.copy()
+    got = s.split_subbands(g)
+    want = oracles.split_subbands_reference(g)
+    assert np.array_equal(g.data, data)          # the input is left alone
+    scale = max(np.abs(w).max() for w in want)
+    for img, ref in zip(got, want):
+        assert np.abs(img.data - ref).max() <= 1e-12 * scale
+        assert np.array_equal(img.t_a, s.focus_image(g).t_a)
+
+
+@pytest.mark.parametrize("shape", [(64, 8), (16, 4), (15, 5), (18, 7)])
+def test_focus_matches_shifted_ifft2(xband, shape):
+    g = random_grid(xband, *shape)
+    want = oracles.focus_reference(g.data)
+    assert np.abs(s.focus_image(g).data - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("norm", csi.NORM_MODES)
+def test_compose_matches_reference_bytes(norm):
+    # 200 azimuth rows span several magnitude tiles, the last one partial
+    rng = np.random.default_rng(11)
+    grids = [rng.standard_normal((200, 24)) + 1j * rng.standard_normal((200, 24))
+             for _ in range(3)]
+    got = s.compose_rgb(*grids, norm=norm)
+    want = oracles.compose_rgb_reference(*grids, norm=norm)
+    assert s.encode_ppm(got) == s.encode_ppm(want)
+
+
+@pytest.mark.parametrize("norm", csi.NORM_MODES)
+def test_tiny_scene_ppm_matches_reference(tmp_path, norm):
+    # the benchmark's smoke scene: a 1 m line at 2 deg on 256x64
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "radar": {"fc_hz": 9.6e9, "v_mps": 7600.0, "rho_a_m": 0.1,
+                  "rho_r_m": 0.1, "fdc_hz": 0.0},
+        "grid": {"na": 256, "nr": 64},
+        "targets": [{"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}],
+    }))
+    cfg = s.parse_scene_config(str(path))
+    g = s.synth_spectrum(s.merge_scenes(s.build_scenes(cfg)), cfg.radar, cfg.na, cfg.nr)
+    bands = [img.data for img in s.split_subbands(g)]
+    want = oracles.compose_rgb_reference(*oracles.split_subbands_reference(g), norm=norm)
+    assert s.encode_ppm(s.compose_rgb(*bands, norm=norm)) == s.encode_ppm(want)
+
+
+def test_band_focus_failure_propagates(xband, run_bounded):
+    # the second band's azimuth IFFT raises on a worker thread:
+    # split_subbands re-raises it in the caller instead of hanging on it
+    g = random_grid(xband, 64, 8)
+    band_calls = itertools.count()
+    centred_ifft = csi._centred_ifft
+
+    def failing(x, axis):
+        if axis == 0 and next(band_calls) == 1:
+            raise RuntimeError("band 2 failed")
+        return centred_ifft(x, axis)
+
+    with mock.patch.object(csi, "_centred_ifft", side_effect=failing), \
+            mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
+        finished, result = run_bounded(lambda: s.split_subbands(g))
+    assert finished
+    assert isinstance(result, RuntimeError) and str(result) == "band 2 failed"

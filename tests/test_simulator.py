@@ -1,4 +1,8 @@
+import itertools
 import math
+import random
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -264,21 +268,91 @@ def test_other_scenes_take_the_direct_sum(arr_params, case):
     assert relative_error(g, reference_spectrum(sc, arr_params, 256, 16)) <= 1e-12
 
 
+def spread_scene(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return s.Scene(x=rng.uniform(-10.0, 10.0, n), y=rng.uniform(-0.3, 0.3, n),
+                   amp=rng.uniform(0.5, 2.0, n))
+
+
+def cpus(n):
+    """Context that makes the process see n CPUs in its affinity mask."""
+    return mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True)
+
+
 def test_chunked_sum_spans_chunks(xband):
-    # 1031 is prime; at 4096 rows a chunk holds 2^21 / 4096 = 512
-    # scatterers, so the sum runs over chunks of 512, 512 and 7
+    # 1031 is prime; at 4096 rows a chunk holds 2^19 / 4096 = 128
+    # scatterers, so the sum runs over eight chunks of 128 and one of 7
     na, n = 4096, 1031
     assert 2 * (sim.CHUNK_SAMPLES // na) < n
-    rng = np.random.default_rng(3)
-    sc = s.Scene(x=rng.uniform(-10.0, 10.0, n), y=rng.uniform(-0.3, 0.3, n),
-                 amp=rng.uniform(0.5, 2.0, n))
+    sc = spread_scene(n)
     with only_path("direct"):
         g = s.synth_spectrum(sc, xband, na=na, nr=8).data
     assert relative_error(g, reference_spectrum(sc, xband, na, 8)) <= 1e-12
 
 
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
+    # blocks finish out of order under random delays, on one thread or on
+    # four; the sum must still be the serial sum of the chunks in order
+    na, nr, n = 4096, 8, 1031
+    sc = spread_scene(n)
+    f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
+    f_r = sim._freq_axis(nr, xband.B_r)
+    carrier = xband.f_c * np.cos(s.squint_from_doppler(xband, f_a))
+    u, v = sc.x / xband.V, 2 * sc.y / s.C
+    step = sim.CHUNK_SAMPLES // na
+    want = None
+    for lo in range(0, n, step):
+        sl = slice(lo, lo + step)
+        az, rg = sim._direct_block(f_a, f_r, carrier, u[sl], v[sl], sc.amp[sl])
+        want = az @ rg if want is None else want + az @ rg
+
+    build = sim._direct_block
+    delays = random.Random(n_cpus)
+    threads = set()
+
+    def slow_block(*args):
+        threads.add(threading.get_ident())
+        time.sleep(delays.uniform(0.0, 0.02))
+        return build(*args)
+
+    with cpus(n_cpus), only_path("direct"), \
+            mock.patch.object(sim, "_direct_block", side_effect=slow_block):
+        g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+    assert np.array_equal(g, want)
+    assert (len(threads) > 1) == (n_cpus > 1)
+
+
+def test_chunk_failure_propagates(xband, run_bounded):
+    # the third chunk's builder raises on a worker thread: synth_spectrum
+    # re-raises that exception in the caller instead of hanging on it
+    build = sim._direct_block
+    calls = itertools.count()
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise RuntimeError("chunk 3 failed")
+        return build(*args)
+
+    with cpus(2), mock.patch.object(sim, "_direct_block", side_effect=failing):
+        finished, result = run_bounded(
+            lambda: s.synth_spectrum(spread_scene(1031), xband, na=4096, nr=8)
+        )
+    assert finished
+    assert isinstance(result, RuntimeError) and str(result) == "chunk 3 failed"
+
+
+def test_one_chunk_starts_no_thread(xband):
+    # analyze's small direct sums fit in one chunk: they run inline
+    sc = spread_scene(64)
+    with cpus(4), only_path("direct"), \
+            mock.patch("threading.Thread", side_effect=AssertionError("thread started")):
+        g = s.synth_spectrum(sc, xband, na=2048, nr=64).data
+    assert relative_error(g, reference_spectrum(sc, xband, 2048, 64)) <= 1e-12
+
+
 def test_closed_form_memory_is_independent_of_n(arr_params):
-    # 60 m line, 7686 scatterers; summed term by term it would need 32 MiB
+    # 60 m line, 7686 scatterers; summed term by term it would need 8 MiB
     # phase blocks even in chunks, the closed form only a few na x nr arrays
     na, nr = 2048, 64
     sc = s.line_scene(math.radians(1.0), 60.0, arr_params.lam / 4)
