@@ -4,7 +4,7 @@ Linear and periodic targets concentrate their backscatter at specific squint
 angles, which a SAR acquisition observes as Doppler frequencies; rendering
 Doppler sub-bands as red, green, and blue turns that dispersion into colour.
 This package carries the closed-form model (orders, 3D projection, hue
-rules), a signal-level spectrum simulator with focusing, the RGB
+rules), a signal-level spectrum simulator, focusing and the RGB
 composition step, and inversion from colour back to orientation.
 """
 
@@ -13,7 +13,7 @@ from .analysis import (
     estimate_orientation_map,
     verify_scene_against_model,
 )
-from .csi import RGBImage, compose_rgb, encode_ppm, split_subbands
+from .csi import ComplexImage, RGBImage, compose_rgb, encode_ppm, focus_image, split_subbands
 from .dispersion import (
     ChartData,
     DiffractionSolution,
@@ -59,13 +59,7 @@ from .scene import (
     project_segment_3d,
     segment3d_scene,
 )
-from .simulator import (
-    ComplexImage,
-    SpectrumGrid,
-    azimuth_power_spectrum,
-    focus_image,
-    synth_spectrum,
-)
+from .simulator import SpectrumGrid, azimuth_power_spectrum, synth_spectrum
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ import numpy as np
 from .dispersion import DiffractionSolution, invert_orientation_from_doppler
 from .params import RadarParams
 from .scene import Scene
-from .simulator import azimuth_power_spectrum, peak_indices, synth_spectrum
+from .simulator import azimuth_power_spectrum, synth_spectrum
 
 # Detection threshold as a fraction of the coherent ceiling Nr * (sum amp)^2.
 # Anchoring to the ceiling rather than the profile's own maximum keeps windows
@@ -57,6 +57,24 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(t.passed for t in self.targets)
+
+
+def peak_indices(values: np.ndarray, min_height: float) -> np.ndarray:
+    """Local maxima of a 1-D profile at or above min_height.
+
+    Endpoints count as peaks too (a maximum at the first or last sample has
+    no outer neighbour to disqualify it).  A flat top is one peak, reported
+    at its middle sample, rounded down.
+    """
+    padded = np.concatenate(([-np.inf], np.asarray(values, float), [-np.inf]))
+    # Runs of equal samples; a run is a peak when both neighbouring runs are
+    # strictly lower.  The two -inf pads are never peaks themselves.
+    starts = np.flatnonzero(np.concatenate(([True], padded[1:] != padded[:-1])))
+    ends = np.append(starts[1:], padded.size) - 1
+    level = padded[starts]
+    top = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    mid = (starts[1:-1][top] + ends[1:-1][top]) // 2
+    return mid[padded[mid] >= min_height] - 1
 
 
 def detect_peaks(

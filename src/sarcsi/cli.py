@@ -1,9 +1,9 @@
 """Command-line front end: predict, predict3d, chart, simulate, analyze.
 
-Exit codes: 0 success, 2 bad flags or config, 3 no propagating solution
-(evanescent order or unrealizable Doppler), 4 scene exceeds the unambiguous
-grid extent.  Error messages go to stderr; data goes to stdout unless an
-output path is given.
+Exit codes: 0 success, 2 bad flags or config, or out of memory, 3 no
+propagating solution (evanescent order or unrealizable Doppler), 4 scene
+exceeds the unambiguous grid extent.  Error messages go to stderr; data goes
+to stdout unless an output path is given.
 """
 
 from __future__ import annotations
@@ -205,9 +205,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     p = _radar(args, cfg.radar)
     na, nr = _grid(cfg, args)
     g = synth_spectrum(merge_scenes(build_scenes(cfg)), p, na, nr)
-    red, green, blue = split_subbands(g)
-    rgb = compose_rgb(red.data, green.data, blue.data, norm=args.norm)
     f_a, power = azimuth_power_spectrum(g)
+    red, green, blue = split_subbands(g)
+    del g    # the spectrum is not needed while the raster is composed
+    rgb = compose_rgb(red.data, green.data, blue.data, norm=args.norm)
 
     ppm_path = prefix.with_name(prefix.name + "_rgb.ppm")
     csv_path = prefix.with_name(prefix.name + "_azspec.csv")
@@ -355,3 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     except AliasingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
+    except MemoryError as e:
+        print(f"error: out of memory: {e or 'allocation failed'}", file=sys.stderr)
+        return 2

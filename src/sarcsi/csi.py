@@ -1,11 +1,12 @@
-"""Colorized sub-aperture composition: three Doppler bands become R, G, B.
+"""Focusing and colorized sub-aperture composition: three Doppler bands become R, G, B.
 
-The azimuth spectrum is cut into the three equal thirds of the Doppler
-window that classify_hue names, low to high Doppler mapping to red, green,
-blue.  Each band is focused on its own and the three magnitudes are composed
-into one 8-bit image, so a target's colour encodes where its energy sits in
-Doppler, hence its orientation.  By Parseval a band image's energy is the
-summed power of its spectrum rows.
+A spectrum is focused by a unitary inverse 2D DFT, so energy checks need no
+tolerance.  The azimuth spectrum is cut into the three equal thirds of the
+Doppler window that classify_hue names, low to high Doppler mapping to red,
+green, blue.  Each band is focused from its own rows and the three magnitudes
+are composed into one 8-bit image, so a target's colour encodes where its
+energy sits in Doppler, hence its orientation.  By Parseval a band image's
+energy is the summed power of its spectrum rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import ComplexImage, SpectrumGrid, _centred_ifft, _image, _threaded_map
+from .params import RadarParams
+from .simulator import SpectrumGrid, _threaded_map
 
 NORM_MODES = ("linear", "clip_p999")
 
@@ -34,6 +36,53 @@ class RGBImage:
             raise ValueError("pixels must be uint8")
 
 
+@dataclass(frozen=True)
+class ComplexImage:
+    """Focused complex image on the (slow-time, fast-time) grid dual to a spectrum.
+
+    t_a spans na/B_a seconds of slow time (V * na/B_a metres of azimuth), t_r
+    spans nr/B_r seconds of fast time ((c/2) * nr/B_r metres of slant range).
+    """
+
+    data: np.ndarray
+    t_a: np.ndarray
+    t_r: np.ndarray
+    params: RadarParams
+
+
+def _centred_ifft(x: np.ndarray, axis: int) -> None:
+    """Unitary fftshift(ifft(ifftshift(x))) along axis, in place.  For even n
+    both shifts are exact sign flips: (-1)^(m - n/2) ifft((-1)^k x)[m]."""
+    n = x.shape[axis]
+    if n % 2:
+        shifted = np.fft.ifft(np.fft.ifftshift(x, axis), axis=axis, norm="ortho")
+        x[...] = np.fft.fftshift(shifted, axis)
+        return
+    lines = np.moveaxis(x, axis, 0)
+    np.negative(lines[1::2], out=lines[1::2])
+    np.fft.ifft(x, axis=axis, norm="ortho", out=x)
+    odd = lines[(n // 2 + 1) % 2 :: 2]          # m - n/2 odd
+    np.negative(odd, out=odd)
+
+
+def _focus(g: SpectrumGrid, lo: int, hi: int) -> ComplexImage:
+    """Image of spectrum rows lo:hi alone, the others zero: the range IFFT acts
+    on each row by itself, so it runs on those rows, the azimuth IFFT on all."""
+    data = np.zeros_like(g.data)
+    data[lo:hi] = g.data[lo:hi]
+    _centred_ifft(data[lo:hi], 1)
+    _centred_ifft(data, 0)
+    na, nr = data.shape
+    t_a = (np.arange(na) - na // 2) / g.params.B_a
+    t_r = (np.arange(nr) - nr // 2) / g.params.B_r
+    return ComplexImage(data, t_a, t_r, g.params)
+
+
+def focus_image(g: SpectrumGrid) -> ComplexImage:
+    """Inverse 2D unitary DFT of the spectrum; energy is preserved exactly."""
+    return _focus(g, 0, g.data.shape[0])
+
+
 def split_subbands(
     g: SpectrumGrid,
 ) -> tuple[ComplexImage, ComplexImage, ComplexImage]:
@@ -43,21 +92,16 @@ def split_subbands(
     Doppler f_a, the rule classify_hue applies, so the colour a frequency is
     predicted in is the colour it is rendered in.  Each bin lands in exactly
     one band and the DFT is unitary, so each band image carries exactly the
-    power of its rows.  One range IFFT pass serves all three bands, as it acts
-    on each row alone; the bands' azimuth IFFTs run on worker threads.
+    power of its rows.  The band index rises with f_a, so on an ascending f_a
+    each band is one run of rows, focused from those rows on a worker thread.
     Returns (red, green, blue) complex images.
     """
     if g.data.shape[0] < 3:
         raise ValueError("need at least 3 azimuth bins to split into bands")
-    band = g.params.band_index(g.f_a)
-    rows = _centred_ifft(g.data.copy(), 1)
-
-    def focus(b: int) -> ComplexImage:
-        img = np.zeros_like(rows)
-        np.copyto(img, rows, where=(band == b)[:, None])
-        return _image(_centred_ifft(img, 0), g.params)
-
-    return tuple(_threaded_map(focus, range(3)))
+    if np.any(np.diff(g.f_a) <= 0):
+        raise ValueError("the Doppler axis f_a must be strictly ascending")
+    cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
+    return tuple(_threaded_map(lambda b: _focus(g, cuts[b], cuts[b + 1]), range(3)))
 
 
 def compose_rgb(

@@ -382,8 +382,8 @@ _RADAR = {"fc_hz": _positive, "v_mps": _positive, "rho_a_m": _positive, "rho_r_m
 _GRID = {"na": _integer, "nr": _integer}
 
 
-def _validate_target(t: object, i: int) -> dict:
-    where = f"targets[{i}]"
+def _validate_target(t: object, i: int | None = None) -> dict:
+    where = "target" if i is None else f"targets[{i}]"
     if not isinstance(t, dict):
         raise ConfigError(f"{where}: expected an object")
     name = t.get("kind")
@@ -393,7 +393,7 @@ def _validate_target(t: object, i: int) -> dict:
         )
     kind = KINDS[name]
     out = _fields(t, kind.required, {**kind.optional, **_COMMON}, where)
-    out.setdefault("label", f"{name}_{i}")
+    out.setdefault("label", name if i is None else f"{name}_{i}")
     out.setdefault("amp", 1.0)
     return out
 
@@ -431,18 +431,17 @@ def parse_scene_config(path: str | Path) -> SceneConfig:
 
 
 def generate_scene(target: dict, lam: float) -> Scene:
-    """Build the scatterer cloud for one validated target description.
+    """Build the scatterer cloud for one target description.
 
-    Degree-valued config fields become radians in the kind table; the
-    default sample spacing is a quarter wavelength so curved shapes stay
-    effectively continuous for the radar.  The target itself becomes the
-    scene's config.
+    The target is first checked against its kind's schema (ConfigError names
+    the field); amp defaults to 1 and label to the kind.  Degree-valued fields
+    become radians in the kind table; the default sample spacing is a quarter
+    wavelength so curved shapes stay effectively continuous for the radar.
+    The checked target becomes the scene's config.
     """
+    target = _validate_target(target)
     scene = KINDS[target["kind"]].build(
-        target,
-        target.get("spacing_m", lam / 4),
-        target.get("amp", 1.0),
-        target.get("label", target["kind"]),
+        target, target.get("spacing_m", lam / 4), target["amp"], target["label"]
     )
     return replace(scene, config=target)
 

@@ -1,4 +1,4 @@
-"""Signal-level spectrum synthesis, focusing, azimuth marginal and peak finding.
+"""Signal-level spectrum synthesis and the azimuth marginal.
 
 The observed 2D spectrum of a scatterer cloud is modelled sample by sample:
 
@@ -8,8 +8,7 @@ with u = x / V, v = 2 y / c, and theta_k = arcsin(lam f_a[k] / (2V)) the squint
 angle of azimuth column k (params.squint_from_doppler over the whole axis).
 The f_a axis carries absolute Doppler (it contains f_dc), so the per-column
 range carrier f_c cos(theta_k) is exact, not a small-angle approximation.
-Focusing is a unitary inverse 2D DFT, which keeps every energy bookkeeping
-check tolerance-free in formulation.
+Focusing the spectrum into an image is csi's part.
 
 synth_spectrum evaluates that sum exactly in one of two ways, picked from the
 samples themselves.  A uniformly sampled collinear run of equal amplitudes
@@ -62,20 +61,6 @@ class SpectrumGrid:
     params: RadarParams
 
 
-@dataclass(frozen=True)
-class ComplexImage:
-    """Focused complex image on the (slow-time, fast-time) grid dual to a spectrum.
-
-    t_a spans na/B_a seconds of slow time (V * na/B_a metres of azimuth), t_r
-    spans nr/B_r seconds of fast time ((c/2) * nr/B_r metres of slant range).
-    """
-
-    data: np.ndarray
-    t_a: np.ndarray
-    t_r: np.ndarray
-    params: RadarParams
-
-
 def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
     """Yield fn(item) for every item of a sequence, in input order.
 
@@ -111,10 +96,6 @@ def check_grid_size(n: int, name: str) -> None:
 
 def _freq_axis(n: int, bandwidth: float, center: float = 0.0) -> np.ndarray:
     return center - bandwidth / 2 + np.arange(n) * (bandwidth / n)
-
-
-def _time_axis(n: int, bandwidth: float) -> np.ndarray:
-    return (np.arange(n) - n // 2) / bandwidth
 
 
 def _uniform_steps(
@@ -287,31 +268,6 @@ def synth_spectrum(
     return SpectrumGrid(data=data, f_a=f_a, f_r=f_r, params=p)
 
 
-def _centred_ifft(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unitary fftshift(ifft(ifftshift(x))) along axis, in x itself for even n,
-    where both shifts are exact sign flips: (-1)^(m - n/2) ifft((-1)^k x)[m]."""
-    n = x.shape[axis]
-    if n % 2:
-        shifted = np.fft.ifft(np.fft.ifftshift(x, axis), axis=axis, norm="ortho")
-        return np.fft.fftshift(shifted, axis)
-    lines = np.moveaxis(x, axis, 0)
-    np.negative(lines[1::2], out=lines[1::2])
-    np.fft.ifft(x, axis=axis, norm="ortho", out=x)
-    odd = lines[(n // 2 + 1) % 2 :: 2]          # m - n/2 odd
-    np.negative(odd, out=odd)
-    return x
-
-
-def _image(data: np.ndarray, p: RadarParams) -> ComplexImage:
-    na, nr = data.shape
-    return ComplexImage(data, _time_axis(na, p.B_a), _time_axis(nr, p.B_r), p)
-
-
-def focus_image(g: SpectrumGrid) -> ComplexImage:
-    """Inverse 2D unitary DFT of the spectrum; energy is preserved exactly."""
-    return _image(_centred_ifft(_centred_ifft(g.data.copy(), 1), 0), g.params)
-
-
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:
     """Range-marginal power per Doppler bin: P[k] = sum_l |G[k, l]|^2."""
     return g.f_a, np.sum(np.abs(g.data) ** 2, axis=1)
@@ -322,21 +278,3 @@ def azimuth_spectrum_csv(f_a: np.ndarray, power: np.ndarray) -> str:
     lines = ["f_a_hz,power"]
     lines += [f"{f!r},{pw!r}" for f, pw in zip(f_a.tolist(), power.tolist())]
     return "\n".join(lines) + "\n"
-
-
-def peak_indices(values: np.ndarray, min_height: float) -> np.ndarray:
-    """Local maxima of a 1-D profile at or above min_height.
-
-    Endpoints count as peaks too (a maximum at the first or last sample has
-    no outer neighbour to disqualify it).  A flat top is one peak, reported
-    at its middle sample, rounded down.
-    """
-    padded = np.concatenate(([-np.inf], np.asarray(values, float), [-np.inf]))
-    # Runs of equal samples; a run is a peak when both neighbouring runs are
-    # strictly lower.  The two -inf pads are never peaks themselves.
-    starts = np.flatnonzero(np.concatenate(([True], padded[1:] != padded[:-1])))
-    ends = np.append(starts[1:], padded.size) - 1
-    level = padded[starts]
-    top = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
-    mid = (starts[1:-1][top] + ends[1:-1][top]) // 2
-    return mid[padded[mid] >= min_height] - 1

@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
-from sarcsi.csi import RGBImage
+from sarcsi.analysis import peak_indices
+from sarcsi.csi import ComplexImage, RGBImage
 from sarcsi.params import C, RadarParams, doppler_from_squint
-from sarcsi.simulator import ComplexImage, SpectrumGrid, _time_axis, peak_indices
+from sarcsi.simulator import SpectrumGrid
 
 
 def _cos_squint(p: RadarParams, f: np.ndarray) -> np.ndarray:
@@ -35,8 +36,8 @@ def render_psf(p: RadarParams, theta_sq: float, na: int, nr: int) -> ComplexImag
         raise ValueError("squint must satisfy |theta_sq| < 90 deg")
     co = math.cos(theta_sq)
     f_d = doppler_from_squint(p, theta_sq)
-    t_a = _time_axis(na, p.B_a)
-    t_r = _time_axis(nr, p.B_r)
+    t_a = (np.arange(na) - na // 2) / p.B_a
+    t_r = (np.arange(nr) - nr // 2) / p.B_r
     env = np.outer(np.sinc(t_a * p.B_a * co), np.sinc(t_r * p.B_r * co))
     carrier = np.exp(
         2j * np.pi * (f_d * t_a[:, None] + p.f_c * co * t_r[None, :])

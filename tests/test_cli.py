@@ -22,9 +22,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, preexec_fn=None):
     """Run `python -m sarcsi` in a child process; returns (code, stderr)."""
-    proc = subprocess.run([sys.executable, "-m", "sarcsi", *argv],
+    proc = subprocess.run([sys.executable, "-m", "sarcsi", *argv], preexec_fn=preexec_fn,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr
 
@@ -385,6 +385,25 @@ class TestRejectedInput:
         code, err = run_process("analyze", "--scene", str(scene), "--na", "100")
         assert code == 2
         assert "na must be a power of two" in err and "Traceback" not in err
+
+    def test_out_of_memory(self, tmp_path):
+        # a 2^20 x 2^12 grid needs 64 GiB per complex array; with the child's
+        # address space capped at 4 GiB the allocation fails, and that is a
+        # one-line error before any product is written
+        resource = pytest.importorskip("resource")
+        scene = scene_file(tmp_path, [LINE2], rho_r=0.1, nr=64)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        code, err = run_process("simulate", "--scene", str(scene),
+                                "--out-prefix", str(tmp_path / "x"),
+                                "--na", "1048576", "--nr", "4096",
+                                preexec_fn=cap_address_space)
+        assert code == 2
+        assert err.startswith("error: out of memory") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("x_*"))
 
     @pytest.mark.parametrize(
         "argv",

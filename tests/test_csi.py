@@ -42,6 +42,21 @@ def test_split_needs_three_bins(xband):
     )
     with pytest.raises(ValueError):
         s.split_subbands(g)
+    # three bins are enough: red gets two rows (bin 1 sits a rounding error
+    # below the red/green edge) and green one, the blue band none, so its
+    # image is all zeros
+    r, gr, b = s.split_subbands(flat_grid(xband, 3, 4))
+    assert np.all(b.data == 0.0)
+    assert [np.sum(np.abs(im.data) ** 2) for im in (r, gr)] == pytest.approx([8.0, 4.0])
+
+
+def test_split_needs_ascending_doppler(xband):
+    # rows are cut into bands as runs of the Doppler axis, which a shuffled
+    # axis would put in the wrong band
+    g = flat_grid(xband, 16, 4)
+    for f_a in (g.f_a[::-1], np.roll(g.f_a, 1), np.repeat(g.f_a[::2], 2)):
+        with pytest.raises(ValueError, match="ascending"):
+            s.split_subbands(s.SpectrumGrid(g.data, f_a, g.f_r, xband))
 
 
 def flat_grid(p, na, nr):
@@ -247,8 +262,8 @@ def random_grid(p, na, nr, seed=5):
     ids=["flat96x8", "flat2048x4", "random16x4", "odd15x5", "odd_range18x7"],
 )
 def test_split_matches_masked_2d_focus(xband, grid):
-    # the shared range pass and sign-flip shifts give the plain
-    # mask-shift-ifft2-shift bands; odd sizes take the explicit shifts
+    # focusing each band from its own rows, with sign-flip shifts, gives the
+    # plain mask-shift-ifft2-shift bands; odd sizes take the explicit shifts
     g = grid(xband)
     data = g.data.copy()
     got = s.split_subbands(g)
@@ -263,8 +278,30 @@ def test_split_matches_masked_2d_focus(xband, grid):
 @pytest.mark.parametrize("shape", [(64, 8), (16, 4), (15, 5), (18, 7)])
 def test_focus_matches_shifted_ifft2(xband, shape):
     g = random_grid(xband, *shape)
+    data = g.data.copy()
     want = oracles.focus_reference(g.data)
     assert np.abs(s.focus_image(g).data - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(g.data, data)          # the input is left alone
+
+
+def tiny_scene_grid(p):
+    # the benchmark's smoke scene: a 1 m line at 2 deg on 256x64
+    line = s.generate_scene({"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}, p.lam)
+    return s.synth_spectrum(line, p, na=256, nr=64)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [lambda p: random_grid(p, 16, 4), lambda p: random_grid(p, 15, 5), tiny_scene_grid],
+    ids=["random16x4", "odd15x5", "tiny"],
+)
+def test_focus_is_sum_of_band_images(xband, grid):
+    # the full image and the three bands take one focusing path, and the
+    # bands partition the rows, so by linearity the bands add up to the whole
+    g = grid(xband)
+    want = s.focus_image(g).data
+    total = sum(img.data for img in s.split_subbands(g))
+    assert np.abs(total - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)

@@ -229,6 +229,29 @@ def test_generate_scene_all_kinds():
         assert sc.config == t    # the target itself, "kind" included
 
 
+@pytest.mark.parametrize(
+    "target, field",
+    [
+        ({"kind": "line", "theta_az_deg": 95.0, "length_m": 1.0}, "theta_az_deg"),
+        ({"kind": "catenary", "a_m": 5.0, "half_span_m": 2.0, "theta_inc_deg": 135.0},
+         "theta_inc_deg"),
+        ({"kind": "line", "theta_az_deg": 2.0, "lenght_m": 1.0}, "lenght_m"),
+        ({"kind": "array", "theta_az_deg": 0.0, "dx_m": 0.05, "n": 64.7}, "'n'"),
+    ],
+    ids=["line_angle", "catenary_incidence", "typo", "fractional_n"],
+)
+def test_generate_scene_checks_its_target(target, field):
+    # the Python API builds scenes from target dicts too; they get the same
+    # schema check as a config file's targets
+    with pytest.raises(ConfigError, match=field):
+        s.generate_scene(target, LAM)
+
+
+def test_generate_scene_defaults():
+    sc = s.generate_scene({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}, LAM)
+    assert sc.label == "array" and np.all(sc.amp == 1.0)
+
+
 def test_default_spacing_is_quarter_wavelength():
     sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0,
                            "amp": 1.0, "label": "x"}, LAM)

@@ -14,8 +14,9 @@ from scipy.signal import find_peaks
 import oracles
 import sarcsi as s
 from sarcsi import simulator as sim
+from sarcsi.analysis import peak_indices
 from sarcsi.errors import AliasingError, DopplerRangeError
-from sarcsi.simulator import azimuth_spectrum_csv, peak_indices
+from sarcsi.simulator import azimuth_spectrum_csv
 
 # Bound on max|dG| / max|G| between any synthesis path and the direct sum.
 ERROR_BUDGET = 1e-10
