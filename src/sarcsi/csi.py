@@ -40,6 +40,7 @@ class RGBImage:
 class ComplexImage:
     """Focused complex image on the (slow-time, fast-time) grid dual to a spectrum.
 
+    data is (na, nr), possibly the transposed view of an (nr, na) array.
     t_a spans na/B_a seconds of slow time (V * na/B_a metres of azimuth), t_r
     spans nr/B_r seconds of fast time ((c/2) * nr/B_r metres of slant range).
     """
@@ -66,16 +67,17 @@ def _centred_ifft(x: np.ndarray, axis: int) -> None:
 
 
 def _focus(g: SpectrumGrid, lo: int, hi: int) -> ComplexImage:
-    """Image of spectrum rows lo:hi alone, the others zero: the range IFFT acts
-    on each row by itself, so it runs on those rows, the azimuth IFFT on all."""
-    data = np.zeros_like(g.data)
-    data[lo:hi] = g.data[lo:hi]
-    _centred_ifft(data[lo:hi], 1)
-    _centred_ifft(data, 0)
-    na, nr = data.shape
+    """Image of spectrum rows lo:hi alone, the others zero, built range-major:
+    the rows are columns lo:hi of an (nr, na) array and take the range IFFT
+    there alone, then the azimuth IFFT runs along the contiguous axis."""
+    na, nr = g.data.shape
+    data = np.zeros((nr, na), g.data.dtype)
+    data[:, lo:hi] = g.data[lo:hi].T
+    _centred_ifft(data[:, lo:hi], 0)
+    _centred_ifft(data, 1)
     t_a = (np.arange(na) - na // 2) / g.params.B_a
     t_r = (np.arange(nr) - nr // 2) / g.params.B_r
-    return ComplexImage(data, t_a, t_r, g.params)
+    return ComplexImage(data.T, t_a, t_r, g.params)
 
 
 def focus_image(g: SpectrumGrid) -> ComplexImage:
@@ -94,7 +96,7 @@ def split_subbands(
     one band and the DFT is unitary, so each band image carries exactly the
     power of its rows.  The band index rises with f_a, so on an ascending f_a
     each band is one run of rows, focused from those rows on a worker thread.
-    Returns (red, green, blue) complex images.
+    Returns (red, green, blue) complex images, range-major (see _focus).
     """
     if g.data.shape[0] < 3:
         raise ValueError("need at least 3 azimuth bins to split into bands")
@@ -104,6 +106,31 @@ def split_subbands(
     return tuple(_threaded_map(lambda b: _focus(g, cuts[b], cuts[b + 1]), range(3)))
 
 
+def _normalizer(x: np.ndarray, norm: str) -> float:
+    """The shared normalizer of a flat magnitude stack x, without a copy of x:
+    its maximum ("linear"), or exactly numpy's linear-rule percentile of x at
+    99.9 ("clip_p999"), interpolated between two of the need largest values;
+    those are all >= t, the need-th largest group maximum.  NaN or inf: ValueError."""
+    n = x.size
+    m = n - n % 64    # maxima of 64-member interleaved groups, the tail as groups of one
+    top = np.concatenate((x[:m].reshape(64, -1).max(axis=0), x[m:]))
+    if not np.isfinite(top).all():    # NaN and inf survive the maxima
+        raise ValueError("channel grids must be finite")
+    if norm == "linear":
+        return float(top.max())
+    vi = (n - 1) * (99.9 / 100)    # numpy's q is 99.9 / 100, not the literal 0.999
+    j = int(vi)    # floor, as vi >= 0
+    gamma = vi - j
+    need = n - j
+    t = np.partition(top, -need)[-need] if need <= top.size else -np.inf
+    cand = x[x >= t]
+    k = j - (n - cand.size)
+    ks = [k, min(k + 1, cand.size - 1)]
+    a, b = np.partition(cand, ks)[ks]
+    d = b - a
+    return float(b - d * (1 - gamma) if gamma >= 0.5 else a + d * gamma)   # numpy's _lerp
+
+
 def compose_rgb(
     r: np.ndarray, g: np.ndarray, b: np.ndarray, norm: str = "linear"
 ) -> RGBImage:
@@ -111,31 +138,39 @@ def compose_rgb(
 
     The channels share a single normalizer so their relative strengths, and
     therefore the perceived hue, survive quantization: the joint maximum
-    (norm="linear") or the joint 99.9th percentile with clipping
-    (norm="clip_p999").  Grids arrive azimuth-major and come out as an
-    image with azimuth across and range down.  The grids may be the complex
-    band images themselves; |.| is taken here, into the one (height, width, 3)
-    array that is then quantized in place, rounding half up.
+    (norm="linear") or numpy's linear-rule joint 99.9th percentile with
+    clipping (norm="clip_p999"), selected without a copy.  Grids arrive
+    azimuth-major and come out as an image with azimuth across and range
+    down.  |.| of each grid's transpose (contiguous for split_subbands' images)
+    goes into one (height, width, 3) array, quantized in place into the pixels,
+    rounding half up, in 64-row tiles on worker threads.  NaN or inf: ValueError.
     """
     if norm not in NORM_MODES:
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")
-    if not (r.shape == g.shape == b.shape and r.ndim == 2):
-        raise ValueError("channel grids must be three equal-shape 2-D arrays")
+    if not (r.shape == g.shape == b.shape and r.ndim == 2 and r.size):
+        raise ValueError("channel grids must be three equal-shape non-empty 2-D arrays")
     stack = np.empty(r.shape[::-1] + (3,))
-    for lo in range(0, r.shape[0], 64):   # 64-row tiles keep the transposed writes in cache
+    tiles = range(0, stack.shape[0], 64)
+
+    def magnitudes(lo: int) -> None:
         for c, grid in enumerate((r, g, b)):
-            np.abs(grid[lo : lo + 64].T, out=stack[:, lo : lo + 64, c])
-    if norm == "linear":
-        ref = stack.max()
-    else:
-        ref = float(np.percentile(stack, 99.9))
-    if ref > 0:
-        stack /= ref
-        np.minimum(stack, 1.0, out=stack)
-    # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
-    stack *= 255
-    stack += 0.5
-    pixels = np.floor(stack, out=stack).astype(np.uint8)
+            np.abs(grid.T[lo : lo + 64], out=stack[lo : lo + 64, :, c])
+
+    list(_threaded_map(magnitudes, tiles))
+    ref = _normalizer(stack.reshape(-1), norm)
+    pixels = np.empty(stack.shape, np.uint8)
+
+    def quantize(lo: int) -> None:
+        tile = stack[lo : lo + 64]
+        if ref > 0:
+            tile /= ref
+            np.minimum(tile, 1.0, out=tile)
+        # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
+        tile *= 255
+        tile += 0.5
+        pixels[lo : lo + 64] = np.floor(tile, out=tile)
+
+    list(_threaded_map(quantize, tiles))
     return RGBImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
 
 

@@ -269,8 +269,13 @@ def synth_spectrum(
 
 
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Range-marginal power per Doppler bin: P[k] = sum_l |G[k, l]|^2."""
-    return g.f_a, np.sum(np.abs(g.data) ** 2, axis=1)
+    """Range-marginal power per Doppler bin: P[k] = sum_l |G[k, l]|^2.  Raises
+    ValueError unless the powers and their total are finite (|G|^2 may overflow)."""
+    with np.errstate(over="ignore"):
+        power = np.sum(np.abs(g.data) ** 2, axis=1)
+        if not np.isfinite(power.sum()):
+            raise ValueError("the spectrum's power is not finite; lower the target amplitudes")
+    return g.f_a, power
 
 
 def azimuth_spectrum_csv(f_a: np.ndarray, power: np.ndarray) -> str:

@@ -405,6 +405,21 @@ class TestRejectedInput:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("x_*"))
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("amp", [1e307, 1e154])
+    def test_non_finite_spectrum(self, tmp_path, command, amp):
+        # at 1e307 the spectrum itself overflows; at 1e154 |G| is finite but
+        # |G|^2 is not.  Either is an error before any output is written.  In
+        # a child process: here numpy's overflow warnings would be exceptions
+        scene = scene_file(tmp_path, [dict(LINE2, amp=amp)], rho_r=0.1, nr=64)
+        out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
+               else ("--out", str(tmp_path / "x_analysis.json")))
+        code, err = run_process(command, "--scene", str(scene), *out)
+        assert code == 2
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+        assert "not finite" in err
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize(
         "argv",
         [

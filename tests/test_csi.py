@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -192,6 +194,19 @@ def test_compose_validation():
         s.compose_rgb(z, z, z, norm="log")
     with pytest.raises(ValueError):
         s.compose_rgb(np.zeros(4), np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError):
+        s.compose_rgb(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("norm", csi.NORM_MODES)
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.inf)])
+def test_compose_rejects_non_finite(norm, value):
+    # one NaN used to skip normalization (every other lit pixel read 255),
+    # and one inf blacked out the whole image under "linear"
+    r = np.ones((200, 130), complex)
+    r[150, 70] = value
+    with pytest.raises(ValueError, match="finite"):
+        s.compose_rgb(r, np.ones_like(r), np.ones_like(r), norm=norm)
 
 
 def test_rgb_image_validation():
@@ -349,3 +364,107 @@ def test_band_focus_failure_propagates(xband, run_bounded):
         finished, result = run_bounded(lambda: s.split_subbands(g))
     assert finished
     assert isinstance(result, RuntimeError) and str(result) == "band 2 failed"
+
+
+def p999_cases():
+    rng = np.random.default_rng(99)
+    for n in range(1, 401):
+        yield n, rng.random(n)
+        yield n, rng.integers(0, 4, n).astype(float)       # ties
+    for n in (64 * 6293 - 1, 64 * 6293, 64 * 6293 + 1, 3 * 4096 * 512):
+        one_hot = np.zeros(n)
+        one_hot[rng.integers(n)] = 1.0
+        for x in (rng.random(n), rng.integers(0, 4, n).astype(float), np.zeros(n), one_hot):
+            yield n, x
+    for n in (1, 2, 63, 64, 65, 999, 1000, 1001):
+        yield n, np.zeros(n)
+        one_hot = np.zeros(n)
+        one_hot[n // 2] = 1.0
+        yield n, one_hot
+
+
+def test_p999_is_numpy_percentile_exactly():
+    # the selection must give numpy's linear-rule 99.9th percentile bit for
+    # bit, so the clip_p999 raster is byte-identical to np.percentile's
+    for n, x in p999_cases():
+        kept = x.copy()
+        got = csi._normalizer(x, "clip_p999")
+        assert got == float(np.percentile(x, 99.9)), n
+        assert np.array_equal(x, kept)          # selection works on copies
+
+
+def test_compose_p999_makes_no_full_copy(xband):
+    # clip_p999 selects its reference: no np.percentile, and no full-size
+    # array besides the magnitude stack and the pixels
+    bands = [img.data for img in s.split_subbands(random_grid(xband, 1024, 128))]
+    want = s.compose_rgb(*bands, norm="clip_p999")     # also warms up the imports
+    with mock.patch.object(np, "percentile", side_effect=AssertionError("np.percentile")):
+        tracemalloc.start()
+        try:
+            got = s.compose_rgb(*bands, norm="clip_p999")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(got.pixels, want.pixels)
+    stack = 1024 * 128 * 3 * 8
+    assert peak <= 1.1 * (stack + got.pixels.nbytes)
+
+
+def azimuth_major_band(g, lo, hi):
+    # the arithmetic before range-major images: rows lo:hi on the (na, nr)
+    # layout, range IFFT on those rows, then the azimuth IFFT along axis 0
+    data = np.zeros_like(g.data)
+    data[lo:hi] = g.data[lo:hi]
+    csi._centred_ifft(data[lo:hi], 1)
+    csi._centred_ifft(data, 0)
+    return data
+
+
+@pytest.mark.parametrize("shape", [(512, 64), (64, 8), (16, 4), (15, 5), (18, 7)])
+def test_range_major_images_are_bit_identical(xband, shape):
+    g = random_grid(xband, *shape)
+    cuts = np.searchsorted(xband.band_index(g.f_a), range(4)).tolist()
+    bands = s.split_subbands(g)
+    for b, img in enumerate(bands):
+        assert img.data.shape == shape
+        assert np.array_equal(img.data, azimuth_major_band(g, cuts[b], cuts[b + 1]))
+    full = s.focus_image(g).data
+    assert full.shape == shape
+    assert np.array_equal(full, azimuth_major_band(g, 0, shape[0]))
+
+
+def test_focus_allocates_only_its_output(xband):
+    # the band's rows are transformed in place in the output array: no
+    # full-size temporary (numpy's FFT keeps a fixed buffer of about 0.25 MiB)
+    g = random_grid(xband, 1024, 256)
+    csi._focus(g, 300, 600)
+    tracemalloc.start()
+    try:
+        img = csi._focus(g, 300, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * img.data.nbytes
+
+
+@pytest.mark.parametrize("norm", csi.NORM_MODES)
+def test_compose_same_pixels_on_one_or_two_cpus(xband, norm):
+    # 200 raster rows are four tiles, the last one partial; the tiles run on
+    # worker threads with two CPUs and inline with one
+    bands = [img.data for img in s.split_subbands(random_grid(xband, 96, 200))]
+    seen = {}
+    for n_cpus in (1, 2):
+        threads = set()
+        absolute = np.abs
+
+        def spy(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return absolute(*args, **kwargs)
+
+        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True), \
+                mock.patch.object(csi.np, "abs", side_effect=spy):
+            seen[n_cpus] = s.compose_rgb(*bands, norm=norm).pixels
+        assert (threading.get_ident() in threads) == (n_cpus == 1)
+    assert np.array_equal(seen[1], seen[2])
+    want = oracles.compose_rgb_reference(*bands, norm=norm).pixels
+    assert np.array_equal(seen[1], want)

@@ -174,6 +174,16 @@ def test_azimuth_power_spectrum_marginal(xband):
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e155], ids=["nan", "inf", "square_overflows"])
+def test_azimuth_power_spectrum_rejects_non_finite(xband, value):
+    # 1e155 is a finite |G| whose square is not; every case is a ValueError,
+    # not a spectrum of inf or NaN powers
+    g = s.synth_spectrum(point(), xband, na=64, nr=16)
+    g.data[5, 3] = value
+    with pytest.raises(ValueError, match="not finite"):
+        s.azimuth_power_spectrum(g)
+
+
 def test_peak_indices_handles_endpoints():
     v = np.array([5.0, 1.0, 0.0, 3.0, 0.0, 1.0, 6.0])
     assert list(peak_indices(v, 2.0)) == [0, 3, 6]
