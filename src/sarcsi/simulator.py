@@ -13,10 +13,10 @@ Focusing the spectrum into an image is csi's part.
 synth_spectrum evaluates that sum exactly in one of two ways, picked from the
 samples themselves.  A uniformly sampled collinear run of equal amplitudes
 (a line, an array, a 3-D segment) is a geometric series in n, summed in
-closed form as its array factor; every other cloud is summed term by term in
-8 MiB phase blocks, built on one worker thread per CPU of the process and
-added in block order.  Either path stays within max|dG| / max|G| <= 1e-10 of
-the plain direct sum, which the tests keep as the reference, in
+closed form as its array factor; every other cloud term by term, in blocks
+of real matrix products over the range columns l <= nr/2 that also give their
+conjugate partners nr - l.  Either path stays within max|dG| / max|G| <= 1e-10
+of the plain direct sum, which the tests keep as the reference, in
 tests/oracles.py with the peak oracles and the ideal point response.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+from contextvars import copy_context
 from dataclasses import dataclass
 from itertools import islice
 
@@ -42,7 +43,7 @@ CLOSED_FORM_MIN_N = 256
 # progression that still counts as uniform.  Each term's phase error is then
 # below 2pi * 1e-11, far inside the 1e-10 error budget.
 UNIFORM_TOL_CYCLES = 1e-11
-# Complex samples in one (na, chunk) phase block of the direct sum: 8 MiB.
+# Phases per direct-sum block (8 MiB of cos and sin), samples per combine tile.
 CHUNK_SAMPLES = 1 << 19
 
 
@@ -66,8 +67,9 @@ def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
 
     The calls run on one thread per CPU in the affinity mask (numpy releases
     the GIL in its FFTs and ufuncs), at most one per worker ahead of the
-    caller, so memory stays bounded.  A call's exception is re-raised here,
-    cancelling the calls not yet started.  One item or one CPU runs inline.
+    caller, so memory stays bounded, each in the caller's context (numpy's
+    error state).  A call's exception is re-raised here, cancelling the calls
+    not yet started.  One item or one CPU runs inline.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, len(items))
@@ -79,10 +81,10 @@ def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
     todo = iter(items)
     pool = ThreadPoolExecutor(workers)
     try:
-        window = deque(pool.submit(fn, x) for x in islice(todo, workers))
+        window = deque(pool.submit(copy_context().run, fn, x) for x in islice(todo, workers))
         while window:
             result = window.popleft().result()
-            window.extend(pool.submit(fn, x) for x in islice(todo, 1))
+            window.extend(pool.submit(copy_context().run, fn, x) for x in islice(todo, 1))
             yield result
     finally:
         pool.shutdown(cancel_futures=True)
@@ -167,17 +169,6 @@ def _closed_form(
     return g
 
 
-def _phasors(cycles: np.ndarray) -> np.ndarray:
-    """exp(-j2pi cycles), cos and sin after dropping whole cycles (exact);
-    cycles is overwritten."""
-    cycles -= np.rint(cycles)
-    cycles *= -2 * np.pi
-    out = np.empty(cycles.shape, complex)
-    np.cos(cycles, out=out.real)
-    np.sin(cycles, out=out.imag)
-    return out
-
-
 def _direct_block(
     f_a: np.ndarray,
     f_r: np.ndarray,
@@ -186,13 +177,26 @@ def _direct_block(
     v: np.ndarray,
     amp: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # (A * amp, B), A[k, n] the Doppler-and-carrier phasor and B[n, l] the
-    # range-frequency one; their product, in BLAS, is the chunk's term.
-    phase = np.multiply.outer(f_a, u)
-    phase += np.multiply.outer(carrier, v)
-    az = _phasors(phase)
-    az *= amp
-    return az, _phasors(np.multiply.outer(v, f_r))
+    """(w, r): w (2 na, n) is Re over Im of exp(-j2pi phi), built in place (Im
+    is scratch first); r is the float64 (n, 2h) view of amp exp(+j2pi v f_r[:h]).
+    w @ r, viewed complex (2 na, h), is T over S."""
+    na, h = f_a.size, f_r.size // 2 + 1
+    w = np.empty((2 * na, u.size))
+    phase, scratch = w[:na], w[na:]
+    np.multiply.outer(f_a, u, out=phase)
+    phase += np.multiply.outer(carrier, v, out=scratch)
+    phase -= np.rint(phase, out=scratch)
+    phase *= -2 * np.pi
+    np.sin(phase, out=scratch)
+    np.cos(phase, out=phase)
+    cycles = np.multiply.outer(v, f_r[:h])
+    cycles -= np.rint(cycles)
+    cycles *= 2 * np.pi
+    r = np.empty((u.size, h), complex)
+    np.cos(cycles, out=r.real)
+    np.sin(cycles, out=r.imag)
+    r *= amp[:, None]
+    return w, r.view(float)
 
 
 def _direct_sum(
@@ -203,22 +207,45 @@ def _direct_sum(
     v: np.ndarray,
     amp: np.ndarray,
 ) -> np.ndarray:
-    """Term-by-term sum in (na, chunk) blocks of <= CHUNK_SAMPLES phase samples.
+    """Term-by-term sum as real GEMMs over the h = nr/2 + 1 columns l < h.
 
-    Worker threads build the blocks; this thread multiplies them out and adds
-    the products in block order, so the sum depends on CHUNK_SAMPLES alone.
+    T and S sum a_n cos(2pi phi_kn) and -a_n sin(2pi phi_kn) times
+    exp(+j2pi f_r[l] v_n), phi = f_a u + carrier v.  As f_r[nr - l] = -f_r[l],
+    G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
+    0 < l < h - 1.  Worker threads build the blocks of <= CHUNK_SAMPLES phases;
+    this thread adds their products in block order, so the sum depends on
+    CHUNK_SAMPLES alone.  The element-wise combine runs in row tiles.
     """
-    step = max(1, CHUNK_SAMPLES // f_a.size)
+    na, nr = f_a.size, f_r.size
+    h = nr // 2 + 1
+    step = max(1, CHUNK_SAMPLES // na)
 
     def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(lo, lo + step)
         return _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl])
 
-    # An empty scene still gets one (empty) block, whose product is zero.
-    terms = (az @ rg for az, rg in _threaded_map(block, range(0, max(u.size, 1), step)))
-    g = next(terms)
-    for term in terms:
-        g += term
+    blocks = _threaded_map(block, range(0, max(u.size, 1), step))
+    ts = np.matmul(*next(blocks))     # an empty scene still gets one empty block
+    buf = np.empty(4 * na * h)        # each later product, then G
+    for w, r in blocks:
+        ts += np.matmul(w, r, out=buf.reshape(2 * na, 2 * h))
+    g = buf[: 2 * na * nr].view(complex).reshape(na, nr)
+    rows = max(1, CHUNK_SAMPLES // nr)
+    group = max(1, rows // 32)        # rows whose T, S and G parts stay in cache
+    mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
+
+    def combine(lo: int) -> None:
+        for a in range(lo, min(lo + rows, na), group):
+            b = min(a + group, na)
+            t, s = ts[a:b], ts[na + a : na + b]
+            tr, ti, sr, si = t[:, 0::2], t[:, 1::2], s[:, 0::2], s[:, 1::2]
+            gr, gi = g.real[a:b], g.imag[a:b]
+            np.add(tr, si, out=gr[:, :h])
+            np.subtract(sr, ti, out=gi[:, :h])
+            np.subtract(tr[:, mirror], si[:, mirror], out=gr[:, h:])
+            np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
+
+    deque(_threaded_map(combine, range(0, na, rows)), maxlen=0)
     return g
 
 
@@ -233,9 +260,9 @@ def synth_spectrum(
       of one amplitude on an arithmetic progression in both x and y (a
       sampled line, array or 3-D segment): the geometric series costs
       O(na * nr) whatever the scatterer count;
-    - direct sum otherwise: na * nr * n_scatterers phasors as matrix
-      products, in chunks of scatterers so the phase block stays at
-      CHUNK_SAMPLES complex samples (8 MiB); worker threads build the
+    - direct sum otherwise: per chunk of na * chunk <= CHUNK_SAMPLES phases,
+      one real matrix product over the nr/2 + 1 columns l <= nr/2, which the
+      conjugate-partner identity extends to all nr; worker threads build the
       blocks, and the products are added in chunk order.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
@@ -261,10 +288,12 @@ def synth_spectrum(
     steps = _uniform_steps(
         u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
     )
-    if steps is None:
-        data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
-    else:
-        data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
+    # An overflowing sum is azimuth_power_spectrum's to reject, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if steps is None:
+            data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
+        else:
+            data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
     return SpectrumGrid(data=data, f_a=f_a, f_r=f_r, params=p)
 
 

@@ -406,17 +406,23 @@ class TestRejectedInput:
         assert not list(tmp_path.glob("x_*"))
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
-    @pytest.mark.parametrize("amp", [1e307, 1e154])
-    def test_non_finite_spectrum(self, tmp_path, command, amp):
-        # at 1e307 the spectrum itself overflows; at 1e154 |G| is finite but
-        # |G|^2 is not.  Either is an error before any output is written.  In
-        # a child process: here numpy's overflow warnings would be exceptions
-        scene = scene_file(tmp_path, [dict(LINE2, amp=amp)], rho_r=0.1, nr=64)
+    @pytest.mark.parametrize(
+        "amp, length_m, rho_r, na",
+        [(1e307, 1.0, 0.1, 256), (1e154, 1.0, 0.1, 256), (1e306, 60.0, 1.0, 2048)],
+        ids=["1e+307", "1e+154", "1e+306"],
+    )
+    def test_non_finite_spectrum(self, tmp_path, command, amp, length_m, rho_r, na):
+        # at 1e307 the direct sum overflows, at 1e306 the closed form of a
+        # 60 m line; at 1e154 |G| is finite but |G|^2 is not.  Each is one
+        # error line, with no numpy warning before it, and no output.  In a
+        # child process: here numpy's overflow warnings would be exceptions
+        target = dict(LINE2, amp=amp, length_m=length_m)
+        scene = scene_file(tmp_path, [target], rho_r=rho_r, na=na, nr=64)
         out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
                else ("--out", str(tmp_path / "x_analysis.json")))
         code, err = run_process(command, "--scene", str(scene), *out)
         assert code == 2
-        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "not finite" in err
         assert not list(tmp_path.glob("x*"))
 

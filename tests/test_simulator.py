@@ -285,6 +285,117 @@ def spread_scene(n, seed=3):
                    amp=rng.uniform(0.5, 2.0, n))
 
 
+def half_axis_combine(tb, na, nr):
+    """G from the complex (2 na, nr/2 + 1) sums T over S of the direct sum:
+    conj(T - jS) on the first nr/2 + 1 columns, T + jS on their partners."""
+    t, s_, h = tb[:na], tb[na:], nr // 2 + 1
+    g = np.empty((na, nr), complex)
+    g[:, :h] = np.conj(t - 1j * s_)
+    g[:, h:] = (t + 1j * s_)[:, h - 2 : 0 : -1]
+    return g
+
+
+def edge_scene(p, na, nr, n, seed=5, fill=0.999, signed=False):
+    """n scatterers spread up to fill times the grid's unambiguous extents."""
+    rng = np.random.default_rng(seed)
+    x_max = p.V * na / (2 * p.B_a) * fill
+    y_max = s.C * nr / (4 * p.B_r) * fill
+    x = rng.uniform(-x_max, x_max, n)
+    y = rng.uniform(-y_max, y_max, n)
+    y[:2] = (-y_max, y_max)
+    amp = rng.uniform(0.5, 2.0, n) * (rng.choice([-1.0, 1.0], n) if signed else 1.0)
+    return s.Scene(x=x, y=y, amp=amp)
+
+
+# (f_dc, na, nr, scatterers, fill, signed) per case of the half-axis sum
+HALF_AXIS_CASES = {
+    "nr8": (0.0, 256, 8, 40, 0.5, False),
+    "na8": (0.0, 8, 64, 40, 0.5, False),
+    "f_dc": (20000.0, 512, 32, 60, 0.5, False),
+    "range_edge": (0.0, 256, 64, 60, 0.999, False),
+    "mixed_sign": (0.0, 256, 32, 60, 0.5, True),
+    "several_chunks": (0.0, 4096, 16, 1031, 0.5, True),
+}
+
+
+@pytest.mark.parametrize("case", HALF_AXIS_CASES)
+def test_half_axis_sum_matches_reference(case):
+    # the direct sum fills every column from the nr/2 + 1 it multiplies out,
+    # so the smallest grids, an off-centre Doppler window, the range edge
+    # and cancelling amplitudes all check the conjugate-partner identity
+    f_dc, na, nr, n, fill, signed = HALF_AXIS_CASES[case]
+    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
+    sc = edge_scene(p, na, nr, n, fill=fill, signed=signed)
+    if case == "several_chunks":
+        assert n > 8 * (sim.CHUNK_SAMPLES // na)
+    with only_path("direct"):
+        g = s.synth_spectrum(sc, p, na=na, nr=nr).data
+    assert g.shape == (na, nr)
+    assert relative_error(g, reference_spectrum(sc, p, na, nr)) <= 1e-12
+
+
+def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
+    # at 4096 x 512 the combine runs in four tiles of 2^19 / 512 rows; on
+    # four worker threads it must write exactly what one thread writes
+    na, nr = 4096, 512
+    sc = edge_scene(xband, na, nr, 300, signed=True)
+    tmap = sim._threaded_map
+    got = []
+    for n_cpus in (1, 4):
+        stages = []                   # (items, threads) per _threaded_map call
+
+        def spy(fn, items):
+            threads = set()
+            stages.append((len(items), threads))
+            return tmap(lambda x: threads.add(threading.get_ident()) or fn(x), items)
+
+        with cpus(n_cpus), only_path("direct"), \
+                mock.patch.object(sim, "_threaded_map", side_effect=spy):
+            got.append(s.synth_spectrum(sc, xband, na=na, nr=nr).data)
+        (blocks, _), (tiles, combine_threads) = stages
+        assert blocks == 3 and tiles == na // (sim.CHUNK_SAMPLES // nr) == 4
+        assert (len(combine_threads) > 1) == (n_cpus > 1)
+    assert np.array_equal(got[0], got[1])
+    assert relative_error(got[0], reference_spectrum(sc, xband, na, nr)) <= 1e-12
+
+
+def test_direct_block_allocates_only_its_operands(xband):
+    # the phases, their whole cycles and the carrier product are all built
+    # inside the returned (2 na, n) array; only the small range factor has
+    # a temporary of its own
+    na, nr = 2048, 256
+    n = sim.CHUNK_SAMPLES // na
+    sc = edge_scene(xband, na, nr, n)
+    f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
+    f_r = sim._freq_axis(nr, xband.B_r)
+    carrier = xband.f_c * np.cos(s.squint_from_doppler(xband, f_a))
+    u, v = sc.x / xband.V, 2 * sc.y / s.C
+    tracemalloc.start()
+    try:
+        w, r = sim._direct_block(f_a, f_r, carrier, u, v, sc.amp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.dtype == r.dtype == np.float64
+    assert w.shape == (2 * na, n) and r.shape == (n, 2 * (nr // 2 + 1))
+    assert peak <= 1.1 * (w.nbytes + r.nbytes)
+
+
+def test_overflowing_sum_warns_on_no_thread(xband):
+    # 300 scatterers at 1e307 overflow the sum, and inf - inf in the combine
+    # is invalid.  Worker threads run under the caller's numpy error state,
+    # so no RuntimeWarning (an error under this suite's filter) escapes;
+    # the verdict is azimuth_power_spectrum's
+    na, nr = 4096, 512
+    sc = edge_scene(xband, na, nr, 300)
+    sc = s.Scene(x=sc.x, y=sc.y, amp=np.full(sc.n, 1e307))
+    with cpus(4), only_path("direct"):
+        g = s.synth_spectrum(sc, xband, na=na, nr=nr)
+    assert not np.all(np.isfinite(g.data))
+    with pytest.raises(ValueError, match="not finite"):
+        s.azimuth_power_spectrum(g)
+
+
 def cpus(n):
     """Context that makes the process see n CPUs in its affinity mask."""
     return mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True)
@@ -312,11 +423,12 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
     carrier = xband.f_c * np.cos(s.squint_from_doppler(xband, f_a))
     u, v = sc.x / xband.V, 2 * sc.y / s.C
     step = sim.CHUNK_SAMPLES // na
-    want = None
+    tb = None
     for lo in range(0, n, step):
         sl = slice(lo, lo + step)
-        az, rg = sim._direct_block(f_a, f_r, carrier, u[sl], v[sl], sc.amp[sl])
-        want = az @ rg if want is None else want + az @ rg
+        w, r = sim._direct_block(f_a, f_r, carrier, u[sl], v[sl], sc.amp[sl])
+        tb = w @ r if tb is None else tb + w @ r
+    want = half_axis_combine(tb.view(complex), na, nr)
 
     build = sim._direct_block
     delays = random.Random(n_cpus)
