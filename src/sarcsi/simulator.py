@@ -62,6 +62,12 @@ class SpectrumGrid:
     params: RadarParams
 
 
+def _workers(n_items: int) -> int:
+    """Threads _threaded_map runs n_items calls on; below 2 it runs them inline."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, n_items)
+
+
 def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
     """Yield fn(item) for every item of a sequence, in input order.
 
@@ -71,8 +77,7 @@ def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
     error state).  A call's exception is re-raised here, cancelling the calls
     not yet started.  One item or one CPU runs inline.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(items))
+    workers = _workers(len(items))
     if workers < 2:
         yield from map(fn, items)
         return
@@ -176,12 +181,13 @@ def _direct_block(
     u: np.ndarray,
     v: np.ndarray,
     amp: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(w, r): w (2 na, n) is Re over Im of exp(-j2pi phi), built in place (Im
-    is scratch first); r is the float64 (n, 2h) view of amp exp(+j2pi v f_r[:h]).
-    w @ r, viewed complex (2 na, h), is T over S."""
+    is scratch first), in the flat out if given; r is the float64 (n, 2h) view
+    of amp exp(+j2pi v f_r[:h]).  w @ r, viewed complex (2 na, h), is T over S."""
     na, h = f_a.size, f_r.size // 2 + 1
-    w = np.empty((2 * na, u.size))
+    w = np.empty((2 * na, u.size)) if out is None else out[: 2 * na * u.size].reshape(2 * na, -1)
     phase, scratch = w[:na], w[na:]
     np.multiply.outer(f_a, u, out=phase)
     phase += np.multiply.outer(carrier, v, out=scratch)
@@ -219,12 +225,18 @@ def _direct_sum(
     na, nr = f_a.size, f_r.size
     h = nr // 2 + 1
     step = max(1, CHUNK_SAMPLES // na)
+    starts = range(0, max(u.size, 1), step)
+    workers = _workers(len(starts))
+    # Threaded, block k is built in slot k % (workers + 1), whose last block was added
+    # before _threaded_map starts k: builder timing cannot change the memory touched.
+    slots = [np.empty(2 * na * step) for _ in range(workers + 1)] if workers > 1 else [None]
 
     def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(lo, lo + step)
-        return _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl])
+        out = slots[lo // step % len(slots)]
+        return _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl], out)
 
-    blocks = _threaded_map(block, range(0, max(u.size, 1), step))
+    blocks = _threaded_map(block, starts)
     ts = np.matmul(*next(blocks))     # an empty scene still gets one empty block
     buf = np.empty(4 * na * h)        # each later product, then G
     for w, r in blocks:

@@ -446,6 +446,34 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
     assert (len(threads) > 1) == (n_cpus > 1)
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2, 4])
+def test_threaded_blocks_reuse_a_fixed_ring(xband, n_cpus):
+    # nine blocks: on worker threads block k is built in buffer k mod
+    # (workers + 1), so how far the builders run ahead cannot change the
+    # memory touched; inline, each block allocates its own
+    sc = spread_scene(1031)
+    u = sc.x / xband.V
+    step = sim.CHUNK_SAMPLES // 4096
+    build = sim._direct_block
+    outs = {}
+
+    def spy(*args):
+        outs[int(np.flatnonzero(u == args[3][0])[0]) // step] = args[6]
+        return build(*args)
+
+    with cpus(n_cpus), only_path("direct"), \
+            mock.patch.object(sim, "_direct_block", side_effect=spy):
+        g = s.synth_spectrum(sc, xband, na=4096, nr=8).data
+    assert sorted(outs) == list(range(9))
+    if n_cpus == 1:
+        assert all(out is None for out in outs.values())
+    else:
+        ring = [outs[k] for k in range(n_cpus + 1)]
+        assert len({id(out) for out in ring}) == n_cpus + 1
+        assert all(outs[k] is ring[k % (n_cpus + 1)] for k in outs)
+    assert relative_error(g, reference_spectrum(sc, xband, 4096, 8)) <= 1e-12
+
+
 def test_chunk_failure_propagates(xband, run_bounded):
     # the third chunk's builder raises on a worker thread: synth_spectrum
     # re-raises that exception in the caller instead of hanging on it
