@@ -45,6 +45,7 @@ from .scene import (
     KINDS,
     SceneConfig,
     build_scenes,
+    check_grid_size,
     generate_scene,
     merge_scenes,
     parse_scene_config,
@@ -52,7 +53,6 @@ from .scene import (
 from .simulator import (
     azimuth_power_spectrum,
     azimuth_spectrum_csv,
-    check_grid_size,
     synth_spectrum,
 )
 
@@ -128,8 +128,8 @@ def _radar(args: argparse.Namespace, base: RadarParams = DEFAULT_RADAR) -> Radar
 
 
 def _grid(cfg: SceneConfig, args: argparse.Namespace) -> tuple[int, int]:
-    # Flags beat config values; either way the sizes are checked here, before
-    # any work.
+    # Flags beat config values; the config's sizes were checked when it was
+    # parsed, the flags are checked here, before any work.
     na = args.na if args.na is not None else cfg.na
     nr = args.nr if args.nr is not None else cfg.nr
     check_grid_size(na, "na")
@@ -209,6 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     red, green, blue = split_subbands(g)
     del g    # the spectrum is not needed while the raster is composed
     rgb = compose_rgb(red.data, green.data, blue.data, norm=args.norm)
+    del red, green, blue    # nor the band images while the products are written
 
     ppm_path = prefix.with_name(prefix.name + "_rgb.ppm")
     csv_path = prefix.with_name(prefix.name + "_azspec.csv")

@@ -5,8 +5,9 @@ tolerance.  The azimuth spectrum is cut into the three equal thirds of the
 Doppler window that classify_hue names, low to high Doppler mapping to red,
 green, blue.  Each band is focused from its own rows and the three magnitudes
 are composed into one 8-bit image, so a target's colour encodes where its
-energy sits in Doppler, hence its orientation.  By Parseval a band image's
-energy is the summed power of its spectrum rows.
+energy sits in Doppler, hence its orientation.  The composition builds no
+magnitude stack and selects its 99.9th percentile exactly from a few values.
+By Parseval a band image's energy is the summed power of its spectrum rows.
 """
 
 from __future__ import annotations
@@ -106,24 +107,20 @@ def split_subbands(
     return tuple(_threaded_map(lambda b: _focus(g, cuts[b], cuts[b + 1]), range(3)))
 
 
-def _normalizer(x: np.ndarray, norm: str) -> float:
-    """The shared normalizer of a flat magnitude stack x, without a copy of x:
-    its maximum ("linear"), or exactly numpy's linear-rule percentile of x at
-    99.9 ("clip_p999"), interpolated between two of the need largest values;
-    those are all >= t, the need-th largest group maximum.  NaN or inf: ValueError."""
-    n = x.size
-    m = n - n % 64    # maxima of 64-member interleaved groups, the tail as groups of one
-    top = np.concatenate((x[:m].reshape(64, -1).max(axis=0), x[m:]))
-    if not np.isfinite(top).all():    # NaN and inf survive the maxima
-        raise ValueError("channel grids must be finite")
-    if norm == "linear":
-        return float(top.max())
+def _p999(n: int, top: np.ndarray, above) -> float:
+    """Exactly numpy's linear-rule percentile at 99.9 of n values, without a
+    copy of them: top holds the maxima of any grouping of the values, above(t)
+    returns those > t.  The percentile lies between two of the need largest
+    values; those are all >= t, the need-th largest group maximum, and at most
+    need - 1 groups hold a value > t, so few are selected.  The need largest
+    that are not > t equal t."""
     vi = (n - 1) * (99.9 / 100)    # numpy's q is 99.9 / 100, not the literal 0.999
     j = int(vi)    # floor, as vi >= 0
     gamma = vi - j
     need = n - j
     t = np.partition(top, -need)[-need] if need <= top.size else -np.inf
-    cand = x[x >= t]
+    cand = above(t)
+    cand = np.concatenate((np.full(max(need - cand.size, 0), t), cand))
     k = j - (n - cand.size)
     ks = [k, min(k + 1, cand.size - 1)]
     a, b = np.partition(cand, ks)[ks]
@@ -139,39 +136,60 @@ def compose_rgb(
     The channels share a single normalizer so their relative strengths, and
     therefore the perceived hue, survive quantization: the joint maximum
     (norm="linear") or numpy's linear-rule joint 99.9th percentile with
-    clipping (norm="clip_p999"), selected without a copy.  Grids arrive
-    azimuth-major and come out as an image with azimuth across and range
-    down.  |.| of each grid's transpose (contiguous for split_subbands' images)
-    goes into one (height, width, 3) array, quantized in place into the pixels,
-    rounding half up, in 64-row tiles on worker threads.  NaN or inf: ValueError.
+    clipping (norm="clip_p999").  Grids arrive azimuth-major and come out as
+    an image with azimuth across and range down.  No magnitude stack is
+    built: the passes run over 64-row tiles of the transposes (contiguous for
+    split_subbands' images) on worker threads, each taking |.| of one channel
+    at a time into scratch the size of a tile.  The first keeps the column
+    maxima of every tile; for clip_p999 a second selects the values above a
+    bound set by those maxima, from the columns that exceed it, and the
+    percentile exactly from them; the last quantizes straight into the pixels,
+    rounding half up.  NaN or inf: ValueError.
     """
     if norm not in NORM_MODES:
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")
     if not (r.shape == g.shape == b.shape and r.ndim == 2 and r.size):
         raise ValueError("channel grids must be three equal-shape non-empty 2-D arrays")
-    stack = np.empty(r.shape[::-1] + (3,))
-    tiles = range(0, stack.shape[0], 64)
+    height, width = r.shape[::-1]
+    tiles = range(0, height, 64)
 
-    def magnitudes(lo: int) -> None:
-        for c, grid in enumerate((r, g, b)):
-            np.abs(grid.T[lo : lo + 64], out=stack[lo : lo + 64, :, c])
+    def magnitudes(lo: int):    # |.| of each channel's tile at lo in turn, in one scratch
+        scratch = np.empty((min(64, height - lo), width))
+        for grid in (r, g, b):
+            yield np.abs(grid.T[lo : lo + 64], out=scratch)
 
-    list(_threaded_map(magnitudes, tiles))
-    ref = _normalizer(stack.reshape(-1), norm)
-    pixels = np.empty(stack.shape, np.uint8)
+    def maxima(lo: int) -> np.ndarray:
+        return np.stack([m.max(axis=0) for m in magnitudes(lo)])
+
+    top = np.stack(list(_threaded_map(maxima, tiles)))    # (tile, channel, column)
+    if not np.isfinite(top).all():    # NaN and inf survive the maxima
+        raise ValueError("channel grids must be finite")
+    if norm == "linear":
+        ref = float(top.max())
+    else:
+        def above(t: float) -> np.ndarray:
+            def select(lo: int) -> np.ndarray:    # from the columns whose maximum is > t
+                tops = top[lo // 64] > t
+                cols = [np.abs(grid.T[lo : lo + 64, tops[c]]) for c, grid in enumerate((r, g, b))]
+                return np.concatenate([v[v > t] for v in cols])
+
+            return np.concatenate(list(_threaded_map(select, tiles)))
+
+        ref = _p999(3 * r.size, top.reshape(-1), above)
+    pixels = np.empty((height, width, 3), np.uint8)
 
     def quantize(lo: int) -> None:
-        tile = stack[lo : lo + 64]
-        if ref > 0:
-            tile /= ref
-            np.minimum(tile, 1.0, out=tile)
-        # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
-        tile *= 255
-        tile += 0.5
-        pixels[lo : lo + 64] = np.floor(tile, out=tile)
+        for c, tile in enumerate(magnitudes(lo)):
+            if ref > 0:
+                tile /= ref
+                np.minimum(tile, 1.0, out=tile)
+            # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
+            tile *= 255
+            tile += 0.5
+            pixels[lo : lo + 64, :, c] = np.floor(tile, out=tile)
 
     list(_threaded_map(quantize, tiles))
-    return RGBImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
+    return RGBImage(width=width, height=height, pixels=pixels)
 
 
 def encode_ppm(img: RGBImage) -> bytes:

@@ -300,6 +300,18 @@ def _integer(t: dict, key: str, where: str) -> int:
     return v
 
 
+def check_grid_size(n: int, name: str, error: type[Exception] = ValueError) -> None:
+    """Raise error unless the grid size n is a power of two and at least 8."""
+    if n < 8 or n & (n - 1):
+        raise error(f"{name} must be a power of two >= 8, got {n}")
+
+
+def _grid_size(t: dict, key: str, where: str) -> int:
+    v = _integer(t, key, where)
+    check_grid_size(v, f"{where}: field {key!r}", ConfigError)
+    return v
+
+
 def _count(t: dict, key: str, where: str) -> int:
     v = _integer(t, key, where)
     if v < 2:
@@ -379,7 +391,7 @@ KINDS: dict[str, TargetKind] = {
 # Fields every target may carry; "kind" is checked against KINDS first.
 _COMMON = {"kind": lambda t, key, where: t[key], "amp": _positive, "label": _label}
 _RADAR = {"fc_hz": _positive, "v_mps": _positive, "rho_a_m": _positive, "rho_r_m": _positive}
-_GRID = {"na": _integer, "nr": _integer}
+_GRID = {"na": _grid_size, "nr": _grid_size}
 
 
 def _validate_target(t: object, i: int | None = None) -> dict:

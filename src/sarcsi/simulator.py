@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
-from .scene import Scene
+from .scene import Scene, check_grid_size
 
 # Scatterer count from which a uniform collinear run is summed in closed form.
 # The closed form costs O(na * nr) whatever the count, the direct sum
@@ -88,17 +88,11 @@ def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
     try:
         window = deque(pool.submit(copy_context().run, fn, x) for x in islice(todo, workers))
         while window:
-            result = window.popleft().result()
+            head = [window.popleft().result()]    # popped at the yield: no reference kept
             window.extend(pool.submit(copy_context().run, fn, x) for x in islice(todo, 1))
-            yield result
+            yield head.pop()
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def check_grid_size(n: int, name: str) -> None:
-    """Raise ValueError unless n is a power of two and at least 8."""
-    if n < 8 or n & (n - 1):
-        raise ValueError(f"{name} must be a power of two >= 8, got {n}")
 
 
 def _freq_axis(n: int, bandwidth: float, center: float = 0.0) -> np.ndarray:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +254,34 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_of_a_sparse_scene(self, tmp_path):
+        # the raster is composed with no magnitude stack: past what importing
+        # the CLI costs, a simulate run holds the spectrum G, the three band
+        # images and the pixels, plus a slack under the 24 MiB stack of
+        # float64 magnitudes that compose_rgb once built
+        na, nr = 2048, 512
+        scene = scene_file(tmp_path, [ARRAY20, LINE2], rho_r=0.1, na=na, nr=nr)
+
+        def peak_rss(*argv):
+            # from a small launcher: a child forked from this test process
+            # would start with this process's peak RSS as its own
+            launch = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], "
+                      "stdout=subprocess.DEVNULL); _, status, usage = os.wait4(p.pid, 0); "
+                      "print(status, usage.ru_maxrss)")
+            proc = subprocess.run([sys.executable, "-c", launch, sys.executable, *argv],
+                                  capture_output=True, text=True, timeout=120)
+            status, kib = map(int, proc.stdout.split())
+            assert status == 0, proc.stderr
+            return kib << 10
+
+        base = peak_rss("-c", "import numpy as np, sarcsi.cli; a = np.ones((64, 64)); a @ a")
+        run = peak_rss("-m", "sarcsi", "simulate", "--scene", str(scene), "--out-prefix",
+                       str(tmp_path / "x"), "--norm", "clip_p999")
+        grid, pixels = na * nr * 16, na * nr * 3
+        assert run - base < grid + 3 * grid + pixels + (20 << 20)
+
+
 class TestAnalyze:
     def test_line_and_array_pass(self, capsys, tmp_path):
         scene = scene_file(tmp_path, [LINE2, ARRAY20], na=2048, nr=32)
@@ -385,6 +414,16 @@ class TestRejectedInput:
         code, err = run_process("analyze", "--scene", str(scene), "--na", "100")
         assert code == 2
         assert "na must be a power of two" in err and "Traceback" not in err
+
+    def test_bad_config_grid_despite_flags(self, capsys, tmp_path):
+        # the config's grid is checked when the config is parsed, so flags
+        # that override it do not excuse a bad one
+        scene = scene_file(tmp_path, [LINE2], na=100)
+        code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                             "--out-prefix", str(tmp_path / "x"), "--na", "256")
+        assert code == 2 and out == ""
+        assert err == "error: grid: field 'na' must be a power of two >= 8, got 100\n"
+        assert not list(tmp_path.glob("x_*"))
 
     def test_out_of_memory(self, tmp_path):
         # a 2^20 x 2^12 grid needs 64 GiB per complex array; with the child's

@@ -6,6 +6,7 @@ import pytest
 
 import sarcsi as s
 from sarcsi.errors import ConfigError
+from sarcsi.scene import scene_config_from_dict
 
 DEG = math.radians
 LAM = 0.031228381041666666
@@ -138,6 +139,25 @@ def test_grid_defaults(tmp_path):
     obj = {k: v for k, v in GOOD.items() if k != "grid"}
     cfg = s.parse_scene_config(write_cfg(tmp_path, obj))
     assert (cfg.na, cfg.nr) == (2048, 256)
+
+
+@pytest.mark.parametrize("field", ["na", "nr"])
+@pytest.mark.parametrize("size", [100, -4, 4, 2**63 - 1, 2**63 + 8])
+def test_grid_size_checked_at_parse_time(field, size):
+    obj = json.loads(json.dumps(GOOD))
+    obj["grid"][field] = size
+    with pytest.raises(ConfigError, match=f"grid: field '{field}' must be a power of two >= 8, "
+                                          f"got {size}$"):
+        scene_config_from_dict(obj)
+
+
+def test_grid_size_check_takes_any_integer():
+    # 2^63 is a power of two beyond int64; the rule is plain integer
+    # arithmetic, so it neither overflows nor rejects it
+    obj = json.loads(json.dumps(GOOD))
+    obj["grid"] = {"na": 2**63, "nr": 8}
+    cfg = scene_config_from_dict(obj)
+    assert (cfg.na, cfg.nr) == (2**63, 8)
 
 
 def test_malformed_json_reports_position(tmp_path):

@@ -4,6 +4,7 @@ import random
 import threading
 import time
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -399,6 +400,25 @@ def test_overflowing_sum_warns_on_no_thread(xband):
 def cpus(n):
     """Context that makes the process see n CPUs in its affinity mask."""
     return mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 4])
+def test_threaded_map_keeps_no_yielded_result(n_cpus):
+    # once the caller drops a result, the map holds no reference to it, so it
+    # is freed before the next one is asked for; a worker thread may still be
+    # letting go of its future for a moment after the handover
+    class Item:
+        pass
+
+    with cpus(n_cpus):
+        results = sim._threaded_map(lambda _: Item(), range(6))
+        for _ in range(6):
+            ref = weakref.ref(next(results))
+            deadline = time.monotonic() + 5.0
+            while ref() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert ref() is None
+        assert next(results, None) is None
 
 
 def test_chunked_sum_spans_chunks(xband):
