@@ -13,7 +13,7 @@ from .analysis import (
     estimate_orientation_map,
     verify_scene_against_model,
 )
-from .csi import ComplexImage, RGBImage, compose_rgb, encode_ppm, focus_image, split_subbands
+from .csi import RGBImage, compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
     ChartData,
     DiffractionSolution,
@@ -67,7 +67,6 @@ __all__ = [
     "AliasingError",
     "C",
     "ChartData",
-    "ComplexImage",
     "ConfigError",
     "DiffractionSolution",
     "DopplerRangeError",
@@ -96,7 +95,6 @@ __all__ = [
     "effective_squint_3d",
     "encode_ppm",
     "estimate_orientation_map",
-    "focus_image",
     "generate_scene",
     "high_order_squint",
     "invert_orientation_from_doppler",

@@ -207,9 +207,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     g = synth_spectrum(merge_scenes(build_scenes(cfg)), p, na, nr)
     f_a, power = azimuth_power_spectrum(g)
     red, green, blue = split_subbands(g)
-    del g    # the spectrum is not needed while the raster is composed
-    rgb = compose_rgb(red.data, green.data, blue.data, norm=args.norm)
-    del red, green, blue    # nor the band images while the products are written
+    del g    # consumed by the split, and not needed while the raster is composed
+    rgb = compose_rgb(red, green, blue, norm=args.norm)
+    del red, green, blue    # the magnitudes are not needed while the products are written
 
     ppm_path = prefix.with_name(prefix.name + "_rgb.ppm")
     csv_path = prefix.with_name(prefix.name + "_azspec.csv")
@@ -358,5 +358,5 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except MemoryError as e:
-        print(f"error: out of memory: {e or 'allocation failed'}", file=sys.stderr)
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 2

@@ -1,25 +1,29 @@
 """Focusing and colorized sub-aperture composition: three Doppler bands become R, G, B.
 
-A spectrum is focused by a unitary inverse 2D DFT, so energy checks need no
-tolerance.  The azimuth spectrum is cut into the three equal thirds of the
-Doppler window that classify_hue names, low to high Doppler mapping to red,
-green, blue.  Each band is focused from its own rows and the three magnitudes
-are composed into one 8-bit image, so a target's colour encodes where its
-energy sits in Doppler, hence its orientation.  The composition builds no
-magnitude stack and selects its 99.9th percentile exactly from a few values.
-By Parseval a band image's energy is the summed power of its spectrum rows.
+The azimuth spectrum is cut into the three equal thirds of the Doppler window
+that classify_hue names, low to high Doppler mapping to red, green, blue.
+Each band is focused from its own rows by a unitary inverse 2D DFT, straight
+into its magnitudes, and the three magnitudes are composed into one 8-bit
+image, so a target's colour encodes where its energy sits in Doppler, hence
+its orientation.  By Parseval a band's energy is the summed power of its
+spectrum rows.  The composition builds no magnitude stack and selects its
+99.9th percentile exactly from a few values.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .params import RadarParams
-from .simulator import SpectrumGrid, _threaded_map
+from ._threads import threaded_map
+from .scene import check_grid_size
+from .simulator import SpectrumGrid
 
 NORM_MODES = ("linear", "clip_p999")
+TILE = 64    # spectrum rows, range bins or raster rows a worker takes at a time
 
 
 @dataclass(frozen=True)
@@ -37,29 +41,10 @@ class RGBImage:
             raise ValueError("pixels must be uint8")
 
 
-@dataclass(frozen=True)
-class ComplexImage:
-    """Focused complex image on the (slow-time, fast-time) grid dual to a spectrum.
-
-    data is (na, nr), possibly the transposed view of an (nr, na) array.
-    t_a spans na/B_a seconds of slow time (V * na/B_a metres of azimuth), t_r
-    spans nr/B_r seconds of fast time ((c/2) * nr/B_r metres of slant range).
-    """
-
-    data: np.ndarray
-    t_a: np.ndarray
-    t_r: np.ndarray
-    params: RadarParams
-
-
 def _centred_ifft(x: np.ndarray, axis: int) -> None:
-    """Unitary fftshift(ifft(ifftshift(x))) along axis, in place.  For even n
-    both shifts are exact sign flips: (-1)^(m - n/2) ifft((-1)^k x)[m]."""
+    """Unitary fftshift(ifft(ifftshift(x))) along an axis of even length n, in
+    place: both shifts are exact sign flips, (-1)^(m - n/2) ifft((-1)^k x)[m]."""
     n = x.shape[axis]
-    if n % 2:
-        shifted = np.fft.ifft(np.fft.ifftshift(x, axis), axis=axis, norm="ortho")
-        x[...] = np.fft.fftshift(shifted, axis)
-        return
     lines = np.moveaxis(x, axis, 0)
     np.negative(lines[1::2], out=lines[1::2])
     np.fft.ifft(x, axis=axis, norm="ortho", out=x)
@@ -67,44 +52,46 @@ def _centred_ifft(x: np.ndarray, axis: int) -> None:
     np.negative(odd, out=odd)
 
 
-def _focus(g: SpectrumGrid, lo: int, hi: int) -> ComplexImage:
-    """Image of spectrum rows lo:hi alone, the others zero, built range-major:
-    the rows are columns lo:hi of an (nr, na) array and take the range IFFT
-    there alone, then the azimuth IFFT runs along the contiguous axis."""
-    na, nr = g.data.shape
-    data = np.zeros((nr, na), g.data.dtype)
-    data[:, lo:hi] = g.data[lo:hi].T
-    _centred_ifft(data[:, lo:hi], 0)
-    _centred_ifft(data, 1)
-    t_a = (np.arange(na) - na // 2) / g.params.B_a
-    t_r = (np.arange(nr) - nr // 2) / g.params.B_r
-    return ComplexImage(data.T, t_a, t_r, g.params)
-
-
-def focus_image(g: SpectrumGrid) -> ComplexImage:
-    """Inverse 2D unitary DFT of the spectrum; energy is preserved exactly."""
-    return _focus(g, 0, g.data.shape[0])
-
-
-def split_subbands(
-    g: SpectrumGrid,
-) -> tuple[ComplexImage, ComplexImage, ComplexImage]:
-    """Focus each colour band of the spectrum separately.
+def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Focus each colour band of the spectrum separately, into its magnitudes.
 
     Every azimuth bin goes to the band RadarParams.band_index gives its
     Doppler f_a, the rule classify_hue applies, so the colour a frequency is
     predicted in is the colour it is rendered in.  Each bin lands in exactly
     one band and the DFT is unitary, so each band image carries exactly the
     power of its rows.  The band index rises with f_a, so on an ascending f_a
-    each band is one run of rows, focused from those rows on a worker thread.
-    Returns (red, green, blue) complex images, range-major (see _focus).
+    each band is one run of rows.
+
+    The spectrum is consumed.  Its rows take the range IFFT in place, in row
+    tiles: each row lies in one band, so one pass serves all three.  Then each
+    (band, TILE range bins) job copies the band's rows of those bins,
+    transposed, into a zero-filled (tile, na) scratch, takes the azimuth IFFT
+    there and writes |.| into the band's magnitudes.  Both passes run on worker
+    threads.  g must be what synth_spectrum makes: power-of-two sizes and an
+    ascending f_a, else ValueError.  Returns (red, green, blue) float64
+    magnitudes, (na, nr) views of range-major (nr, na) arrays.
     """
-    if g.data.shape[0] < 3:
-        raise ValueError("need at least 3 azimuth bins to split into bands")
+    data = g.data
+    na, nr = data.shape
+    check_grid_size(na, "na")
+    check_grid_size(nr, "nr")
     if np.any(np.diff(g.f_a) <= 0):
         raise ValueError("the Doppler axis f_a must be strictly ascending")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
-    return tuple(_threaded_map(lambda b: _focus(g, cuts[b], cuts[b + 1]), range(3)))
+    deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
+          maxlen=0)
+    mags = [np.empty((nr, na)) for _ in range(3)]
+
+    def focus(job: tuple[int, int]) -> None:
+        b, lo = job
+        rows = slice(cuts[b], cuts[b + 1])
+        scratch = np.zeros((min(TILE, nr - lo), na), data.dtype)
+        scratch[:, rows] = data[rows, lo : lo + TILE].T
+        _centred_ifft(scratch, 1)
+        np.abs(scratch, out=mags[b][lo : lo + TILE])
+
+    deque(threaded_map(focus, list(product(range(3), range(0, nr, TILE)))), maxlen=0)
+    return tuple(m.T for m in mags)
 
 
 def _p999(n: int, top: np.ndarray, above) -> float:
@@ -138,7 +125,7 @@ def compose_rgb(
     (norm="linear") or numpy's linear-rule joint 99.9th percentile with
     clipping (norm="clip_p999").  Grids arrive azimuth-major and come out as
     an image with azimuth across and range down.  No magnitude stack is
-    built: the passes run over 64-row tiles of the transposes (contiguous for
+    built: the passes run over TILE-row tiles of the transposes (contiguous for
     split_subbands' images) on worker threads, each taking |.| of one channel
     at a time into scratch the size of a tile.  The first keeps the column
     maxima of every tile; for clip_p999 a second selects the values above a
@@ -151,17 +138,17 @@ def compose_rgb(
     if not (r.shape == g.shape == b.shape and r.ndim == 2 and r.size):
         raise ValueError("channel grids must be three equal-shape non-empty 2-D arrays")
     height, width = r.shape[::-1]
-    tiles = range(0, height, 64)
+    tiles = range(0, height, TILE)
 
     def magnitudes(lo: int):    # |.| of each channel's tile at lo in turn, in one scratch
-        scratch = np.empty((min(64, height - lo), width))
+        scratch = np.empty((min(TILE, height - lo), width))
         for grid in (r, g, b):
-            yield np.abs(grid.T[lo : lo + 64], out=scratch)
+            yield np.abs(grid.T[lo : lo + TILE], out=scratch)
 
     def maxima(lo: int) -> np.ndarray:
         return np.stack([m.max(axis=0) for m in magnitudes(lo)])
 
-    top = np.stack(list(_threaded_map(maxima, tiles)))    # (tile, channel, column)
+    top = np.stack(list(threaded_map(maxima, tiles)))    # (tile, channel, column)
     if not np.isfinite(top).all():    # NaN and inf survive the maxima
         raise ValueError("channel grids must be finite")
     if norm == "linear":
@@ -169,11 +156,12 @@ def compose_rgb(
     else:
         def above(t: float) -> np.ndarray:
             def select(lo: int) -> np.ndarray:    # from the columns whose maximum is > t
-                tops = top[lo // 64] > t
-                cols = [np.abs(grid.T[lo : lo + 64, tops[c]]) for c, grid in enumerate((r, g, b))]
+                tops = top[lo // TILE] > t
+                cols = [np.abs(grid.T[lo : lo + TILE, tops[c]])
+                        for c, grid in enumerate((r, g, b))]
                 return np.concatenate([v[v > t] for v in cols])
 
-            return np.concatenate(list(_threaded_map(select, tiles)))
+            return np.concatenate(list(threaded_map(select, tiles)))
 
         ref = _p999(3 * r.size, top.reshape(-1), above)
     pixels = np.empty((height, width, 3), np.uint8)
@@ -186,9 +174,9 @@ def compose_rgb(
             # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
             tile *= 255
             tile += 0.5
-            pixels[lo : lo + 64, :, c] = np.floor(tile, out=tile)
+            pixels[lo : lo + TILE, :, c] = np.floor(tile, out=tile)
 
-    list(_threaded_map(quantize, tiles))
+    list(threaded_map(quantize, tiles))
     return RGBImage(width=width, height=height, pixels=pixels)
 
 

@@ -24,13 +24,11 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
-from contextvars import copy_context
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
+from ._threads import threaded_map, workers
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
 from .scene import Scene, check_grid_size
@@ -60,39 +58,6 @@ class SpectrumGrid:
     f_a: np.ndarray
     f_r: np.ndarray
     params: RadarParams
-
-
-def _workers(n_items: int) -> int:
-    """Threads _threaded_map runs n_items calls on; below 2 it runs them inline."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, n_items)
-
-
-def _threaded_map(fn: Callable, items: Sequence) -> Iterator:
-    """Yield fn(item) for every item of a sequence, in input order.
-
-    The calls run on one thread per CPU in the affinity mask (numpy releases
-    the GIL in its FFTs and ufuncs), at most one per worker ahead of the
-    caller, so memory stays bounded, each in the caller's context (numpy's
-    error state).  A call's exception is re-raised here, cancelling the calls
-    not yet started.  One item or one CPU runs inline.
-    """
-    workers = _workers(len(items))
-    if workers < 2:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # ~15 ms, so not at import
-
-    todo = iter(items)
-    pool = ThreadPoolExecutor(workers)
-    try:
-        window = deque(pool.submit(copy_context().run, fn, x) for x in islice(todo, workers))
-        while window:
-            head = [window.popleft().result()]    # popped at the yield: no reference kept
-            window.extend(pool.submit(copy_context().run, fn, x) for x in islice(todo, 1))
-            yield head.pop()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _freq_axis(n: int, bandwidth: float, center: float = 0.0) -> np.ndarray:
@@ -220,17 +185,17 @@ def _direct_sum(
     h = nr // 2 + 1
     step = max(1, CHUNK_SAMPLES // na)
     starts = range(0, max(u.size, 1), step)
-    workers = _workers(len(starts))
-    # Threaded, block k is built in slot k % (workers + 1), whose last block was added
-    # before _threaded_map starts k: builder timing cannot change the memory touched.
-    slots = [np.empty(2 * na * step) for _ in range(workers + 1)] if workers > 1 else [None]
+    n_workers = workers(len(starts))
+    # Threaded, block k is built in slot k % (n_workers + 1), whose last block was added
+    # before threaded_map starts k: builder timing cannot change the memory touched.
+    slots = [np.empty(2 * na * step) for _ in range(n_workers + 1)] if n_workers > 1 else [None]
 
     def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(lo, lo + step)
         out = slots[lo // step % len(slots)]
         return _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl], out)
 
-    blocks = _threaded_map(block, starts)
+    blocks = threaded_map(block, starts)
     ts = np.matmul(*next(blocks))     # an empty scene still gets one empty block
     buf = np.empty(4 * na * h)        # each later product, then G
     for w, r in blocks:
@@ -251,7 +216,7 @@ def _direct_sum(
             np.subtract(tr[:, mirror], si[:, mirror], out=gr[:, h:])
             np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
 
-    deque(_threaded_map(combine, range(0, na, rows)), maxlen=0)
+    deque(threaded_map(combine, range(0, na, rows)), maxlen=0)
     return g
 
 
@@ -271,12 +236,17 @@ def synth_spectrum(
       conjugate-partner identity extends to all nr; worker threads build the
       blocks, and the products are added in chunk order.
 
-    Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
-    scene must fit the unambiguous extents of the grid or the result would
-    wrap, so that raises AliasingError up front.
+    Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  A
+    spectrum larger than physical memory raises ValueError, and a scene that
+    does not fit the unambiguous extents of the grid, whose result would
+    wrap, AliasingError, both before anything is allocated.
     """
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
+    need, have = 16 * na * nr, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"out of memory: a {na}x{nr} spectrum needs {need} bytes, "
+                         f"more than the {have} bytes of physical memory")
     x_max = p.V * na / (2 * p.B_a)
     y_max = (C / 2) * nr / (2 * p.B_r)
     if scene.n and (np.abs(scene.x).max() >= x_max or np.abs(scene.y).max() >= y_max):

@@ -5,18 +5,55 @@ factor sampled on a frequency grid, a time-domain integral over the line's
 focused envelope, the closed-form point response), so tests and acceptance
 criteria C3 and C8 can check the simulator against them.  The plain
 shift-and-transform focusing and CSI composition the library once used are
-kept here too, as references for its faster forms.  They are test code, not
-part of the sarcsi library.
+kept here too, as references for its faster forms, and so is the complex
+band focusing the library used before it focused bands straight into
+magnitudes.  They are test code, not part of the sarcsi library.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from sarcsi.analysis import peak_indices
-from sarcsi.csi import ComplexImage, RGBImage
+from sarcsi.csi import RGBImage, _centred_ifft
 from sarcsi.params import C, RadarParams, doppler_from_squint
 from sarcsi.simulator import SpectrumGrid
+
+
+@dataclass(frozen=True)
+class ComplexImage:
+    """Focused complex image on the (slow-time, fast-time) grid dual to a spectrum.
+
+    data is (na, nr), possibly the transposed view of an (nr, na) array.
+    t_a spans na/B_a seconds of slow time (V * na/B_a metres of azimuth), t_r
+    spans nr/B_r seconds of fast time ((c/2) * nr/B_r metres of slant range).
+    """
+
+    data: np.ndarray
+    t_a: np.ndarray
+    t_r: np.ndarray
+    params: RadarParams
+
+
+def _focus(g: SpectrumGrid, lo: int, hi: int) -> ComplexImage:
+    """Image of spectrum rows lo:hi alone, the others zero, built range-major
+    as split_subbands builds its bands before their magnitudes: the rows are
+    columns lo:hi of an (nr, na) array and take the range IFFT there alone,
+    then the azimuth IFFT runs along the contiguous axis.  Even sizes only."""
+    na, nr = g.data.shape
+    data = np.zeros((nr, na), g.data.dtype)
+    data[:, lo:hi] = g.data[lo:hi].T
+    _centred_ifft(data[:, lo:hi], 0)
+    _centred_ifft(data, 1)
+    t_a = (np.arange(na) - na // 2) / g.params.B_a
+    t_r = (np.arange(nr) - nr // 2) / g.params.B_r
+    return ComplexImage(data.T, t_a, t_r, g.params)
+
+
+def focus_image(g: SpectrumGrid) -> ComplexImage:
+    """Inverse 2D unitary DFT of the spectrum; energy is preserved exactly."""
+    return _focus(g, 0, g.data.shape[0])
 
 
 def _cos_squint(p: RadarParams, f: np.ndarray) -> np.ndarray:

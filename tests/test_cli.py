@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import sarcsi as s
+from sarcsi import csi, simulator as sim
 from sarcsi.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -47,6 +49,15 @@ ARRAY20 = {"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}
 LINE500 = {"kind": "line", "theta_az_deg": 0.0, "length_m": 500.0}
 SEGMENT = {"kind": "segment3d", "theta_h_deg": 2.0, "theta_v_deg": -1.0,
            "theta_inc_deg": 40.0, "length_m": 1.0}
+# The README's example scene, on its default 2048 x 256 grid.
+README_TARGETS = [
+    LINE2,
+    ARRAY20,
+    {"kind": "arc", "radius_m": 80.0, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0},
+    {"kind": "catenary", "a_m": 120.0, "half_span_m": 30.0, "theta_inc_deg": 40.0},
+    {"kind": "segment3d", "theta_h_deg": 10.0, "theta_v_deg": 5.0,
+     "theta_inc_deg": 40.0, "length_m": 1.0},
+]
 
 
 class TestPredict:
@@ -281,6 +292,33 @@ class TestSimulate:
         grid, pixels = na * nr * 16, na * nr * 3
         assert run - base < grid + 3 * grid + pixels + (20 << 20)
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs an affinity mask of at least 2 CPUs")
+    def test_products_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # the synthesis blocks, the range-IFFT row tiles and the band tiles
+        # run on one thread per CPU; pinned to one CPU they run inline, and
+        # every product must come out byte-identical.  The BLAS keeps one
+        # thread in both runs, as its own thread count may change the sums
+        scene = scene_file(tmp_path, README_TARGETS, rho_r=0.1, na=2048, nr=256)
+        cfg = s.parse_scene_config(str(scene))
+        assert s.merge_scenes(s.build_scenes(cfg)).n > 2 * (sim.CHUNK_SAMPLES // cfg.na)
+        assert cfg.nr >= 2 * csi.TILE
+        pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "from sarcsi.cli import main; sys.exit(main(sys.argv[1:]))")
+        blobs = []
+        for launch in (["-c", pin], ["-m", "sarcsi"]):
+            prefix = tmp_path / f"run{len(blobs)}"
+            proc = subprocess.run(
+                [sys.executable, *launch, "simulate", "--scene", str(scene),
+                 "--out-prefix", str(prefix), "--norm", "clip_p999"],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+            assert proc.returncode == 0, proc.stderr
+            blobs.append([prefix.with_name(prefix.name + suffix).read_bytes()
+                          .replace(prefix.name.encode(), b"run")
+                          for suffix in ("_rgb.ppm", "_azspec.csv", "_report.json")])
+        assert blobs[0] == blobs[1]
+
 
 class TestAnalyze:
     def test_line_and_array_pass(self, capsys, tmp_path):
@@ -443,6 +481,37 @@ class TestRejectedInput:
         assert err.startswith("error: out of memory") and "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.glob("x_*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("na, flags", [(2**63, ()), (256, ("--na", str(2**40)))],
+                             ids=["config_na_2^63", "flag_na_2^40"])
+    def test_spectrum_beyond_physical_memory(self, capsys, tmp_path, command, na, flags):
+        # a power-of-two grid passes the size rule, but its 16-byte-per-point
+        # spectrum cannot fit in physical memory: one error line naming the
+        # size, before anything grid-sized is allocated
+        scene = scene_file(tmp_path, [LINE2], na=na)
+        out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
+               else ("--out", str(tmp_path / "x_analysis.json")))
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, command, "--scene", str(scene), *out, *flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = 2**63 if na == 2**63 else 2**40
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+        assert f"{size}x8 spectrum needs {16 * size * 8} bytes" in err
+        assert "Traceback" not in err
+        assert peak < 4 << 20
+        assert not list(tmp_path.glob("x*"))
+
+    def test_memory_error_is_one_line(self, capsys, tmp_path):
+        scene = scene_file(tmp_path, [LINE2])
+        with mock.patch("sarcsi.cli.synth_spectrum", side_effect=MemoryError()):
+            code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                                 "--out-prefix", str(tmp_path / "x"))
+        assert (code, out, err) == (2, "", "error: out of memory: allocation failed\n")
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize(

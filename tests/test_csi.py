@@ -35,30 +35,27 @@ def test_band_specs_thirds(xband):
     )
 
 
-def test_split_needs_three_bins(xband):
-    g = s.SpectrumGrid(
-        data=np.ones((2, 4), complex),
-        f_a=np.array([-19000.0, 19000.0]),
-        f_r=np.linspace(-7.5e8, 7.5e8, 4, endpoint=False),
-        params=xband,
-    )
-    with pytest.raises(ValueError):
-        s.split_subbands(g)
-    # three bins are enough: red gets two rows (bin 1 sits a rounding error
-    # below the red/green edge) and green one, the blue band none, so its
-    # image is all zeros
-    r, gr, b = s.split_subbands(flat_grid(xband, 3, 4))
-    assert np.all(b.data == 0.0)
-    assert [np.sum(np.abs(im.data) ** 2) for im in (r, gr)] == pytest.approx([8.0, 4.0])
+def test_split_rejects_what_synthesis_cannot_make(xband):
+    # the split takes what synth_spectrum makes, power-of-two sizes of at
+    # least 8, and rejects an odd, a non-power-of-two or a too small size
+    # before it touches the spectrum it would consume
+    for na, nr in [(15, 8), (16, 5), (96, 8), (16, 12), (2, 8), (16, 4)]:
+        g = random_grid(xband, na, nr)
+        data = g.data.copy()
+        with pytest.raises(ValueError, match="power of two"):
+            s.split_subbands(g)
+        assert np.array_equal(g.data, data)
 
 
 def test_split_needs_ascending_doppler(xband):
     # rows are cut into bands as runs of the Doppler axis, which a shuffled
-    # axis would put in the wrong band
-    g = flat_grid(xband, 16, 4)
+    # axis would put in the wrong band; a descending axis is rejected before
+    # the spectrum is touched
+    g = flat_grid(xband, 16, 8)
     for f_a in (g.f_a[::-1], np.roll(g.f_a, 1), np.repeat(g.f_a[::2], 2)):
         with pytest.raises(ValueError, match="ascending"):
             s.split_subbands(s.SpectrumGrid(g.data, f_a, g.f_r, xband))
+    assert np.all(g.data == 1.0)
 
 
 def flat_grid(p, na, nr):
@@ -71,16 +68,15 @@ def flat_grid(p, na, nr):
 
 
 def test_split_partitions_energy_exactly(xband):
-    g = flat_grid(xband, 96, 8)
-    r, gr, b = s.split_subbands(g)
+    g = flat_grid(xband, 128, 8)
     total = np.sum(np.abs(g.data) ** 2)
-    parts = [np.sum(np.abs(im.data) ** 2) for im in (r, gr, b)]
+    parts = [np.sum(m**2) for m in s.split_subbands(g)]
     # flat spectrum: each band holds exactly 8 units per bin of its hue.
-    # 96 bins put bins 32 and 64 on the band edges up to rounding, so the
-    # split is not 32/32/32; it follows classify_hue bin by bin
+    # 128 bins do not split into thirds; the split follows classify_hue bin
+    # by bin
     hues = [s.classify_hue(xband, f) for f in g.f_a]
     counts = [hues.count(h) for h in (s.Hue.RED, s.Hue.GREEN, s.Hue.BLUE)]
-    assert sum(counts) == 96
+    assert counts == [43, 43, 42]
     assert np.allclose(parts, 8.0 * np.array(counts), rtol=1e-12)
     assert sum(parts) == pytest.approx(total, rel=1e-12)
 
@@ -88,9 +84,8 @@ def test_split_partitions_energy_exactly(xband):
 def test_split_floor_rule_bin_counts(xband):
     # na = 2048: bins 0-682 red, 683-1365 green (closed band), 1366-2047
     # blue, as classify_hue names their frequencies
-    g = flat_grid(xband, 2048, 4)
-    r, gr, b = s.split_subbands(g)
-    widths = [np.sum(np.abs(im.data) ** 2) / 4.0 for im in (r, gr, b)]
+    g = flat_grid(xband, 2048, 8)
+    widths = [np.sum(m**2) / 8.0 for m in s.split_subbands(g)]
     assert [round(w) for w in widths] == [683, 683, 682]
 
 
@@ -98,22 +93,22 @@ def test_split_floor_rule_bin_counts(xband):
 @pytest.mark.parametrize("na", [2**k for k in range(3, 13)])
 def test_rendered_band_is_the_hue(na, f_dc):
     # every bin's energy ends up in the band classify_hue names for its
-    # Doppler: undo each band's focusing and see which rows it kept
+    # Doppler: a point's spectrum has |G| = 1 in every bin, so each band's
+    # energy counts the bins it rendered, and the bands are runs of bins
     p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
     g = point_grid(p, na, 8)
     hues = [s.classify_hue(p, f) for f in g.f_a]
     assert s.Hue.OUT_OF_WINDOW not in hues
-    for hue, img in zip((s.Hue.RED, s.Hue.GREEN, s.Hue.BLUE), s.split_subbands(g)):
-        kept = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(img.data), norm="ortho"))
-        rendered = np.abs(kept).max(axis=1) > 0.5
-        assert list(rendered) == [h is hue for h in hues]
+    energy = [np.sum(m**2) for m in s.split_subbands(g)]
+    counts = [8 * hues.count(h) for h in (s.Hue.RED, s.Hue.GREEN, s.Hue.BLUE)]
+    assert energy == pytest.approx(counts, rel=1e-12, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 2**32 - 1))
 def test_split_partition_property(xband, seed):
     rng = np.random.default_rng(seed)
-    na, nr = 16, 4
+    na, nr = 16, 8
     data = rng.standard_normal((na, nr)) + 1j * rng.standard_normal((na, nr))
     g = s.SpectrumGrid(
         data=data,
@@ -122,7 +117,7 @@ def test_split_partition_property(xband, seed):
         params=xband,
     )
     total = np.sum(np.abs(data) ** 2)
-    parts = sum(np.sum(np.abs(im.data) ** 2) for im in s.split_subbands(g))
+    parts = sum(np.sum(m**2) for m in s.split_subbands(g))
     assert parts == pytest.approx(total, rel=1e-9)
 
 
@@ -130,8 +125,7 @@ def test_tilted_line_lands_in_red_band(xband):
     # +2 deg line peaks near -17 kHz, inside the low-Doppler (red) third
     sc = s.line_scene(math.radians(2.0), 1.0, xband.lam / 4)
     g = s.synth_spectrum(sc, xband, na=512, nr=8)
-    r, gr, b = s.split_subbands(g)
-    er, eg, eb = (np.sum(np.abs(im.data) ** 2) for im in (r, gr, b))
+    er, eg, eb = (np.sum(m**2) for m in s.split_subbands(g))
     assert er > 5.0 * eg
     assert er > 20.0 * eb
 
@@ -250,8 +244,8 @@ def test_ppm_roundtrip(w, h, seed):
 def test_compose_deterministic(xband):
     g = point_grid(xband, 64, 8, x=0.5)
     r, gr, b = s.split_subbands(g)
-    one = s.encode_ppm(s.compose_rgb(r.data, gr.data, b.data))
-    two = s.encode_ppm(s.compose_rgb(r.data, gr.data, b.data))
+    one = s.encode_ppm(s.compose_rgb(r, gr, b))
+    two = s.encode_ppm(s.compose_rgb(r, gr, b))
     assert one == two
 
 
@@ -268,34 +262,31 @@ def random_grid(p, na, nr, seed=5):
 @pytest.mark.parametrize(
     "grid",
     [
-        lambda p: flat_grid(p, 96, 8),
-        lambda p: flat_grid(p, 2048, 4),
-        lambda p: random_grid(p, 16, 4),
-        lambda p: random_grid(p, 15, 5),
-        lambda p: random_grid(p, 18, 7),
+        lambda p: flat_grid(p, 128, 8),
+        lambda p: flat_grid(p, 2048, 8),
+        lambda p: random_grid(p, 16, 8),
     ],
-    ids=["flat96x8", "flat2048x4", "random16x4", "odd15x5", "odd_range18x7"],
+    ids=["flat128x8", "flat2048x8", "random16x8"],
 )
 def test_split_matches_masked_2d_focus(xband, grid):
     # focusing each band from its own rows, with sign-flip shifts, gives the
-    # plain mask-shift-ifft2-shift bands; odd sizes take the explicit shifts
+    # magnitudes of the plain mask-shift-ifft2-shift bands, as float64 (na, nr)
+    # views of range-major arrays
     g = grid(xband)
-    data = g.data.copy()
+    want = [np.abs(w) for w in oracles.split_subbands_reference(g)]
     got = s.split_subbands(g)
-    want = oracles.split_subbands_reference(g)
-    assert np.array_equal(g.data, data)          # the input is left alone
-    scale = max(np.abs(w).max() for w in want)
-    for img, ref in zip(got, want):
-        assert np.abs(img.data - ref).max() <= 1e-12 * scale
-        assert np.array_equal(img.t_a, s.focus_image(g).t_a)
+    scale = max(w.max() for w in want)
+    for m, ref in zip(got, want):
+        assert m.dtype == np.float64 and m.T.flags.c_contiguous
+        assert np.abs(m - ref).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("shape", [(64, 8), (16, 4), (15, 5), (18, 7)])
+@pytest.mark.parametrize("shape", [(64, 8), (16, 4)])
 def test_focus_matches_shifted_ifft2(xband, shape):
     g = random_grid(xband, *shape)
     data = g.data.copy()
     want = oracles.focus_reference(g.data)
-    assert np.abs(s.focus_image(g).data - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(oracles.focus_image(g).data - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(g.data, data)          # the input is left alone
 
 
@@ -307,15 +298,17 @@ def tiny_scene_grid(p):
 
 @pytest.mark.parametrize(
     "grid",
-    [lambda p: random_grid(p, 16, 4), lambda p: random_grid(p, 15, 5), tiny_scene_grid],
-    ids=["random16x4", "odd15x5", "tiny"],
+    [lambda p: random_grid(p, 16, 4), tiny_scene_grid],
+    ids=["random16x4", "tiny"],
 )
 def test_focus_is_sum_of_band_images(xband, grid):
-    # the full image and the three bands take one focusing path, and the
-    # bands partition the rows, so by linearity the bands add up to the whole
+    # the complex band images the split takes the magnitudes of and the full
+    # image take one focusing path, and the bands partition the rows, so by
+    # linearity the bands add up to the whole
     g = grid(xband)
-    want = s.focus_image(g).data
-    total = sum(img.data for img in s.split_subbands(g))
+    want = oracles.focus_image(g).data
+    cuts = np.searchsorted(xband.band_index(g.f_a), range(4)).tolist()
+    total = sum(oracles._focus(g, cuts[b], cuts[b + 1]).data for b in range(3))
     assert np.abs(total - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -367,20 +360,19 @@ def test_tiny_scene_ppm_matches_reference(tmp_path, norm):
     }))
     cfg = s.parse_scene_config(str(path))
     g = s.synth_spectrum(s.merge_scenes(s.build_scenes(cfg)), cfg.radar, cfg.na, cfg.nr)
-    bands = [img.data for img in s.split_subbands(g)]
     want = oracles.compose_rgb_reference(*oracles.split_subbands_reference(g), norm=norm)
-    assert s.encode_ppm(s.compose_rgb(*bands, norm=norm)) == s.encode_ppm(want)
+    assert s.encode_ppm(s.compose_rgb(*s.split_subbands(g), norm=norm)) == s.encode_ppm(want)
 
 
 def test_band_focus_failure_propagates(xband, run_bounded):
-    # the second band's azimuth IFFT raises on a worker thread:
+    # the second band tile's azimuth IFFT raises on a worker thread:
     # split_subbands re-raises it in the caller instead of hanging on it
     g = random_grid(xband, 64, 8)
     band_calls = itertools.count()
     centred_ifft = csi._centred_ifft
 
     def failing(x, axis):
-        if axis == 0 and next(band_calls) == 1:
+        if x.shape[axis] == 64 and next(band_calls) == 1:    # along azimuth
             raise RuntimeError("band 2 failed")
         return centred_ifft(x, axis)
 
@@ -433,7 +425,7 @@ def test_compose_p999_makes_no_full_copy(xband):
     # no magnitude stack and no np.percentile: besides the pixels, compose
     # holds a 64-row scratch tile per worker and the small group maxima
     na, nr = 1024, 128
-    bands = [img.data for img in s.split_subbands(random_grid(xband, na, nr))]
+    bands = s.split_subbands(random_grid(xband, na, nr))
     want = oracles.compose_rgb_reference(*bands, norm="clip_p999")
     with mock.patch.object(np, "percentile", side_effect=AssertionError("np.percentile")), \
             mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
@@ -460,38 +452,49 @@ def azimuth_major_band(g, lo, hi):
     return data
 
 
-@pytest.mark.parametrize("shape", [(512, 64), (64, 8), (16, 4), (15, 5), (18, 7)])
+@pytest.mark.parametrize("shape", [(512, 64), (64, 8), (16, 8), (8, 256), (32, 512)])
 def test_range_major_images_are_bit_identical(xband, shape):
+    # one in-place range IFFT over the spectrum's rows, then the azimuth
+    # IFFT of each band in tiles of range bins (several where nr > TILE),
+    # gives the bits of the whole band focused range-major (oracles._focus)
+    # and azimuth-major
     g = random_grid(xband, *shape)
     cuts = np.searchsorted(xband.band_index(g.f_a), range(4)).tolist()
-    bands = s.split_subbands(g)
-    for b, img in enumerate(bands):
-        assert img.data.shape == shape
-        assert np.array_equal(img.data, azimuth_major_band(g, cuts[b], cuts[b + 1]))
-    full = s.focus_image(g).data
-    assert full.shape == shape
-    assert np.array_equal(full, azimuth_major_band(g, 0, shape[0]))
+    want = [azimuth_major_band(g, cuts[b], cuts[b + 1]) for b in range(3)]
+    for b in range(3):
+        assert np.array_equal(oracles._focus(g, cuts[b], cuts[b + 1]).data, want[b])
+    assert np.array_equal(oracles.focus_image(g).data, azimuth_major_band(g, 0, shape[0]))
+    for m, w in zip(s.split_subbands(g), want):
+        assert m.shape == shape
+        assert np.array_equal(m, np.abs(w))
 
 
-def test_focus_allocates_only_its_output(xband):
-    # the band's rows are transformed in place in the output array: no
-    # full-size temporary (numpy's FFT keeps a fixed buffer of about 0.25 MiB)
-    g = random_grid(xband, 1024, 256)
-    csi._focus(g, 300, 600)
-    tracemalloc.start()
-    try:
-        img = csi._focus(g, 300, 600)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * img.data.nbytes
+def test_split_allocates_only_magnitudes_and_tiles(xband):
+    # the spectrum's rows are transformed in place and each band tile in a
+    # (TILE, na) scratch: past the three magnitude images, the split holds one
+    # scratch per worker and no spectrum- or band-sized temporary (numpy's FFT
+    # keeps a fixed buffer of about 0.25 MiB)
+    na, nr = 1024, 256
+    with mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
+        s.split_subbands(random_grid(xband, na, nr))     # warms up the imports
+        g = random_grid(xband, na, nr)
+        tracemalloc.start()
+        try:
+            mags = s.split_subbands(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    images = sum(m.nbytes for m in mags)
+    scratch = 2 * csi.TILE * na * 16
+    assert peak <= images + scratch + (1 << 19) < images + g.data.nbytes
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)
 def test_compose_same_pixels_on_one_or_two_cpus(xband, norm):
     # 200 raster rows are four tiles, the last one partial; the tiles run on
-    # worker threads with two CPUs and inline with one
-    bands = [img.data for img in s.split_subbands(random_grid(xband, 96, 200))]
+    # worker threads with two CPUs and inline with one.  The grids are laid
+    # out as split_subbands returns them
+    bands = list(np.random.default_rng(3).random((3, 200, 96)).transpose(0, 2, 1))
     seen = {}
     for n_cpus in (1, 2):
         threads = set()

@@ -8,7 +8,6 @@ SRC = Path(sarcsi.__file__).resolve().parent
 # (importing module, imported module, name): the only private names one
 # sarcsi module may take from another.
 ALLOWED = {
-    ("csi", "simulator", "_threaded_map"),
     ("scene", "dispersion", "_projected_slope"),
 }
 

