@@ -48,16 +48,10 @@ from .params import (
 from .scene import (
     Scene,
     SceneConfig,
-    arc_scene,
-    array_scene,
     build_scenes,
-    catenary_scene,
     generate_scene,
-    line_scene,
     merge_scenes,
     parse_scene_config,
-    project_segment_3d,
-    segment3d_scene,
 )
 from .simulator import SpectrumGrid, azimuth_power_spectrum, synth_spectrum
 
@@ -82,11 +76,8 @@ __all__ = [
     "SceneConfig",
     "SpectrumGrid",
     "VerificationReport",
-    "arc_scene",
-    "array_scene",
     "azimuth_power_spectrum",
     "build_scenes",
-    "catenary_scene",
     "chart_data",
     "chart_to_csv",
     "classify_hue",
@@ -98,14 +89,11 @@ __all__ = [
     "generate_scene",
     "high_order_squint",
     "invert_orientation_from_doppler",
-    "line_scene",
     "make_params",
     "merge_scenes",
     "observable",
     "orders_in_window",
     "parse_scene_config",
-    "project_segment_3d",
-    "segment3d_scene",
     "split_subbands",
     "squint_from_doppler",
     "synth_spectrum",

@@ -84,6 +84,13 @@ class Orientation3D:
         if not (abs(self.theta_h) < math.pi / 2 and abs(self.theta_v) < math.pi / 2):
             raise ValueError("orientation angles must satisfy |theta| < 90 deg")
 
+    @property
+    def slope(self) -> float:
+        """Slant-range metres per azimuth metre of the segment in the imaging plane."""
+        return math.cos(self.theta_inc) * (
+            math.tan(self.theta_inc) * math.tan(self.theta_h) + math.tan(self.theta_v)
+        )
+
 
 def zero_order_squint(theta_az: float) -> float:
     """Peak squint [rad] of a continuous linear target: theta_sq = -theta_az."""
@@ -131,6 +138,12 @@ def orders_in_window(
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise ValueError(f"empty order range {m_lo}:{m_hi}")
+    # Only |m| <= 2 d_x / (lam cos(theta_az)) can propagate, so the loop stops
+    # one order past that; the checks below still decide the edge orders.
+    bound = 0.0 if t.d_x is None else 2 * t.d_x / (p.lam * math.cos(t.theta_az))
+    if math.isfinite(bound):
+        m_max = math.floor(bound) + 1
+        m_lo, m_hi = max(m_lo, -m_max), min(m_hi, m_max)
     out: list[DiffractionSolution] = []
     for m in range(m_lo, m_hi + 1):
         if t.d_x is None:
@@ -154,20 +167,13 @@ def orders_in_window(
     return out
 
 
-def _projected_slope(o: Orientation3D) -> float:
-    # Slant-range metres per azimuth metre of a 3D segment in the imaging plane.
-    return math.cos(o.theta_inc) * (
-        math.tan(o.theta_inc) * math.tan(o.theta_h) + math.tan(o.theta_v)
-    )
-
-
 def effective_squint_3d(o: Orientation3D) -> float:
     """Peak squint [rad] of a 3D linear target projected into the imaging plane.
 
     tan(theta_sq) = -cos(theta_inc) * (tan(theta_inc) tan(theta_h) + tan(theta_v))
     The implied in-plane orientation is theta_az = -theta_sq.
     """
-    return math.atan(-_projected_slope(o))
+    return math.atan(-o.slope)
 
 
 def invert_orientation_from_doppler(p: RadarParams, f_d):

@@ -1,10 +1,11 @@
-"""Point-scatterer scene builders and the JSON scene-config parser.
+"""Target kinds, the JSON scene-config parser and scene generation.
 
 Scenes live in the slant plane: x is azimuth [m], y is slant range [m],
-both relative to the scene centre.  Every builder returns a flat cloud of
-(x, y, amp) samples; curved shapes are discretized densely enough
-(quarter-wavelength steps by default) that they behave as continuous
-reflectors in the simulated spectrum.
+both relative to the scene centre.  The kind table KINDS gives each target
+kind its fields, their checks and its geometry; generate_scene checks a
+target and turns it into a flat cloud of (x, y, amp) samples.  Curved
+shapes are discretized densely enough (quarter-wavelength steps by default)
+that they behave as continuous reflectors in the simulated spectrum.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dispersion import GratingTarget, Orientation3D, _projected_slope, effective_squint_3d
+from .dispersion import GratingTarget, Orientation3D, effective_squint_3d
 from .errors import ConfigError
 from .params import RadarParams, make_params
 
@@ -58,152 +59,7 @@ def merge_scenes(scenes: Sequence[Scene]) -> Scene:
         y=np.concatenate([s.y for s in scenes]),
         amp=np.concatenate([s.amp for s in scenes]),
         label="+".join(s.label for s in scenes),
-        config={"kind": "merge", "parts": [s.config for s in scenes]},
     )
-
-
-def _sample_count(extent: float, spacing: float) -> int:
-    # At least two samples so every shape has nonzero support.
-    return max(2, int(round(extent / spacing)) + 1)
-
-
-def line_scene(
-    theta_az: float,
-    length: float,
-    spacing: float,
-    amp: float = 1.0,
-    label: str = "line",
-) -> Scene:
-    """Straight continuous reflector at in-plane orientation theta_az [rad].
-
-    Sampled every `spacing` metres along its length, centred on the origin.
-    """
-    if length <= 0 or spacing <= 0:
-        raise ValueError("length and spacing must be positive")
-    t = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
-    return Scene(
-        x=t * math.cos(theta_az),
-        y=t * math.sin(theta_az),
-        amp=np.full(t.size, amp),
-        label=label,
-    )
-
-
-def array_scene(
-    theta_az: float,
-    d_x: float,
-    n: int,
-    amp: float = 1.0,
-    label: str = "array",
-) -> Scene:
-    """Periodic row of n point scatterers along orientation theta_az [rad].
-
-    d_x is the period measured along azimuth [m], so consecutive elements sit
-    d_x apart in x and d_x * tan(theta_az) apart in y.  That azimuth period is
-    what fixes the grating-order angles.
-    """
-    if d_x <= 0:
-        raise ValueError(f"azimuth period must be positive, got {d_x}")
-    if n < 2:
-        raise ValueError("a grating needs at least 2 elements")
-    x = (np.arange(n) - (n - 1) / 2) * d_x
-    return Scene(
-        x=x,
-        y=x * math.tan(theta_az),
-        amp=np.full(n, amp),
-        label=label,
-    )
-
-
-def arc_scene(
-    radius: float,
-    tan_lo: float,
-    tan_hi: float,
-    spacing: float,
-    amp: float = 1.0,
-    label: str = "arc",
-) -> Scene:
-    """Circular arc whose tangent orientation sweeps [tan_lo, tan_hi] rad.
-
-    Since a curve's local response follows its tangent, this produces a
-    continuous spread of orientations, one point of the arc per orientation.
-    The arc is positioned so its midpoint sits at the origin.
-    """
-    if radius <= 0 or spacing <= 0:
-        raise ValueError("radius and spacing must be positive")
-    if not tan_lo < tan_hi:
-        raise ValueError("need tan_lo < tan_hi")
-    arc_len = radius * (tan_hi - tan_lo)
-    theta = np.linspace(tan_lo, tan_hi, _sample_count(arc_len, spacing))
-    theta_c = (tan_lo + tan_hi) / 2
-    return Scene(
-        x=radius * (np.sin(theta) - math.sin(theta_c)),
-        y=-radius * (np.cos(theta) - math.cos(theta_c)),
-        amp=np.full(theta.size, amp),
-        label=label,
-    )
-
-
-def catenary_scene(
-    a: float,
-    half_span: float,
-    theta_inc: float,
-    theta_h: float,
-    spacing: float,
-    amp: float = 1.0,
-    label: str = "catenary",
-) -> Scene:
-    """Hanging-cable profile z(u) = a cosh(u/a) - a projected into the slant plane.
-
-    The cable hangs in a vertical plane whose horizontal trace makes theta_h
-    with the azimuth axis; theta_inc is the incidence angle.  Height folds
-    into slant range with weight cos(theta_inc), ground range with
-    sin(theta_inc).  The projected curve is recentred on its bounding box.
-    """
-    if a <= 0 or half_span <= 0 or spacing <= 0:
-        raise ValueError("a, half_span, spacing must be positive")
-    u = np.linspace(-half_span, half_span, _sample_count(2 * half_span, spacing))
-    z = a * np.cosh(u / a) - a
-    x = u * math.cos(theta_h)
-    y = u * math.sin(theta_h) * math.sin(theta_inc) + z * math.cos(theta_inc)
-    y = y - (y.min() + y.max()) / 2
-    return Scene(
-        x=x,
-        y=y,
-        amp=np.full(u.size, amp),
-        label=label,
-    )
-
-
-def project_segment_3d(o: Orientation3D, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project a straight 3D segment into the slant plane.
-
-    t parametrizes the segment by its azimuth coordinate [m]; the segment
-    climbs tan(theta_h) in ground range and tan(theta_v) in height per metre
-    of azimuth.  Ground range folds into slant range with sin(theta_inc),
-    height with cos(theta_inc), so
-
-        y = t * cos(theta_inc) * (tan(theta_inc) tan(theta_h) + tan(theta_v))
-
-    with the very slope whose arctangent effective_squint_3d returns, so the
-    segment is built at exactly the orientation the model predicts for it.
-    """
-    t = np.asarray(t, dtype=float)
-    return t.copy(), t * _projected_slope(o)
-
-
-def segment3d_scene(
-    o: Orientation3D,
-    length: float,
-    spacing: float,
-    amp: float = 1.0,
-    label: str = "segment3d",
-) -> Scene:
-    """Straight 3D segment, sampled over an azimuth extent of `length` metres."""
-    if length <= 0 or spacing <= 0:
-        raise ValueError("length and spacing must be positive")
-    t = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
-    return Scene(*project_segment_3d(o, t), np.full(t.size, amp), label)
 
 
 @dataclass(frozen=True)
@@ -327,17 +183,18 @@ def _label(t: dict, key: str, where: str) -> str:
 
 @dataclass(frozen=True)
 class TargetKind:
-    """One target kind: its config fields, its builder and its analytic model.
+    """One target kind: its config fields, its geometry and its analytic model.
 
     required, optional: field name -> check, applied in this order.
-    build(target, spacing, amp, label) -> Scene, degrees turned to radians.
+    build(target, spacing) -> (x, y), the scatterer positions [m] of a
+    checked target; it reads the degree fields and turns them into radians.
     grating(target) -> GratingTarget, the model `analyze` checks the kind
     against; None for kinds with no single closed-form prediction per order.
     """
 
     required: dict[str, Check]
     optional: dict[str, Check]
-    build: Callable[[dict, float, float, str], Scene]
+    build: Callable[[dict, float], tuple[np.ndarray, np.ndarray]]
     grating: Callable[[dict], GratingTarget] | None = None
 
 
@@ -345,38 +202,80 @@ def _orientation_3d(t: dict) -> Orientation3D:
     return Orientation3D(*(_rad(t[k]) for k in ("theta_h_deg", "theta_v_deg", "theta_inc_deg")))
 
 
-# The kind table, the one place that knows each kind's fields.  In build,
-# *common is (spacing, amp, label).
+def _sample_count(extent: float, spacing: float) -> int:
+    # At least two samples so every shape has nonzero support.
+    return max(2, int(round(extent / spacing)) + 1)
+
+
+def _line(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    theta_az, length = _rad(t["theta_az_deg"]), t["length_m"]
+    u = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
+    return u * math.cos(theta_az), u * math.sin(theta_az)
+
+
+def _array(t: dict, _spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    # dx_m is the period along azimuth, not along the row: that azimuth
+    # period is what fixes the grating-order angles.
+    n = t["n"]
+    x = (np.arange(n) - (n - 1) / 2) * t["dx_m"]
+    return x, x * math.tan(_rad(t["theta_az_deg"]))
+
+
+def _arc(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    # The tangent sweeps [tan_lo, tan_hi], one orientation per point; the
+    # arc's midpoint sits at the origin.
+    radius, lo, hi = t["radius_m"], _rad(t["tan_lo_deg"]), _rad(t["tan_hi_deg"])
+    theta = np.linspace(lo, hi, _sample_count(radius * (hi - lo), spacing))
+    theta_c = (lo + hi) / 2
+    return (radius * (np.sin(theta) - math.sin(theta_c)),
+            -radius * (np.cos(theta) - math.cos(theta_c)))
+
+
+def _catenary(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    # z(u) = a cosh(u/a) - a hangs in a vertical plane at theta_h from
+    # azimuth.  Height folds into slant range with cos(theta_inc), ground
+    # range with sin(theta_inc); the curve is recentred on its bounding box.
+    a, half_span = t["a_m"], t["half_span_m"]
+    theta_inc, theta_h = _rad(t["theta_inc_deg"]), _rad(t.get("theta_h_deg", 0.0))
+    u = np.linspace(-half_span, half_span, _sample_count(2 * half_span, spacing))
+    z = a * np.cosh(u / a) - a
+    y = u * math.sin(theta_h) * math.sin(theta_inc) + z * math.cos(theta_inc)
+    return u * math.cos(theta_h), y - (y.min() + y.max()) / 2
+
+
+def _segment3d(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    # Sampled along azimuth; the slope is the one whose arctangent
+    # effective_squint_3d returns, so the segment sits at exactly the
+    # orientation the model predicts for it.
+    length = t["length_m"]
+    x = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
+    return x, x * _orientation_3d(t).slope
+
+
+# The kind table, the one place that knows each kind's fields and geometry.
 KINDS: dict[str, TargetKind] = {
     "line": TargetKind(
         required={"theta_az_deg": _angle, "length_m": _positive},
         optional={"spacing_m": _positive},
-        build=lambda t, *common: line_scene(_rad(t["theta_az_deg"]), t["length_m"], *common),
+        build=_line,
         grating=lambda t: GratingTarget(_rad(t["theta_az_deg"])),
     ),
     "array": TargetKind(
         required={"theta_az_deg": _angle, "dx_m": _positive, "n": _count},
         optional={},
-        build=lambda t, _spacing, *common: array_scene(
-            _rad(t["theta_az_deg"]), t["dx_m"], t["n"], *common
-        ),
+        build=_array,
         grating=lambda t: GratingTarget(_rad(t["theta_az_deg"]), t["dx_m"]),
     ),
     "arc": TargetKind(
         required={"radius_m": _positive, "tan_lo_deg": _angle,
                   "tan_hi_deg": _angle_above("tan_lo_deg")},
         optional={"spacing_m": _positive},
-        build=lambda t, *common: arc_scene(
-            t["radius_m"], _rad(t["tan_lo_deg"]), _rad(t["tan_hi_deg"]), *common
-        ),
+        build=_arc,
     ),
     "catenary": TargetKind(
         required={"a_m": _positive, "half_span_m": _positive, "theta_inc_deg": _incidence},
         optional={"spacing_m": _positive, "theta_h_deg": _angle},
-        build=lambda t, *common: catenary_scene(
-            t["a_m"], t["half_span_m"], _rad(t["theta_inc_deg"]),
-            _rad(t.get("theta_h_deg", 0.0)), *common,
-        ),
+        build=_catenary,
     ),
     # A straight 3-D segment responds like a line at the projected
     # orientation theta_az = -theta_sq of its effective squint.
@@ -384,7 +283,7 @@ KINDS: dict[str, TargetKind] = {
         required={"theta_h_deg": _angle, "theta_v_deg": _angle,
                   "theta_inc_deg": _incidence, "length_m": _positive},
         optional={"spacing_m": _positive},
-        build=lambda t, *common: segment3d_scene(_orientation_3d(t), t["length_m"], *common),
+        build=_segment3d,
         grating=lambda t: GratingTarget(-effective_squint_3d(_orientation_3d(t))),
     ),
 }
@@ -446,16 +345,14 @@ def generate_scene(target: dict, lam: float) -> Scene:
     """Build the scatterer cloud for one target description.
 
     The target is first checked against its kind's schema (ConfigError names
-    the field); amp defaults to 1 and label to the kind.  Degree-valued fields
-    become radians in the kind table; the default sample spacing is a quarter
+    the field); amp defaults to 1 and label to the kind.  The kind's build
+    places the scatterers; the default sample spacing is a quarter
     wavelength so curved shapes stay effectively continuous for the radar.
     The checked target becomes the scene's config.
     """
     target = _validate_target(target)
-    scene = KINDS[target["kind"]].build(
-        target, target.get("spacing_m", lam / 4), target["amp"], target["label"]
-    )
-    return replace(scene, config=target)
+    x, y = KINDS[target["kind"]].build(target, target.get("spacing_m", lam / 4))
+    return Scene(x, y, np.full(x.size, target["amp"]), target["label"], config=target)
 
 
 def build_scenes(cfg: SceneConfig) -> list[Scene]:

@@ -51,7 +51,7 @@ def split_mags(scene, p, na=2048, nr=256):
 def test_c1_zero_order_law(xband, bin_hz):
     start = time.monotonic()
     for deg in range(-4, 5):
-        sc = s.line_scene(math.radians(deg), 1.0, xband.lam / 4)
+        sc = s.generate_scene({"kind": "line", "theta_az_deg": deg, "length_m": 1.0}, xband.lam)
         got = marginal_argmax(sc, xband, 2048, 256)
         assert abs(got - law_fd(xband, deg)) <= bin_hz, f"theta_az = {deg} deg"
     assert time.monotonic() - start <= 10.0
@@ -64,7 +64,8 @@ def test_c2_grating_orders(xband, arr_params, bin_hz):
         sols = [
             d for d in s.orders_in_window(t, arr_params, (-3, 3)) if d.observable
         ]
-        sc = s.array_scene(math.radians(deg), dx, n)
+        sc = s.generate_scene({"kind": "array", "theta_az_deg": deg, "dx_m": dx, "n": n},
+                              arr_params.lam)
         g = s.synth_spectrum(sc, arr_params, 2048, 256)
         f_a, power = s.azimuth_power_spectrum(g)
         detected = detect_peaks(f_a, power, 256.0 * float(sc.amp.sum()) ** 2)
@@ -84,7 +85,8 @@ def test_c2_grating_orders(xband, arr_params, bin_hz):
     # the same flagship order also sits in the full-range-bandwidth spectrum:
     # the f_r = 0 carrier column peaks on it even when the range-summed
     # marginal top is flattened by the per-carrier shift
-    sc = s.array_scene(math.radians(20.0), 0.05, 64)
+    sc = s.generate_scene({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64},
+                          arr_params.lam)
     g = s.synth_spectrum(sc, xband, 2048, 256)
     col = np.abs(g.data[:, 128]) ** 2
     got = float(g.f_a[int(np.argmax(col))])
@@ -97,9 +99,9 @@ def test_c3_triple_oracle(xband, arr_params, bin_hz):
 
     # lines of criterion 1: simulator vs time-domain oracle vs analytic law
     for deg in range(-4, 5):
-        f_sim = marginal_argmax(
-            s.line_scene(math.radians(deg), 1.0, xband.lam / 4), xband, 2048, 256
-        )
+        line = s.generate_scene({"kind": "line", "theta_az_deg": deg, "length_m": 1.0},
+                                xband.lam)
+        f_sim = marginal_argmax(line, xband, 2048, 256)
         f_orc = oracles.zero_order_peak_oracle(math.radians(deg), xband, f_grid)
         f_law = law_fd(xband, deg)
         assert abs(f_sim - f_orc) <= bin_hz, f"line {deg} deg: sim vs oracle"
@@ -117,7 +119,8 @@ def test_c3_triple_oracle(xband, arr_params, bin_hz):
         K = math.tan(math.radians(deg)) * 2.0 * arr_params.V / s.C
         f_orc = oracles.dirichlet_peaks_oracle(n, dx / arr_params.V, K,
                                                arr_params, f_grid)
-        sc = s.array_scene(math.radians(deg), dx, n)
+        sc = s.generate_scene({"kind": "array", "theta_az_deg": deg, "dx_m": dx, "n": n},
+                              arr_params.lam)
         g = s.synth_spectrum(sc, arr_params, 2048, 256)
         f_a, power = s.azimuth_power_spectrum(g)
         detected = detect_peaks(f_a, power, 256.0 * float(sc.amp.sum()) ** 2)
@@ -163,12 +166,14 @@ def test_c5_green_condition(xband):
     rng = np.random.default_rng(20260822)
     bin_hz = xband.B_a / 1024
     for _ in range(100):
-        th_h = math.radians(rng.uniform(-60.0, 60.0))
-        th_inc = math.radians(rng.uniform(20.0, 70.0))
+        h_deg, inc_deg = rng.uniform(-60.0, 60.0), rng.uniform(20.0, 70.0)
+        th_h, th_inc = math.radians(h_deg), math.radians(inc_deg)
         th_v = -math.atan(math.tan(th_inc) * math.tan(th_h))
         o = s.Orientation3D(th_h, th_v, th_inc)
         assert abs(s.effective_squint_3d(o)) <= 1e-10
-        sc = s.segment3d_scene(o, 1.0, xband.lam / 4)
+        sc = s.generate_scene({"kind": "segment3d", "theta_h_deg": h_deg,
+                               "theta_v_deg": math.degrees(th_v),
+                               "theta_inc_deg": inc_deg, "length_m": 1.0}, xband.lam)
         got = marginal_argmax(sc, xband, 1024, 64)
         assert abs(got) <= bin_hz
 
@@ -202,7 +207,7 @@ def test_c6_chart(xband):
 def test_c7_hue_rules(xband):
     # channel indices: 0 red, 1 green, 2 blue
     for deg, want in ((-4.0, 2), (0.0, 1), (4.0, 0)):
-        sc = s.line_scene(math.radians(deg), 1.0, xband.lam / 4)
+        sc = s.generate_scene({"kind": "line", "theta_az_deg": deg, "length_m": 1.0}, xband.lam)
         r, gr, b = split_mags(sc, xband)
         rgb = s.compose_rgb(r, gr, b)
         total = rgb.pixels.astype(int).sum(axis=2)
@@ -214,7 +219,8 @@ def test_c7_hue_rules(xband):
 
     # arc with tangents sweeping -4 -> +4 deg: walking along it, the
     # dominant channel steps Blue -> Green -> Red without going back
-    sc = s.arc_scene(40.0, math.radians(-4.0), math.radians(4.0), xband.lam / 4)
+    sc = s.generate_scene({"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -4.0,
+                           "tan_hi_deg": 4.0}, xband.lam)
     r, gr, b = split_mags(sc, xband)
     rgb = s.compose_rgb(r, gr, b)
     n = sc.n
@@ -264,7 +270,7 @@ def test_c8_conservation_and_psf(xband):
 def test_c9_inversion_roundtrip(xband):
     errors = []
     for deg in (-4, -2, -1, 1, 2, 4):
-        sc = s.line_scene(math.radians(deg), 0.5, xband.lam / 4)
+        sc = s.generate_scene({"kind": "line", "theta_az_deg": deg, "length_m": 0.5}, xband.lam)
         theta, mask = s.estimate_orientation_map(*split_mags(sc, xband), xband)
         med = float(np.degrees(np.median(theta[mask])))
         assert math.copysign(1.0, med) == math.copysign(1.0, deg), f"{deg} deg"

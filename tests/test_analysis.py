@@ -29,7 +29,7 @@ def test_detect_peaks_uses_external_reference():
 
 
 def test_verify_broadside_line_passes(xband):
-    sc = s.line_scene(0.0, 1.0, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0}, xband.lam)
     rep = s.verify_scene_against_model(sc, xband, [solution(0, 0.0, xband)],
                                        na=512, nr=16)
     assert rep.passed
@@ -43,7 +43,8 @@ def test_verify_broadside_line_passes(xband):
 def test_verify_flagship_array(arr_params, bin_hz):
     t = s.GratingTarget(math.radians(20.0), 0.05)
     preds = s.orders_in_window(t, arr_params, (-2, 2))
-    sc = s.array_scene(math.radians(20.0), 0.05, 64)
+    sc = s.generate_scene({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64},
+                          arr_params.lam)
     rep = s.verify_scene_against_model(sc, arr_params, preds, tol_bins=2.0)
     assert rep.passed
     m = rep.targets[0].matches
@@ -52,7 +53,7 @@ def test_verify_flagship_array(arr_params, bin_hz):
 
 
 def test_verify_wrong_prediction_fails_both_ways(xband):
-    sc = s.line_scene(0.0, 1.0, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0}, xband.lam)
     wrong = solution(0, math.radians(-2.0), xband)   # predicts +17 kHz
     rep = s.verify_scene_against_model(sc, xband, [wrong], na=512, nr=16)
     assert not rep.passed
@@ -63,7 +64,7 @@ def test_verify_wrong_prediction_fails_both_ways(xband):
 
 
 def test_verify_ignores_unobservable_predictions(xband):
-    sc = s.line_scene(0.0, 1.0, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0}, xband.lam)
     far = s.DiffractionSolution(
         m=1, theta_sq=-0.5, f_d=2.0e5, observable=False,
         hue=s.Hue.OUT_OF_WINDOW,
@@ -78,13 +79,13 @@ def test_verify_ignores_unobservable_predictions(xband):
 
 
 def test_verify_requires_predictions(xband):
-    sc = s.line_scene(0.0, 1.0, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0}, xband.lam)
     with pytest.raises(ValueError):
         s.verify_scene_against_model(sc, xband, [])
 
 
 def test_merge_reports(xband):
-    sc = s.line_scene(0.0, 0.5, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 0.5}, xband.lam)
     r1 = s.verify_scene_against_model(sc, xband, [solution(0, 0.0, xband)],
                                       na=256, nr=16)
     r2 = s.verify_scene_against_model(sc, xband, [solution(0, 0.0, xband)],
@@ -100,7 +101,7 @@ def test_merge_reports(xband):
 
 
 def test_report_json_shape(xband):
-    sc = s.line_scene(0.0, 0.5, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 0.5}, xband.lam)
     rep = s.verify_scene_against_model(sc, xband, [solution(0, 0.0, xband)],
                                        na=256, nr=16)
     text = report_to_json(rep)
@@ -151,14 +152,16 @@ class TestOrientationMap:
         assert mask2.all()
 
     def test_line_orientation_recovered_end_to_end(self, xband):
-        sc = s.line_scene(math.radians(2.0), 1.0, xband.lam / 4)
+        sc = s.generate_scene({"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0},
+                              xband.lam)
         g = s.synth_spectrum(sc, xband, na=2048, nr=16)
         theta, mask = s.estimate_orientation_map(*s.split_subbands(g), xband)
         med = math.degrees(float(np.nanmedian(theta[mask])))
         assert 1.5 <= med <= 2.5
 
     def test_broadside_maps_to_zero(self, xband):
-        sc = s.line_scene(0.0, 1.0, xband.lam / 4)
+        sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0},
+                              xband.lam)
         g = s.synth_spectrum(sc, xband, na=1024, nr=16)
         theta, mask = s.estimate_orientation_map(*s.split_subbands(g), xband)
         med = math.degrees(float(np.nanmedian(theta[mask])))

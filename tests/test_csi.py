@@ -123,7 +123,7 @@ def test_split_partition_property(xband, seed):
 
 def test_tilted_line_lands_in_red_band(xband):
     # +2 deg line peaks near -17 kHz, inside the low-Doppler (red) third
-    sc = s.line_scene(math.radians(2.0), 1.0, xband.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}, xband.lam)
     g = s.synth_spectrum(sc, xband, na=512, nr=8)
     er, eg, eb = (np.sum(m**2) for m in s.split_subbands(g))
     assert er > 5.0 * eg

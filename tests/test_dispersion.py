@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sarcsi as s
+from sarcsi import dispersion
 from sarcsi.errors import EvanescentOrderError
 
 DEG = math.radians
@@ -42,6 +43,9 @@ def test_continuous_target_has_only_zero_order(xband):
     sols = s.orders_in_window(s.GratingTarget(0.0), xband, (-2, 2))
     assert [d.m for d in sols] == [0]
     assert sols[0].f_d == 0.0 and sols[0].observable
+    # however wide the range, only m = 0 is tried
+    assert s.orders_in_window(s.GratingTarget(0.0), xband, (-10**12, 10**12)) == sols
+    assert s.orders_in_window(s.GratingTarget(0.0), xband, (3, 10**12)) == []
 
 
 def test_flagship_order_table(xband):
@@ -61,6 +65,22 @@ def test_evanescent_orders_are_omitted(xband):
 def test_empty_order_range_rejected(xband):
     with pytest.raises(ValueError):
         s.orders_in_window(s.GratingTarget(0.0, 0.05), xband, (2, 1))
+
+
+def test_wide_order_range_tries_only_propagating_orders(xband, monkeypatch):
+    t = s.GratingTarget(DEG(2.0), 0.05)
+    want = s.orders_in_window(t, xband, (-10, 10))
+    tried = []
+    real = dispersion.high_order_squint
+    monkeypatch.setattr(dispersion, "high_order_squint",
+                        lambda t, m, lam: tried.append(m) or real(t, m, lam))
+    assert s.orders_in_window(t, xband, (-10**4, 10**4)) == want
+    # |m| <= 3 propagate; one more order each side is the margin
+    assert tried == list(range(-4, 5))
+
+    # a period so long that the order bound overflows keeps the range as given
+    sols = s.orders_in_window(s.GratingTarget(0.0, 1e308), xband, (-2, 2))
+    assert [d.m for d in sols] == [-2, -1, 0, 1, 2]
 
 
 @given(

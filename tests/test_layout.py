@@ -5,12 +5,6 @@ import sarcsi
 
 SRC = Path(sarcsi.__file__).resolve().parent
 
-# (importing module, imported module, name): the only private names one
-# sarcsi module may take from another.
-ALLOWED = {
-    ("scene", "dispersion", "_projected_slope"),
-}
-
 
 def private_imports(path: Path) -> set[tuple[str, str, str]]:
     """(module, imported module, name) of each private name path imports
@@ -32,7 +26,7 @@ def test_modules_share_no_private_names():
     # each concept lives in one module; reaching into another module's
     # private names means it lives in the wrong one
     found = set().union(*(private_imports(p) for p in SRC.glob("*.py")))
-    assert found - ALLOWED == set()
+    assert found == set()
 
 
 def test_layout_guard_sees_private_imports(tmp_path):

@@ -13,7 +13,8 @@ LAM = 0.031228381041666666
 
 
 def test_line_geometry():
-    sc = s.line_scene(DEG(30.0), 2.0, 0.01)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 30.0, "length_m": 2.0,
+                           "spacing_m": 0.01}, LAM)
     assert sc.n == 201
     assert sc.x[0] == pytest.approx(-math.cos(DEG(30.0)))
     assert sc.y[-1] == pytest.approx(math.sin(DEG(30.0)))
@@ -23,30 +24,17 @@ def test_line_geometry():
     assert np.allclose(step, 0.01)
 
 
-def test_line_validation():
-    with pytest.raises(ValueError):
-        s.line_scene(0.0, -1.0, 0.01)
-    with pytest.raises(ValueError):
-        s.line_scene(0.0, 1.0, 0.0)
-
-
 def test_array_period_is_azimuth_spacing():
-    sc = s.array_scene(DEG(20.0), 0.05, 64)
+    sc = s.generate_scene({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}, LAM)
     assert sc.n == 64
     assert np.allclose(np.diff(sc.x), 0.05)          # azimuth period, exactly d_x
     assert np.allclose(sc.y, sc.x * math.tan(DEG(20.0)))
     assert sc.x.sum() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_array_validation():
-    with pytest.raises(ValueError):
-        s.array_scene(0.0, 0.05, 1)
-    with pytest.raises(ValueError):
-        s.array_scene(0.0, -0.05, 8)
-
-
 def test_arc_tangent_sweep():
-    sc = s.arc_scene(40.0, DEG(-4.0), DEG(4.0), LAM / 4)
+    sc = s.generate_scene({"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -4.0,
+                           "tan_hi_deg": 4.0}, LAM)
     # centred on the origin: some sample falls within half a step of it
     step = np.hypot(np.diff(sc.x), np.diff(sc.y))
     assert np.hypot(sc.x, sc.y).min() <= step.max() / 2 + 1e-9
@@ -58,15 +46,9 @@ def test_arc_tangent_sweep():
     assert np.allclose(step, LAM / 4, rtol=1e-3)
 
 
-def test_arc_validation():
-    with pytest.raises(ValueError):
-        s.arc_scene(40.0, DEG(4.0), DEG(-4.0), 0.01)
-    with pytest.raises(ValueError):
-        s.arc_scene(-1.0, DEG(-4.0), DEG(4.0), 0.01)
-
-
 def test_catenary_profile():
-    sc = s.catenary_scene(5.0, 2.0, DEG(45.0), 0.0, 0.01)
+    sc = s.generate_scene({"kind": "catenary", "a_m": 5.0, "half_span_m": 2.0,
+                           "theta_inc_deg": 45.0, "spacing_m": 0.01}, LAM)
     # recentred on the bounding box and symmetric at theta_h = 0
     assert sc.y.max() == pytest.approx(-sc.y.min())
     assert np.allclose(sc.x, -sc.x[::-1])
@@ -79,32 +61,36 @@ def test_catenary_profile():
 
 def test_projected_segment_slope():
     o = s.Orientation3D(DEG(10.0), DEG(5.0), DEG(40.0))
+    sc = s.generate_scene({"kind": "segment3d", "theta_h_deg": 10.0, "theta_v_deg": 5.0,
+                           "theta_inc_deg": 40.0, "length_m": 2.0, "spacing_m": 1.0}, LAM)
     t = np.array([-1.0, 0.0, 1.0])
-    x, y = s.project_segment_3d(o, t)
-    assert np.array_equal(x, t)
+    assert np.array_equal(sc.x, t)
     want = math.tan(DEG(10.0)) * math.sin(DEG(40.0)) + math.tan(DEG(5.0)) * math.cos(
         DEG(40.0)
     )
-    assert np.allclose(y, t * want)
+    assert np.allclose(sc.y, t * want)
     # projected in-plane orientation is the closed-form squint law's, exactly:
     # both take the one projected slope
-    theta_az = math.atan(y[2] / x[2])
+    theta_az = math.atan(sc.y[2] / sc.x[2])
     assert theta_az == -s.effective_squint_3d(o)
 
 
 def test_green_segment_collapses_to_broadside():
-    th_h, th_i = DEG(25.0), DEG(50.0)
-    o = s.Orientation3D(th_h, -math.atan(math.tan(th_i) * math.tan(th_h)), th_i)
-    sc = s.segment3d_scene(o, 1.0, 0.01)
+    th_v = -math.degrees(math.atan(math.tan(DEG(50.0)) * math.tan(DEG(25.0))))
+    sc = s.generate_scene({"kind": "segment3d", "theta_h_deg": 25.0, "theta_v_deg": th_v,
+                           "theta_inc_deg": 50.0, "length_m": 1.0, "spacing_m": 0.01}, LAM)
     assert np.allclose(sc.y, 0.0, atol=1e-12)
 
 
 def test_merge_scenes():
-    a = s.line_scene(0.0, 1.0, 0.01, label="a")
-    b = s.array_scene(0.0, 0.05, 8, label="b")
+    a = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0,
+                          "spacing_m": 0.01, "label": "a"}, LAM)
+    b = s.generate_scene({"kind": "array", "theta_az_deg": 0.0, "dx_m": 0.05, "n": 8,
+                          "label": "b"}, LAM)
     m = s.merge_scenes([a, b])
     assert m.n == a.n + b.n
     assert m.label == "a+b"
+    assert m.config == {}
     with pytest.raises(ValueError):
         s.merge_scenes([])
 
@@ -257,8 +243,16 @@ def test_generate_scene_all_kinds():
          "theta_inc_deg"),
         ({"kind": "line", "theta_az_deg": 2.0, "lenght_m": 1.0}, "lenght_m"),
         ({"kind": "array", "theta_az_deg": 0.0, "dx_m": 0.05, "n": 64.7}, "'n'"),
+        ({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0, "spacing_m": 0.0},
+         "'spacing_m' must be positive"),
+        ({"kind": "array", "theta_az_deg": 0.0, "dx_m": 0.05, "n": 1}, "'n' must be at least 2"),
+        ({"kind": "array", "theta_az_deg": 0.0, "dx_m": -0.05, "n": 8},
+         "'dx_m' must be positive"),
+        ({"kind": "arc", "radius_m": -1.0, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0},
+         "'radius_m' must be positive"),
     ],
-    ids=["line_angle", "catenary_incidence", "typo", "fractional_n"],
+    ids=["line_angle", "catenary_incidence", "typo", "fractional_n", "zero_spacing",
+         "single_element", "negative_period", "negative_radius"],
 )
 def test_generate_scene_checks_its_target(target, field):
     # the Python API builds scenes from target dicts too; they get the same

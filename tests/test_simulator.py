@@ -93,7 +93,8 @@ def test_window_beyond_realizable_doppler():
 
 
 def test_superposition(xband):
-    a = s.line_scene(math.radians(2.0), 0.5, 0.01, label="a")
+    a = s.generate_scene({"kind": "line", "theta_az_deg": 2.0, "length_m": 0.5,
+                          "spacing_m": 0.01, "label": "a"}, xband.lam)
     b = point(x=1.0, y=0.2, amp=0.5)
     ga = s.synth_spectrum(a, xband, na=128, nr=16).data
     gb = s.synth_spectrum(b, xband, na=128, nr=16).data
@@ -208,16 +209,16 @@ def test_peak_indices_matches_find_peaks(values, min_height):
     assert list(peak_indices(np.array(values), min_height)) == list(want - 1)
 
 
-def collinear_run(kind, n, step, angle_deg, offset, amp):
+def collinear_run(kind, n, step, angle_deg, offset, amp, lam):
     """n equal-amplitude samples of one collinear target kind, off-centre."""
-    th = math.radians(angle_deg)
     if kind == "line":
-        sc = s.line_scene(th, (n - 1) * step, step, amp)
+        t = {"theta_az_deg": angle_deg, "length_m": (n - 1) * step, "spacing_m": step}
     elif kind == "array":
-        sc = s.array_scene(th, step, n, amp)
+        t = {"theta_az_deg": angle_deg, "dx_m": step, "n": n}
     else:
-        o = s.Orientation3D(theta_h=th, theta_v=th / 2, theta_inc=math.radians(40.0))
-        sc = s.segment3d_scene(o, (n - 1) * step, step, amp)
+        t = {"theta_h_deg": angle_deg, "theta_v_deg": angle_deg / 2, "theta_inc_deg": 40.0,
+             "length_m": (n - 1) * step, "spacing_m": step}
+    sc = s.generate_scene({"kind": kind, "amp": amp, **t}, lam)
     assert sc.n == n
     return s.Scene(x=sc.x + offset[0], y=sc.y + offset[1], amp=sc.amp)
 
@@ -248,10 +249,11 @@ def test_closed_form_matches_direct_sum(
     if kind == "on_bin":
         p = s.make_params(*ON_BIN["params"])
         na = ON_BIN["na"]
-        sc = s.array_scene(0.0, ON_BIN["d_x"], n, amp)
+        sc = s.generate_scene({"kind": "array", "theta_az_deg": 0.0, "dx_m": ON_BIN["d_x"],
+                               "n": n, "amp": amp}, p.lam)
     else:
         p, na = arr_params, 512
-        sc = collinear_run(kind, n, step, angle_deg, offset, amp)
+        sc = collinear_run(kind, n, step, angle_deg, offset, amp, p.lam)
     with only_path("closed"):
         g = s.synth_spectrum(sc, p, na=na, nr=nr).data
     assert relative_error(g, reference_spectrum(sc, p, na, nr)) <= ERROR_BUDGET
@@ -265,16 +267,17 @@ def test_closed_form_matches_direct_sum(
 @pytest.mark.parametrize("case", ["jittered", "graded_amp", "below_min_n", "arc"])
 def test_other_scenes_take_the_direct_sum(arr_params, case):
     rng = np.random.default_rng(7)
-    sc = collinear_run("line", 300, 0.01, 2.0, (0.3, -0.2), 1.0)
+    sc = collinear_run("line", 300, 0.01, 2.0, (0.3, -0.2), 1.0, arr_params.lam)
     if case == "jittered":
         sc = s.Scene(x=sc.x + rng.normal(0.0, 1e-6, sc.n), y=sc.y, amp=sc.amp)
     elif case == "graded_amp":
         sc = s.Scene(x=sc.x, y=sc.y, amp=np.linspace(1.0, 1.5, sc.n))
     elif case == "below_min_n":
         sc = collinear_run("array", sim.CLOSED_FORM_MIN_N - 1, 0.02, 20.0,
-                           (0.0, 0.0), 1.0)
+                           (0.0, 0.0), 1.0, arr_params.lam)
     else:
-        sc = s.arc_scene(40.0, math.radians(-2.0), math.radians(2.0), 0.01)
+        sc = s.generate_scene({"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0,
+                               "tan_hi_deg": 2.0, "spacing_m": 0.01}, arr_params.lam)
     with only_path("direct"):
         g = s.synth_spectrum(sc, arr_params, na=256, nr=16).data
     assert relative_error(g, reference_spectrum(sc, arr_params, 256, 16)) <= 1e-12
@@ -526,7 +529,8 @@ def test_closed_form_memory_is_independent_of_n(arr_params):
     # 60 m line, 7686 scatterers; summed term by term it would need 8 MiB
     # phase blocks even in chunks, the closed form only a few na x nr arrays
     na, nr = 2048, 64
-    sc = s.line_scene(math.radians(1.0), 60.0, arr_params.lam / 4)
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 1.0, "length_m": 60.0},
+                          arr_params.lam)
     assert sc.n == 7686
     tracemalloc.start()
     try:
