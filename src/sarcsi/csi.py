@@ -24,6 +24,7 @@ from .simulator import SpectrumGrid
 
 NORM_MODES = ("linear", "clip_p999")
 TILE = 64    # spectrum rows, range bins or raster rows a worker takes at a time
+SCRATCH_POINTS = 1 << 16    # complex points (1 MiB) of a band job's scratch, at most
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,14 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     The spectrum is consumed.  Its rows take the range IFFT in place, in row
     tiles: each row lies in one band, so one pass serves all three.  Then each
-    (band, TILE range bins) job copies the band's rows of those bins,
-    transposed, into a zero-filled (tile, na) scratch, takes the azimuth IFFT
-    there and writes |.| into the band's magnitudes.  Both passes run on worker
-    threads.  g must be what synth_spectrum makes: power-of-two sizes and an
-    ascending f_a, else ValueError.  Returns (red, green, blue) float64
-    magnitudes, (na, nr) views of range-major (nr, na) arrays.
+    (band, range tile) job copies the band's rows of its bins, transposed,
+    into a zero-filled (bins, na) scratch, takes the azimuth IFFT there and
+    writes |.| into the band's magnitudes; a tile has TILE bins, fewer when
+    na > SCRATCH_POINTS / TILE, so a scratch holds at most SCRATCH_POINTS.
+    Both passes run on worker threads.  g must be what synth_spectrum makes:
+    power-of-two sizes and an ascending f_a, else ValueError.  Returns (red,
+    green, blue) float64 magnitudes, (na, nr) views of range-major (nr, na)
+    arrays.
     """
     data = g.data
     na, nr = data.shape
@@ -81,16 +84,17 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
           maxlen=0)
     mags = [np.empty((nr, na)) for _ in range(3)]
+    bins = max(1, min(TILE, SCRATCH_POINTS // na))
 
     def focus(job: tuple[int, int]) -> None:
         b, lo = job
         rows = slice(cuts[b], cuts[b + 1])
-        scratch = np.zeros((min(TILE, nr - lo), na), data.dtype)
-        scratch[:, rows] = data[rows, lo : lo + TILE].T
+        scratch = np.zeros((min(bins, nr - lo), na), data.dtype)
+        scratch[:, rows] = data[rows, lo : lo + bins].T
         _centred_ifft(scratch, 1)
-        np.abs(scratch, out=mags[b][lo : lo + TILE])
+        np.abs(scratch, out=mags[b][lo : lo + bins])
 
-    deque(threaded_map(focus, list(product(range(3), range(0, nr, TILE)))), maxlen=0)
+    deque(threaded_map(focus, list(product(range(3), range(0, nr, bins)))), maxlen=0)
     return tuple(m.T for m in mags)
 
 

@@ -14,10 +14,11 @@ synth_spectrum evaluates that sum exactly in one of two ways, picked from the
 samples themselves.  A uniformly sampled collinear run of equal amplitudes
 (a line, an array, a 3-D segment) is a geometric series in n, summed in
 closed form as its array factor; every other cloud term by term, in blocks
-of real matrix products over the range columns l <= nr/2 that also give their
-conjugate partners nr - l.  Either path stays within max|dG| / max|G| <= 1e-10
-of the plain direct sum, which the tests keep as the reference, in
-tests/oracles.py with the peak oracles and the ideal point response.
+of azimuth rows by scatterers, as real matrix products over the range columns
+l <= nr/2 that also give their conjugate partners nr - l.  Either path stays
+within max|dG| / max|G| <= 1e-10 of the plain direct sum, which the tests keep
+as the reference, in tests/oracles.py with the peak oracles and the ideal
+point response.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -41,8 +43,12 @@ CLOSED_FORM_MIN_N = 256
 # progression that still counts as uniform.  Each term's phase error is then
 # below 2pi * 1e-11, far inside the 1e-10 error budget.
 UNIFORM_TOL_CYCLES = 1e-11
-# Phases per direct-sum block (8 MiB of cos and sin), samples per combine tile.
-CHUNK_SAMPLES = 1 << 19
+# Direct-sum blocks are ROW_TILE azimuth rows by BLOCK_PHASES // ROW_TILE
+# samples (4 MiB of cos and sin; 256 samples, the GEMM's inner dimension, from
+# na = 1024 up), or one full-height block when the whole sum has at most
+# BLOCK_PHASES phases.
+BLOCK_PHASES = 1 << 18
+ROW_TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -118,11 +124,12 @@ def _closed_form(
     on_order = den == 0
     den[on_order] = 1.0
     ratio[on_order] = n
+    del on_order
     ratio /= den
-    if n % 2 == 0:
-        ratio *= 1 - 2 * (m.astype(np.int64) & 1)     # (-1)^m
+    if n % 2 == 0:                                    # (-1)^m: negated where m is odd
+        np.negative(ratio, out=ratio, where=np.fmod(m, 2, out=m) != 0)
     # Free the (na, nr) temporaries before the complex result is allocated.
-    del m, r, den, on_order
+    del m, r, den
     u_c = (u[0] + u[-1]) / 2
     v_c = (v[0] + v[-1]) / 2
     g = np.multiply.outer(
@@ -135,17 +142,14 @@ def _closed_form(
 
 def _direct_block(
     f_a: np.ndarray,
-    f_r: np.ndarray,
     carrier: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    amp: np.ndarray,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(w, r): w (2 na, n) is Re over Im of exp(-j2pi phi), built in place (Im
-    is scratch first), in the flat out if given; r is the float64 (n, 2h) view
-    of amp exp(+j2pi v f_r[:h]).  w @ r, viewed complex (2 na, h), is T over S."""
-    na, h = f_a.size, f_r.size // 2 + 1
+) -> np.ndarray:
+    """w (2 na, n), Re over Im of exp(-j2pi phi), phi = f_a u + carrier v, built
+    in place (Im is scratch first), in the flat out if given."""
+    na = f_a.size
     w = np.empty((2 * na, u.size)) if out is None else out[: 2 * na * u.size].reshape(2 * na, -1)
     phase, scratch = w[:na], w[na:]
     np.multiply.outer(f_a, u, out=phase)
@@ -154,14 +158,28 @@ def _direct_block(
     phase *= -2 * np.pi
     np.sin(phase, out=scratch)
     np.cos(phase, out=phase)
-    cycles = np.multiply.outer(v, f_r[:h])
+    return w
+
+
+def _range_factor(f_r: np.ndarray, v: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The float64 (n, 2h) view of amp exp(+j2pi v f_r[:h]), h = nr/2 + 1: with
+    a block w, w @ r viewed complex (2 na, h) is T over S."""
+    cycles = np.multiply.outer(v, f_r[: f_r.size // 2 + 1])
     cycles -= np.rint(cycles)
     cycles *= 2 * np.pi
-    r = np.empty((u.size, h), complex)
+    r = np.empty(cycles.shape, complex)
     np.cos(cycles, out=r.real)
     np.sin(cycles, out=r.imag)
     r *= amp[:, None]
-    return w, r.view(float)
+    return r.view(float)
+
+
+def _block_shape(na: int, n: int) -> tuple[int, int]:
+    """(rows, samples) of the direct sum's blocks for na rows and n samples."""
+    if na * n <= BLOCK_PHASES:
+        return na, max(n, 1)          # one full-height block, built inline
+    rows = min(na, ROW_TILE)
+    return rows, BLOCK_PHASES // rows
 
 
 def _direct_sum(
@@ -177,38 +195,49 @@ def _direct_sum(
     T and S sum a_n cos(2pi phi_kn) and -a_n sin(2pi phi_kn) times
     exp(+j2pi f_r[l] v_n), phi = f_a u + carrier v.  As f_r[nr - l] = -f_r[l],
     G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
-    0 < l < h - 1.  Worker threads build the blocks of <= CHUNK_SAMPLES phases;
-    this thread adds their products in block order, so the sum depends on
-    CHUNK_SAMPLES alone.  The element-wise combine runs in row tiles.
+    0 < l < h - 1.  Worker threads build the blocks of _block_shape, each a
+    row tile by a sample chunk, chunk after chunk, and a chunk's range factor
+    with its first tile; this thread adds each block's (2 rows, 2h) product
+    into the tile's T and S rows in block order, the first chunk's in place.
+    So the sum depends on the block shape and the BLAS alone, whose rounding
+    may follow a product's row count and the BLAS thread count.  The operand
+    ring and the product buffer are freed before G is allocated; the
+    element-wise combine runs per row tile.
     """
     na, nr = f_a.size, f_r.size
     h = nr // 2 + 1
-    step = max(1, CHUNK_SAMPLES // na)
-    starts = range(0, max(u.size, 1), step)
-    n_workers = workers(len(starts))
+    rows, step = _block_shape(na, u.size)
+    jobs = list(product(range(0, max(u.size, 1), step), range(0, na, rows)))
+    n_workers = workers(len(jobs))
     # Threaded, block k is built in slot k % (n_workers + 1), whose last block was added
     # before threaded_map starts k: builder timing cannot change the memory touched.
-    slots = [np.empty(2 * na * step) for _ in range(n_workers + 1)] if n_workers > 1 else [None]
+    slots = [np.empty(2 * rows * step) for _ in range(n_workers + 1)] if n_workers > 1 else [None]
 
-    def block(lo: int) -> tuple[np.ndarray, np.ndarray]:
+    def block(k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        lo, a = jobs[k]
         sl = slice(lo, lo + step)
-        out = slots[lo // step % len(slots)]
-        return _direct_block(f_a, f_r, carrier, u[sl], v[sl], amp[sl], out)
+        w = _direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
+                          slots[k % len(slots)])
+        return w, (_range_factor(f_r, v[sl], amp[sl]) if a == 0 else None)
 
-    blocks = threaded_map(block, starts)
-    ts = np.matmul(*next(blocks))     # an empty scene still gets one empty block
-    buf = np.empty(4 * na * h)        # each later product, then G
-    for w, r in blocks:
-        ts += np.matmul(w, r, out=buf.reshape(2 * na, 2 * h))
-    g = buf[: 2 * na * nr].view(complex).reshape(na, nr)
-    rows = max(1, CHUNK_SAMPLES // nr)
-    group = max(1, rows // 32)        # rows whose T, S and G parts stay in cache
+    ts = np.empty((2 * na, 2 * h))    # row tile a: T rows at 2a, then its S rows
+    prod = np.empty((2 * rows, 2 * h)) if step < u.size else None
+    for (lo, a), (w, chunk_r) in zip(jobs, threaded_map(block, range(len(jobs)))):
+        r = chunk_r if a == 0 else r
+        if lo == 0:                   # an empty scene still gets one empty block
+            np.matmul(w, r, out=ts[2 * a : 2 * (a + rows)])
+        else:
+            ts[2 * a : 2 * (a + rows)] += np.matmul(w, r, out=prod)
+    del w, r, chunk_r, prod
+    slots.clear()
+    g = np.empty((na, nr), complex)
+    group = max(1, (1 << 14) // nr)   # rows whose T, S and G parts stay in cache
     mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
 
-    def combine(lo: int) -> None:
-        for a in range(lo, min(lo + rows, na), group):
-            b = min(a + group, na)
-            t, s = ts[a:b], ts[na + a : na + b]
+    def combine(a0: int) -> None:     # tile a0's T rows start at 2 a0: row a's is a0 + a
+        for a in range(a0, a0 + rows, group):
+            b = min(a + group, a0 + rows)
+            t, s = ts[a0 + a : a0 + b], ts[a0 + rows + a : a0 + rows + b]
             tr, ti, sr, si = t[:, 0::2], t[:, 1::2], s[:, 0::2], s[:, 1::2]
             gr, gi = g.real[a:b], g.imag[a:b]
             np.add(tr, si, out=gr[:, :h])
@@ -218,6 +247,22 @@ def _direct_sum(
 
     deque(threaded_map(combine, range(0, na, rows)), maxlen=0)
     return g
+
+
+def _peak_bytes(na: int, nr: int, n: int, direct: bool) -> int:
+    """Bytes synthesis holds at its peak: the closed form's three float64
+    (na, nr) temporaries and a mask, or the direct sum's T over S together
+    with G or with the blocks in flight and the product, whichever is larger."""
+    if not direct:
+        return 25 * na * nr
+    rows, step = _block_shape(na, n)
+    jobs = na // rows * -(-max(n, 1) // step)
+    h = nr // 2 + 1
+    # the ring (two blocks inline), each block with a range factor
+    blocks = (workers(jobs) + 1) * 16 * step * (rows + h)
+    if step < n:
+        blocks += 32 * rows * h
+    return 32 * na * h + max(16 * na * nr, blocks)
 
 
 def synth_spectrum(
@@ -231,22 +276,28 @@ def synth_spectrum(
       of one amplitude on an arithmetic progression in both x and y (a
       sampled line, array or 3-D segment): the geometric series costs
       O(na * nr) whatever the scatterer count;
-    - direct sum otherwise: per chunk of na * chunk <= CHUNK_SAMPLES phases,
-      one real matrix product over the nr/2 + 1 columns l <= nr/2, which the
-      conjugate-partner identity extends to all nr; worker threads build the
-      blocks, and the products are added in chunk order.
+    - direct sum otherwise: per block of at most BLOCK_PHASES phases (up to
+      ROW_TILE azimuth rows by a chunk of samples), one real matrix product
+      over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
+      identity extends to all nr; worker threads build the blocks, and each
+      row tile's products are added in chunk order.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  A
-    spectrum larger than physical memory raises ValueError, and a scene that
-    does not fit the unambiguous extents of the grid, whose result would
-    wrap, AliasingError, both before anything is allocated.
+    grid whose spectrum, or whose synthesis at its peak, needs more than
+    physical memory raises ValueError, and a scene that does not fit the
+    unambiguous extents of the grid, whose result would wrap,
+    AliasingError, all before anything grid-sized is allocated.
     """
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
-    need, have = 16 * na * nr, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"out of memory: a {na}x{nr} spectrum needs {need} bytes, "
-                         f"more than the {have} bytes of physical memory")
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    def check_memory(need: int, what: str) -> None:
+        if need > have:
+            raise ValueError(f"out of memory: {what} {na}x{nr} spectrum needs {need} bytes, "
+                             f"more than the {have} bytes of physical memory")
+
+    check_memory(16 * na * nr, "a")    # the spectrum alone, before the axes are built
     x_max = p.V * na / (2 * p.B_a)
     y_max = (C / 2) * nr / (2 * p.B_r)
     if scene.n and (np.abs(scene.x).max() >= x_max or np.abs(scene.y).max() >= y_max):
@@ -264,6 +315,7 @@ def synth_spectrum(
     steps = _uniform_steps(
         u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
     )
+    check_memory(_peak_bytes(na, nr, u.size, steps is None), "synthesizing a")
     # An overflowing sum is azimuth_power_spectrum's to reject, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if steps is None:

@@ -301,7 +301,7 @@ class TestSimulate:
         # thread in both runs, as its own thread count may change the sums
         scene = scene_file(tmp_path, README_TARGETS, rho_r=0.1, na=2048, nr=256)
         cfg = s.parse_scene_config(str(scene))
-        assert s.merge_scenes(s.build_scenes(cfg)).n > 2 * (sim.CHUNK_SAMPLES // cfg.na)
+        assert s.merge_scenes(s.build_scenes(cfg)).n > 2 * sim._block_shape(cfg.na, 10**6)[1]
         assert cfg.nr >= 2 * csi.TILE
         pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
                "from sarcsi.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -504,6 +504,38 @@ class TestRejectedInput:
         assert f"{size}x8 spectrum needs {16 * size * 8} bytes" in err
         assert "Traceback" not in err
         assert peak < 4 << 20
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("command, targets, direct", [
+        ("simulate", README_TARGETS, True),
+        ("analyze", [{"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}], False),
+    ], ids=["simulate_direct_sum", "analyze_closed_form"])
+    def test_synthesis_beyond_physical_memory(self, capsys, tmp_path, command, targets, direct):
+        # the 2048 x 256 spectrum (8 MiB) fits in the 20 bytes per grid point
+        # of physical memory mocked here, but its synthesis does not: the
+        # direct sum holds T over S beside G (about 32 bytes per point), the
+        # closed form three float64 grids and a mask (25).  One error line
+        # naming the grid and both byte counts, before anything grid-sized
+        # is allocated
+        na, nr = 2048, 256
+        scene = scene_file(tmp_path, targets, rho_r=0.1, na=na, nr=nr)
+        n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
+        need, have = sim._peak_bytes(na, nr, n, direct), 20 * na * nr
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+        out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
+               else ("--out", str(tmp_path / "x_analysis.json")))
+        tracemalloc.start()
+        try:
+            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
+                code, stdout, err = run(capsys, command, "--scene", str(scene), *out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and stdout == ""
+        assert err == (f"error: out of memory: synthesizing a {na}x{nr} spectrum needs "
+                       f"{need} bytes, more than the {have} bytes of physical memory\n")
+        assert 16 * na * nr < have < need
+        assert peak < 1 << 20
         assert not list(tmp_path.glob("x*"))
 
     def test_memory_error_is_one_line(self, capsys, tmp_path):

@@ -471,22 +471,24 @@ def test_range_major_images_are_bit_identical(xband, shape):
 
 def test_split_allocates_only_magnitudes_and_tiles(xband):
     # the spectrum's rows are transformed in place and each band tile in a
-    # (TILE, na) scratch: past the three magnitude images, the split holds one
-    # scratch per worker and no spectrum- or band-sized temporary (numpy's FFT
-    # keeps a fixed buffer of about 0.25 MiB)
-    na, nr = 1024, 256
-    with mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
-        s.split_subbands(random_grid(xband, na, nr))     # warms up the imports
-        g = random_grid(xband, na, nr)
-        tracemalloc.start()
-        try:
-            mags = s.split_subbands(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    images = sum(m.nbytes for m in mags)
-    scratch = 2 * csi.TILE * na * 16
-    assert peak <= images + scratch + (1 << 19) < images + g.data.nbytes
+    # scratch of at most SCRATCH_POINTS, here (32, 2048): past the three
+    # magnitude images, the split holds one scratch per worker, on 1, 2 or 4
+    # CPUs, and no spectrum- or band-sized temporary (numpy's FFT keeps a
+    # fixed buffer of about 0.25 MiB)
+    na, nr = 2048, 256
+    for n_cpus in (1, 2, 4):
+        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+            s.split_subbands(random_grid(xband, na, nr))     # warms up the imports
+            g = random_grid(xband, na, nr)
+            tracemalloc.start()
+            try:
+                mags = s.split_subbands(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        images = sum(m.nbytes for m in mags)
+        scratch = n_cpus * csi.SCRATCH_POINTS * 16
+        assert peak <= images + scratch + (1 << 19) < images + g.data.nbytes, n_cpus
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)

@@ -331,7 +331,8 @@ def test_half_axis_sum_matches_reference(case):
     p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
     sc = edge_scene(p, na, nr, n, fill=fill, signed=signed)
     if case == "several_chunks":
-        assert n > 8 * (sim.CHUNK_SAMPLES // na)
+        rows, step = sim._block_shape(na, n)
+        assert na // rows == 4 and n > 4 * step
     with only_path("direct"):
         g = s.synth_spectrum(sc, p, na=na, nr=nr).data
     assert g.shape == (na, nr)
@@ -339,8 +340,9 @@ def test_half_axis_sum_matches_reference(case):
 
 
 def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
-    # at 4096 x 512 the combine runs in four tiles of 2^19 / 512 rows; on
-    # four worker threads it must write exactly what one thread writes
+    # at 4096 x 512, 300 scatterers are two sample chunks by four row tiles
+    # of ROW_TILE rows, and the combine runs per row tile; on four worker
+    # threads it must write exactly what one thread writes
     na, nr = 4096, 512
     sc = edge_scene(xband, na, nr, 300, signed=True)
     tmap = sim.threaded_map
@@ -357,31 +359,34 @@ def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
                 mock.patch.object(sim, "threaded_map", side_effect=spy):
             got.append(s.synth_spectrum(sc, xband, na=na, nr=nr).data)
         (blocks, _), (tiles, combine_threads) = stages
-        assert blocks == 3 and tiles == na // (sim.CHUNK_SAMPLES // nr) == 4
+        assert tiles == na // sim.ROW_TILE == 4 and blocks == 2 * tiles
         assert (len(combine_threads) > 1) == (n_cpus > 1)
     assert np.array_equal(got[0], got[1])
     assert relative_error(got[0], reference_spectrum(sc, xband, na, nr)) <= 1e-12
 
 
 def test_direct_block_allocates_only_its_operands(xband):
-    # the phases, their whole cycles and the carrier product are all built
-    # inside the returned (2 na, n) array; only the small range factor has
-    # a temporary of its own
+    # a full block of a 2048 x 256 sum, one row tile by one sample chunk: the
+    # phases, their whole cycles and the carrier product are all built inside
+    # the returned (2 rows, step) array; only the small range factor has a
+    # temporary of its own
     na, nr = 2048, 256
-    n = sim.CHUNK_SAMPLES // na
-    sc = edge_scene(xband, na, nr, n)
-    f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
+    rows, step = sim._block_shape(na, 4 * na)
+    assert rows * step == sim.BLOCK_PHASES and rows < na
+    sc = edge_scene(xband, na, nr, step)
+    f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)[:rows]
     f_r = sim._freq_axis(nr, xband.B_r)
     carrier = xband.f_c * np.cos(s.squint_from_doppler(xband, f_a))
     u, v = sc.x / xband.V, 2 * sc.y / s.C
     tracemalloc.start()
     try:
-        w, r = sim._direct_block(f_a, f_r, carrier, u, v, sc.amp)
+        w = sim._direct_block(f_a, carrier, u, v)
+        r = sim._range_factor(f_r, v, sc.amp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert w.dtype == r.dtype == np.float64
-    assert w.shape == (2 * na, n) and r.shape == (n, 2 * (nr // 2 + 1))
+    assert w.shape == (2 * rows, step) and r.shape == (step, 2 * (nr // 2 + 1))
     assert peak <= 1.1 * (w.nbytes + r.nbytes)
 
 
@@ -425,10 +430,11 @@ def test_threaded_map_keeps_no_yielded_result(n_cpus):
 
 
 def test_chunked_sum_spans_chunks(xband):
-    # 1031 is prime; at 4096 rows a chunk holds 2^19 / 4096 = 128
-    # scatterers, so the sum runs over eight chunks of 128 and one of 7
+    # 1031 is prime; at 4096 rows a block is ROW_TILE = 1024 rows by 256
+    # scatterers, so the sum runs over four row tiles of five chunks each,
+    # four of 256 scatterers and one of 7
     na, n = 4096, 1031
-    assert 2 * (sim.CHUNK_SAMPLES // na) < n
+    assert sim._block_shape(na, n) == (1024, 256)
     sc = spread_scene(n)
     with only_path("direct"):
         g = s.synth_spectrum(sc, xband, na=na, nr=8).data
@@ -437,20 +443,26 @@ def test_chunked_sum_spans_chunks(xband):
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
 def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
-    # blocks finish out of order under random delays, on one thread or on
-    # four; the sum must still be the serial sum of the chunks in order
+    # twenty blocks, four row tiles by five sample chunks, finish out of
+    # order under random delays, on one thread or on four; the sum must
+    # still be the serial sum of each tile's (2 rows, 2h) products in chunk
+    # order
     na, nr, n = 4096, 8, 1031
     sc = spread_scene(n)
     f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
     f_r = sim._freq_axis(nr, xband.B_r)
     carrier = xband.f_c * np.cos(s.squint_from_doppler(xband, f_a))
     u, v = sc.x / xband.V, 2 * sc.y / s.C
-    step = sim.CHUNK_SAMPLES // na
-    tb = None
+    rows, step = sim._block_shape(na, n)
+    assert na // rows == 4 and -(-n // step) == 5
+    tiles = {}
     for lo in range(0, n, step):
         sl = slice(lo, lo + step)
-        w, r = sim._direct_block(f_a, f_r, carrier, u[sl], v[sl], sc.amp[sl])
-        tb = w @ r if tb is None else tb + w @ r
+        r = sim._range_factor(f_r, v[sl], sc.amp[sl])
+        for a in range(0, na, rows):
+            p = sim._direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl]) @ r
+            tiles[a] = p if lo == 0 else tiles[a] + p
+    tb = np.concatenate([tiles[a][:rows] for a in tiles] + [tiles[a][rows:] for a in tiles])
     want = half_axis_combine(tb.view(complex), na, nr)
 
     build = sim._direct_block
@@ -471,34 +483,39 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_threaded_blocks_reuse_a_fixed_ring(xband, n_cpus):
-    # nine blocks: on worker threads block k is built in buffer k mod
-    # (workers + 1), so how far the builders run ahead cannot change the
-    # memory touched; inline, each block allocates its own
-    sc = spread_scene(1031)
+    # twenty blocks, five sample chunks by four row tiles, in that order: on
+    # worker threads block k is built in buffer k mod (workers + 1), so how
+    # far the builders run ahead cannot change the memory touched; inline,
+    # each block allocates its own
+    na, n = 4096, 1031
+    sc = spread_scene(n)
     u = sc.x / xband.V
-    step = sim.CHUNK_SAMPLES // 4096
+    f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
+    rows, step = sim._block_shape(na, n)
     build = sim._direct_block
     outs = {}
 
     def spy(*args):
-        outs[int(np.flatnonzero(u == args[3][0])[0]) // step] = args[6]
+        chunk = int(np.flatnonzero(u == args[2][0])[0]) // step
+        tile = int(np.flatnonzero(f_a == args[0][0])[0]) // rows
+        outs[chunk * (na // rows) + tile] = args[4]
         return build(*args)
 
     with cpus(n_cpus), only_path("direct"), \
             mock.patch.object(sim, "_direct_block", side_effect=spy):
-        g = s.synth_spectrum(sc, xband, na=4096, nr=8).data
-    assert sorted(outs) == list(range(9))
+        g = s.synth_spectrum(sc, xband, na=na, nr=8).data
+    assert sorted(outs) == list(range(20))
     if n_cpus == 1:
         assert all(out is None for out in outs.values())
     else:
         ring = [outs[k] for k in range(n_cpus + 1)]
         assert len({id(out) for out in ring}) == n_cpus + 1
         assert all(outs[k] is ring[k % (n_cpus + 1)] for k in outs)
-    assert relative_error(g, reference_spectrum(sc, xband, 4096, 8)) <= 1e-12
+    assert relative_error(g, reference_spectrum(sc, xband, na, 8)) <= 1e-12
 
 
 def test_chunk_failure_propagates(xband, run_bounded):
-    # the third chunk's builder raises on a worker thread: synth_spectrum
+    # the third block's builder raises on a worker thread: synth_spectrum
     # re-raises that exception in the caller instead of hanging on it
     build = sim._direct_block
     calls = itertools.count()
@@ -526,7 +543,7 @@ def test_one_chunk_starts_no_thread(xband):
 
 
 def test_closed_form_memory_is_independent_of_n(arr_params):
-    # 60 m line, 7686 scatterers; summed term by term it would need 8 MiB
+    # 60 m line, 7686 scatterers; summed term by term it would need 4 MiB
     # phase blocks even in chunks, the closed form only a few na x nr arrays
     na, nr = 2048, 64
     sc = s.generate_scene({"kind": "line", "theta_az_deg": 1.0, "length_m": 60.0},
@@ -610,3 +627,36 @@ class TestZeroOrderOracle:
         with pytest.raises(ValueError):
             oracles.zero_order_peak_oracle(0.0, xband, np.array([0.0]),
                                      support_cells=8)
+
+
+@pytest.mark.parametrize("case", ["direct", "closed"])
+def test_synthesis_holds_what_the_preflight_counts(xband, case):
+    # a 2048 x 256 scene on two CPUs.  The curve's direct sum holds T over S,
+    # then G, with the ring of workers + 1 operand blocks and one product in
+    # between, and no second T-over-S-sized product buffer; the line's closed
+    # form holds a few float64 grids.  Either peak is what the memory
+    # preflight checks against physical memory
+    na, nr = 2048, 256
+    if case == "direct":
+        target = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0, "tan_hi_deg": 2.0,
+                  "spacing_m": 0.002}
+    else:
+        target = {"kind": "line", "theta_az_deg": 1.0, "length_m": 20.0, "spacing_m": 0.002}
+    sc = s.generate_scene(target, xband.lam)
+    rows, step = sim._block_shape(na, sc.n)
+    h = nr // 2 + 1
+    with cpus(2), only_path(case):
+        s.synth_spectrum(sc, xband, na=na, nr=nr)      # warms up the imports
+        tracemalloc.start()
+        try:
+            g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        counted = sim._peak_bytes(na, nr, sc.n, case == "direct")
+    assert relative_error(g, reference_spectrum(sc, xband, na, nr)) <= 1e-12
+    if case == "direct":
+        assert na // rows == 2 and sc.n > 4 * step
+        ts, ring, product = 32 * na * h, 3 * 16 * rows * step, 32 * rows * h
+        assert peak <= ts + g.nbytes + ring + product + (1 << 20)
+    assert counted - (1 << 20) <= peak <= counted + (1 << 20)
