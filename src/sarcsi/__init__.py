@@ -37,14 +37,7 @@ from .errors import (
     ParameterError,
     SarcsiError,
 )
-from .params import (
-    C,
-    RadarParams,
-    doppler_from_squint,
-    make_params,
-    observable,
-    squint_from_doppler,
-)
+from .params import C, RadarParams, doppler_from_squint, observable, squint_from_doppler
 from .scene import (
     Scene,
     SceneConfig,
@@ -89,7 +82,6 @@ __all__ = [
     "generate_scene",
     "high_order_squint",
     "invert_orientation_from_doppler",
-    "make_params",
     "merge_scenes",
     "observable",
     "orders_in_window",

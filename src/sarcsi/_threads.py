@@ -1,5 +1,7 @@
-"""The one thread pool of the package: ordered maps over the CPUs in the
-affinity mask, used by synthesis and by focusing and composition."""
+"""What the host gives the package: the one thread pool, ordered maps over
+the CPUs in the affinity mask that synthesis, focusing and composition use,
+and the physical-memory check that scene building and synthesis make before
+they allocate."""
 
 from __future__ import annotations
 
@@ -8,6 +10,15 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from contextvars import copy_context
 from itertools import islice
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError, "out of memory: <what> needs ...", unless need bytes
+    fit in physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"out of memory: {what} needs {need} bytes, "
+                         f"more than the {have} bytes of physical memory")
 
 
 def workers(n_items: int) -> int:

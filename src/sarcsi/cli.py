@@ -9,6 +9,7 @@ to stdout unless an output path is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -20,6 +21,7 @@ import numpy as np
 from .analysis import merge_reports, report_to_json, verify_scene_against_model
 from .csi import NORM_MODES, compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
+    BAND_HUES,
     GratingTarget,
     Orientation3D,
     chart_data,
@@ -34,13 +36,7 @@ from .errors import (
     DopplerRangeError,
     EvanescentOrderError,
 )
-from .params import (
-    C,
-    RadarParams,
-    doppler_from_squint,
-    make_params,
-    observable,
-)
+from .params import RadarParams, doppler_from_squint, observable
 from .scene import (
     KINDS,
     SceneConfig,
@@ -57,7 +53,7 @@ from .simulator import (
 )
 
 # Calculation defaults: X-band spaceborne case, 0.1 m resolution both axes.
-DEFAULT_RADAR = make_params(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1)
+DEFAULT_RADAR = RadarParams(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1)
 DEFAULT_DX = 0.05        # [m]
 
 _ORDERS_RE = re.compile(r"(-?\d+):(-?\d+)")
@@ -114,17 +110,10 @@ def _add_radar_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _radar(args: argparse.Namespace, base: RadarParams = DEFAULT_RADAR) -> RadarParams:
-    # Flags beat config (or default) values; resolutions come back out of the
-    # bandwidths, exactly for the defaults.
-    rho_a = base.V / base.B_a
-    rho_r = C / (2 * base.B_r)
-    return make_params(
-        f_c=args.fc if args.fc is not None else base.f_c,
-        V=args.v if args.v is not None else base.V,
-        rho_a=args.rho_a if args.rho_a is not None else rho_a,
-        rho_r=args.rho_r if args.rho_r is not None else rho_r,
-        f_dc=args.fdc if args.fdc is not None else base.f_dc,
-    )
+    # Flags beat config (or default) values; the result is checked again.
+    flags = {"f_c": args.fc, "V": args.v, "rho_a": args.rho_a, "rho_r": args.rho_r,
+             "f_dc": args.fdc}
+    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _grid(cfg: SceneConfig, args: argparse.Namespace) -> tuple[int, int]:
@@ -188,7 +177,10 @@ def _cmd_chart(args: argparse.Namespace) -> int:
         raise ConfigError("need --sq-min < --sq-max")
     if not (abs(args.sq_min) < 90 and abs(args.sq_max) < 90):
         raise ConfigError("squint grid must stay inside (-90, 90) deg")
-    steps = int(round((args.sq_max - args.sq_min) / args.sq_step))
+    span = (args.sq_max - args.sq_min) / args.sq_step
+    if not math.isfinite(span):
+        raise ConfigError(f"--sq-step {args.sq_step} gives no finite number of squint points")
+    steps = round(span)
     grid_deg = np.linspace(args.sq_min, args.sq_min + steps * args.sq_step, steps + 1)
     if grid_deg[-1] > args.sq_max + 1e-12:
         grid_deg = grid_deg[:-1]
@@ -219,10 +211,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     # Parseval: a band image's energy is the power of the rows in that band.
     band = p.band_index(f_a)
-    energies = {
-        name: float(power[band == b].sum())
-        for b, name in enumerate(("red", "green", "blue"))
-    }
+    energies = {hue.value: float(power[band == b].sum()) for b, hue in enumerate(BAND_HUES)}
     report = {
         "band_energy": energies,
         "files": {

@@ -35,6 +35,10 @@ class Hue(str, Enum):
     OUT_OF_WINDOW = "out_of_window"
 
 
+# The hue of each band RadarParams.band_index gives, in band order.
+BAND_HUES = (Hue.RED, Hue.GREEN, Hue.BLUE)
+
+
 @dataclass(frozen=True)
 class DiffractionSolution:
     """One diffraction order: its squint angle, Doppler, and visibility."""
@@ -121,7 +125,7 @@ def classify_hue(p: RadarParams, f_d: float) -> Hue:
     the observable window, OUT_OF_WINDOW outside it."""
     if not observable(p, f_d):
         return Hue.OUT_OF_WINDOW
-    return (Hue.RED, Hue.GREEN, Hue.BLUE)[p.band_index(f_d)]
+    return BAND_HUES[p.band_index(f_d)]
 
 
 def orders_in_window(

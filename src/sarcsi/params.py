@@ -24,20 +24,51 @@ C = 299_792_458.0
 
 @dataclass(frozen=True)
 class RadarParams:
-    """Immutable acquisition constants.
+    """Immutable acquisition constants, checked when built.
 
     f_c: carrier frequency [Hz]
     V: platform speed [m/s]
-    B_a: azimuth (Doppler) bandwidth [Hz]
-    B_r: range bandwidth [Hz]
+    rho_a: azimuth resolution [m]
+    rho_r: slant-range resolution [m]
     f_dc: Doppler centroid [Hz], 0 for broadside acquisitions
+
+    Bandwidths follow the usual SAR resolution relations B_a = V / rho_a and
+    B_r = c / (2 rho_r).  Values that are not finite or not positive, or an
+    azimuth band beyond the realizable Doppler span, raise ParameterError.
     """
 
     f_c: float
     V: float
-    B_a: float
-    B_r: float
+    rho_a: float
+    rho_r: float
     f_dc: float = 0.0
+
+    def __post_init__(self) -> None:
+        bad = [f"{k}={v}" for k, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ParameterError(f"parameters must be finite, got {', '.join(bad)}")
+        if self.f_c <= 0 or self.V <= 0 or self.rho_a <= 0 or self.rho_r <= 0:
+            raise ParameterError(
+                "f_c, V, rho_a, rho_r must all be positive, got "
+                f"f_c={self.f_c}, V={self.V}, rho_a={self.rho_a}, rho_r={self.rho_r}"
+            )
+        # The window edges must stay inside the realizable Doppler span, else
+        # squint_from_doppler is undefined there.
+        if self.B_a >= 2 * self.V / self.lam:
+            raise ParameterError(
+                f"azimuth bandwidth {self.B_a} Hz reaches beyond the realizable "
+                f"Doppler span 2V/lambda = {2 * self.V / self.lam} Hz (rho_a <= lambda/2)"
+            )
+
+    @property
+    def B_a(self) -> float:
+        """Azimuth (Doppler) bandwidth [Hz]."""
+        return self.V / self.rho_a
+
+    @property
+    def B_r(self) -> float:
+        """Range bandwidth [Hz]."""
+        return C / (2 * self.rho_r)
 
     @property
     def lam(self) -> float:
@@ -64,40 +95,6 @@ class RadarParams:
         _, e1, e2, _ = self.band_edges
         # "* 1" so numpy adds the two boolean arrays instead of OR-ing them
         return (f_d >= e1) * 1 + (f_d > e2)
-
-
-def make_params(
-    f_c: float,
-    V: float,
-    rho_a: float,
-    rho_r: float,
-    f_dc: float = 0.0,
-) -> RadarParams:
-    """Build RadarParams from carrier, speed, and spatial resolutions.
-
-    Bandwidths follow the usual SAR resolution relations B_a = V / rho_a and
-    B_r = c / (2 rho_r).  rho_a and rho_r are the azimuth and slant-range
-    resolutions [m].
-    """
-    values = {"f_c": f_c, "V": V, "rho_a": rho_a, "rho_r": rho_r, "f_dc": f_dc}
-    bad = [f"{k}={v}" for k, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise ParameterError(f"parameters must be finite, got {', '.join(bad)}")
-    if f_c <= 0 or V <= 0 or rho_a <= 0 or rho_r <= 0:
-        raise ParameterError(
-            "f_c, V, rho_a, rho_r must all be positive, got "
-            f"f_c={f_c}, V={V}, rho_a={rho_a}, rho_r={rho_r}"
-        )
-    B_a = V / rho_a
-    lam = C / f_c
-    # The window edges must stay inside the realizable Doppler span, else
-    # squint_from_doppler is undefined there.
-    if B_a >= 2 * V / lam:
-        raise ParameterError(
-            f"azimuth bandwidth {B_a} Hz reaches beyond the realizable "
-            f"Doppler span 2V/lambda = {2 * V / lam} Hz (rho_a <= lambda/2)"
-        )
-    return RadarParams(f_c=f_c, V=V, B_a=B_a, B_r=C / (2 * rho_r), f_dc=f_dc)
 
 
 def doppler_from_squint(p: RadarParams, theta_sq: float) -> float:

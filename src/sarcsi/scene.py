@@ -19,9 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._threads import check_memory
 from .dispersion import GratingTarget, Orientation3D, effective_squint_3d
 from .errors import ConfigError
-from .params import RadarParams, make_params
+from .params import RadarParams
 
 _rad = math.radians
 
@@ -186,15 +187,18 @@ class TargetKind:
     """One target kind: its config fields, its geometry and its analytic model.
 
     required, optional: field name -> check, applied in this order.
-    build(target, spacing) -> (x, y), the scatterer positions [m] of a
-    checked target; it reads the degree fields and turns them into radians.
+    count(target, spacing) -> the scatterer count of a checked target, an
+    int, or infinity where its extent over the spacing overflows.
+    build(target, n) -> (x, y), the positions [m] of its n scatterers; it
+    reads the degree fields and turns them into radians.
     grating(target) -> GratingTarget, the model `analyze` checks the kind
     against; None for kinds with no single closed-form prediction per order.
     """
 
     required: dict[str, Check]
     optional: dict[str, Check]
-    build: Callable[[dict, float], tuple[np.ndarray, np.ndarray]]
+    count: Callable[[dict, float], float]
+    build: Callable[[dict, int], tuple[np.ndarray, np.ndarray]]
     grating: Callable[[dict], GratingTarget] | None = None
 
 
@@ -202,53 +206,57 @@ def _orientation_3d(t: dict) -> Orientation3D:
     return Orientation3D(*(_rad(t[k]) for k in ("theta_h_deg", "theta_v_deg", "theta_inc_deg")))
 
 
-def _sample_count(extent: float, spacing: float) -> int:
+def _sample_count(extent: float, spacing: float) -> float:
     # At least two samples so every shape has nonzero support.
-    return max(2, int(round(extent / spacing)) + 1)
+    ratio = extent / spacing
+    return max(2, round(ratio) + 1) if math.isfinite(ratio) else math.inf
 
 
-def _line(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _line(t: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     theta_az, length = _rad(t["theta_az_deg"]), t["length_m"]
-    u = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
+    u = np.linspace(-length / 2, length / 2, n)
     return u * math.cos(theta_az), u * math.sin(theta_az)
 
 
-def _array(t: dict, _spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _array(t: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     # dx_m is the period along azimuth, not along the row: that azimuth
     # period is what fixes the grating-order angles.
-    n = t["n"]
     x = (np.arange(n) - (n - 1) / 2) * t["dx_m"]
     return x, x * math.tan(_rad(t["theta_az_deg"]))
 
 
-def _arc(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _arc_length(t: dict) -> float:
+    return t["radius_m"] * (_rad(t["tan_hi_deg"]) - _rad(t["tan_lo_deg"]))
+
+
+def _arc(t: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     # The tangent sweeps [tan_lo, tan_hi], one orientation per point; the
     # arc's midpoint sits at the origin.
     radius, lo, hi = t["radius_m"], _rad(t["tan_lo_deg"]), _rad(t["tan_hi_deg"])
-    theta = np.linspace(lo, hi, _sample_count(radius * (hi - lo), spacing))
+    theta = np.linspace(lo, hi, n)
     theta_c = (lo + hi) / 2
     return (radius * (np.sin(theta) - math.sin(theta_c)),
             -radius * (np.cos(theta) - math.cos(theta_c)))
 
 
-def _catenary(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _catenary(t: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     # z(u) = a cosh(u/a) - a hangs in a vertical plane at theta_h from
     # azimuth.  Height folds into slant range with cos(theta_inc), ground
     # range with sin(theta_inc); the curve is recentred on its bounding box.
     a, half_span = t["a_m"], t["half_span_m"]
     theta_inc, theta_h = _rad(t["theta_inc_deg"]), _rad(t.get("theta_h_deg", 0.0))
-    u = np.linspace(-half_span, half_span, _sample_count(2 * half_span, spacing))
+    u = np.linspace(-half_span, half_span, n)
     z = a * np.cosh(u / a) - a
     y = u * math.sin(theta_h) * math.sin(theta_inc) + z * math.cos(theta_inc)
     return u * math.cos(theta_h), y - (y.min() + y.max()) / 2
 
 
-def _segment3d(t: dict, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+def _segment3d(t: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     # Sampled along azimuth; the slope is the one whose arctangent
     # effective_squint_3d returns, so the segment sits at exactly the
     # orientation the model predicts for it.
     length = t["length_m"]
-    x = np.linspace(-length / 2, length / 2, _sample_count(length, spacing))
+    x = np.linspace(-length / 2, length / 2, n)
     return x, x * _orientation_3d(t).slope
 
 
@@ -257,12 +265,14 @@ KINDS: dict[str, TargetKind] = {
     "line": TargetKind(
         required={"theta_az_deg": _angle, "length_m": _positive},
         optional={"spacing_m": _positive},
+        count=lambda t, spacing: _sample_count(t["length_m"], spacing),
         build=_line,
         grating=lambda t: GratingTarget(_rad(t["theta_az_deg"])),
     ),
     "array": TargetKind(
         required={"theta_az_deg": _angle, "dx_m": _positive, "n": _count},
         optional={},
+        count=lambda t, _spacing: t["n"],
         build=_array,
         grating=lambda t: GratingTarget(_rad(t["theta_az_deg"]), t["dx_m"]),
     ),
@@ -270,11 +280,13 @@ KINDS: dict[str, TargetKind] = {
         required={"radius_m": _positive, "tan_lo_deg": _angle,
                   "tan_hi_deg": _angle_above("tan_lo_deg")},
         optional={"spacing_m": _positive},
+        count=lambda t, spacing: _sample_count(_arc_length(t), spacing),
         build=_arc,
     ),
     "catenary": TargetKind(
         required={"a_m": _positive, "half_span_m": _positive, "theta_inc_deg": _incidence},
         optional={"spacing_m": _positive, "theta_h_deg": _angle},
+        count=lambda t, spacing: _sample_count(2 * t["half_span_m"], spacing),
         build=_catenary,
     ),
     # A straight 3-D segment responds like a line at the projected
@@ -283,6 +295,7 @@ KINDS: dict[str, TargetKind] = {
         required={"theta_h_deg": _angle, "theta_v_deg": _angle,
                   "theta_inc_deg": _incidence, "length_m": _positive},
         optional={"spacing_m": _positive},
+        count=lambda t, spacing: _sample_count(t["length_m"], spacing),
         build=_segment3d,
         grating=lambda t: GratingTarget(-effective_squint_3d(_orientation_3d(t))),
     ),
@@ -315,7 +328,7 @@ def scene_config_from_dict(obj: object) -> SceneConfig:
         raise ConfigError("config root must be an object")
     _check_keys(obj, ("radar", "grid", "targets"), "config")
     radar = _fields(obj.get("radar"), _RADAR, {"fdc_hz": _number}, "radar")
-    params = make_params(radar["fc_hz"], radar["v_mps"], radar["rho_a_m"],
+    params = RadarParams(radar["fc_hz"], radar["v_mps"], radar["rho_a_m"],
                          radar["rho_r_m"], radar.get("fdc_hz", 0.0))
     grid = _fields(obj.get("grid", {"na": 2048, "nr": 256}), _GRID, {}, "grid")
     targets = obj.get("targets")
@@ -345,14 +358,28 @@ def generate_scene(target: dict, lam: float) -> Scene:
     """Build the scatterer cloud for one target description.
 
     The target is first checked against its kind's schema (ConfigError names
-    the field); amp defaults to 1 and label to the kind.  The kind's build
-    places the scatterers; the default sample spacing is a quarter
-    wavelength so curved shapes stay effectively continuous for the radar.
-    The checked target becomes the scene's config.
+    the field); amp defaults to 1 and label to the kind.  The default sample
+    spacing is a quarter wavelength so curved shapes stay effectively
+    continuous for the radar.  The scatterer count is checked before any
+    array is built: a count that is not finite is a ConfigError, one whose
+    positions and amplitudes need more than physical memory a ValueError.
+    Then the kind's build places the scatterers, and positions that are not
+    finite (the geometry overflowed) are a ConfigError.  Each error names the
+    target.  The checked target becomes the scene's config.
     """
     target = _validate_target(target)
-    x, y = KINDS[target["kind"]].build(target, target.get("spacing_m", lam / 4))
-    return Scene(x, y, np.full(x.size, target["amp"]), target["label"], config=target)
+    kind, label = KINDS[target["kind"]], target["label"]
+    n = kind.count(target, target.get("spacing_m", lam / 4))
+    if not math.isfinite(n):
+        raise ConfigError(f"target {label!r}: its extent over its sample spacing "
+                          "gives no finite scatterer count")
+    check_memory(24 * n, f"target {label!r} of {n} scatterers")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = kind.build(target, n)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError(f"target {label!r}: its scatterer positions are not finite "
+                          "(the geometry overflows)")
+    return Scene(x, y, np.full(x.size, target["amp"]), label, config=target)
 
 
 def build_scenes(cfg: SceneConfig) -> list[Scene]:

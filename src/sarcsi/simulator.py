@@ -23,14 +23,13 @@ point response.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from ._threads import threaded_map, workers
+from ._threads import check_memory, threaded_map, workers
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
 from .scene import Scene, check_grid_size
@@ -290,14 +289,8 @@ def synth_spectrum(
     """
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-    def check_memory(need: int, what: str) -> None:
-        if need > have:
-            raise ValueError(f"out of memory: {what} {na}x{nr} spectrum needs {need} bytes, "
-                             f"more than the {have} bytes of physical memory")
-
-    check_memory(16 * na * nr, "a")    # the spectrum alone, before the axes are built
+    # the spectrum alone, before the axes are built
+    check_memory(16 * na * nr, f"a {na}x{nr} spectrum")
     x_max = p.V * na / (2 * p.B_a)
     y_max = (C / 2) * nr / (2 * p.B_r)
     if scene.n and (np.abs(scene.x).max() >= x_max or np.abs(scene.y).max() >= y_max):
@@ -315,7 +308,8 @@ def synth_spectrum(
     steps = _uniform_steps(
         u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
     )
-    check_memory(_peak_bytes(na, nr, u.size, steps is None), "synthesizing a")
+    check_memory(_peak_bytes(na, nr, u.size, steps is None),
+                 f"synthesizing a {na}x{nr} spectrum")
     # An overflowing sum is azimuth_power_spectrum's to reject, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if steps is None:

@@ -53,7 +53,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def xband():
     """X-band spaceborne parameters: 9.6 GHz, 7600 m/s, 0.1 m resolutions."""
-    return s.make_params(9.6e9, 7600.0, 0.1, 0.1)
+    return s.RadarParams(9.6e9, 7600.0, 0.1, 0.1)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def arr_params():
     marginal's top; at 150 MHz the shift stays sub-lobe and the marginal
     argmax falls on the analytic order to within a bin.
     """
-    return s.make_params(9.6e9, 7600.0, 0.1, 1.0)
+    return s.RadarParams(9.6e9, 7600.0, 0.1, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import sarcsi as s
-from sarcsi import csi, simulator as sim
+from sarcsi import cli, csi, simulator as sim
 from sarcsi.cli import main
+from sarcsi.scene import KINDS
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -165,6 +166,7 @@ class TestChart:
             ("--sq-min", "6", "--sq-max", "-6"),
             ("--sq-min", "-95"),
             ("--dx", "-0.05"),
+            ("--sq-step", "5e-324"),    # (sq_max - sq_min) / step overflows
         ],
     )
     def test_bad_grid_flags(self, capsys, flags):
@@ -203,7 +205,7 @@ class TestSimulate:
         rows = [r.split(",") for r in csv.splitlines()[1:]]
         f_a = np.array([float(f) for f, _ in rows])
         power = np.array([float(pw) for _, pw in rows])
-        band = s.make_params(9.6e9, 7600.0, 0.1, 1.0).band_index(f_a)
+        band = s.RadarParams(9.6e9, 7600.0, 0.1, 1.0).band_index(f_a)
         for b, name in enumerate(("red", "green", "blue")):
             assert e[name] == power[band == b].sum()
         assert report["total_energy"] == power.sum()
@@ -581,6 +583,113 @@ class TestRejectedInput:
         assert code == 2
         assert err.startswith("error:") and "finite" in err
         assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, message", [
+        (dict(ARRAY20, n=2**63),
+         "out of memory: target 'array_0' of 9223372036854775808 scatterers needs "
+         "221360928884514619392 bytes, more than the 1073741824 bytes of physical memory"),
+        # 1e6 m at the default quarter-wavelength spacing: 128,088,614 scatterers
+        (dict(LINE2, length_m=1e6),
+         "out of memory: target 'line_0' of 128088614 scatterers needs 3074126736 "
+         "bytes, more than the 1073741824 bytes of physical memory"),
+        (dict(LINE2, length_m=1e308), "target 'line_0'"),
+        (dict(SEGMENT, length_m=1e308), "target 'segment3d_0'"),
+        ({"kind": "arc", "radius_m": 1e308, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0},
+         "target 'arc_0'"),
+        ({"kind": "catenary", "a_m": 120.0, "half_span_m": 1e308, "theta_inc_deg": 40.0},
+         "target 'catenary_0'"),
+        (dict(LINE2, spacing_m=5e-324), "target 'line_0'"),
+    ], ids=["array_n_2^63", "line_1e6_m", "line_1e308_m", "segment3d_1e308_m",
+            "arc_radius_1e308_m", "catenary_span_1e308_m", "line_spacing_5e-324_m"])
+    def test_scatterer_count_checked_before_arrays(self, capsys, tmp_path, target, message):
+        # a count whose arrays cannot fit in the 1 GiB of physical memory
+        # mocked here, or that is not finite (extent over spacing overflows),
+        # is one error line naming the target, before any array is built
+        if not message.startswith("out of memory"):
+            message += ": its extent over its sample spacing gives no finite scatterer count"
+        scene = scene_file(tmp_path, [target], na=16)
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (1 << 30) // 4096}
+        tracemalloc.start()
+        try:
+            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
+                code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                                     "--out-prefix", str(tmp_path / "x"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 1 << 20
+        assert not list(tmp_path.glob("x*"))
+
+    def test_non_finite_geometry_names_the_target(self, capsys, tmp_path):
+        # cosh(u / a) overflows for u / a up to 1000: the positions are not
+        # finite, which is the target's fault, not its amplitudes'.  One line
+        # and no numpy warning (an error under the tests' warning filter)
+        target = {"kind": "catenary", "a_m": 0.001, "half_span_m": 1.0, "theta_inc_deg": 40.0}
+        scene = scene_file(tmp_path, [target])
+        code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                             "--out-prefix", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert err == ("error: target 'catenary_0': its scatterer positions are not "
+                       "finite (the geometry overflows)\n")
+        assert not list(tmp_path.glob("x*"))
+
+
+def test_radar_flags_replace_the_base_values():
+    # flags replace fields of the base; nothing else of it is recomputed
+    base = s.RadarParams(9.6e9, 7600.0, 0.7, 1.0, 250.0)
+    parser = cli.build_parser()
+    args = parser.parse_args(["predict", "--theta-az", "0"])
+    assert cli._radar(args, base) == base
+    args = parser.parse_args(["predict", "--theta-az", "0", "--rho-a", "0.2", "--fdc", "1000"])
+    assert cli._radar(args) == s.RadarParams(9.6e9, 7600.0, 0.2, 0.1, 1000.0)
+
+
+# One valid target per kind on a 16 x 8 grid (0.8 m by 4 m half-extents).
+CONTRACT_BASES = {
+    "line": LINE2,
+    "array": dict(ARRAY20, n=8),
+    "arc": {"kind": "arc", "radius_m": 1.0, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0},
+    "catenary": {"kind": "catenary", "a_m": 5.0, "half_span_m": 0.5, "theta_inc_deg": 40.0},
+    "segment3d": SEGMENT,
+}
+CONTRACT_CASES = [
+    (command, kind, field, value)
+    for kind, spec in KINDS.items()
+    for field in [*spec.required, *spec.optional, "amp"]
+    if field != "label"
+    for value in (1e308, 5e-324, 2**63)
+    for command in (["simulate", "analyze"] if spec.grating else ["simulate"])
+]
+
+
+def _finite_json(text: str) -> None:
+    def reject(constant):
+        raise AssertionError(f"output holds {constant}")
+    json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, kind, field, value", CONTRACT_CASES,
+                         ids=[f"{c}-{k}-{f}-{v}" for c, k, f, v in CONTRACT_CASES])
+def test_every_numeric_field_keeps_the_exit_contract(capsys, tmp_path, command, kind,
+                                                     field, value):
+    # an extreme value in any field of any kind exits with a documented code:
+    # 0 with finite products, or one error line; never a traceback (here an
+    # exception out of main, or a numpy warning under the tests' filter)
+    scene = scene_file(tmp_path, [dict(CONTRACT_BASES[kind], **{field: value})], na=16)
+    out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
+           else ("--out", str(tmp_path / "x_analysis.json")))
+    code, _, err = run(capsys, command, "--scene", str(scene), *out)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("x*"))
+    elif command == "simulate":
+        assert np.isfinite(np.loadtxt(tmp_path / "x_azspec.csv", delimiter=",",
+                                      skiprows=1)).all()
+        _finite_json((tmp_path / "x_report.json").read_text())
+    else:
+        _finite_json((tmp_path / "x_analysis.json").read_text())
 
 
 def test_module_entry_point():

@@ -29,7 +29,7 @@ def test_band_specs_thirds(xband):
     assert e1 == pytest.approx(-xband.B_a / 6)
     assert e2 == pytest.approx(xband.B_a / 6)
     # a shifted centroid shifts all four edges rigidly
-    shifted = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=5000.0)
+    shifted = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=5000.0)
     assert shifted.band_edges == pytest.approx(
         [e + 5000.0 for e in xband.band_edges]
     )
@@ -95,7 +95,7 @@ def test_rendered_band_is_the_hue(na, f_dc):
     # every bin's energy ends up in the band classify_hue names for its
     # Doppler: a point's spectrum has |G| = 1 in every bin, so each band's
     # energy counts the bins it rendered, and the bands are runs of bins
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
     g = point_grid(p, na, 8)
     hues = [s.classify_hue(p, f) for f in g.f_a]
     assert s.Hue.OUT_OF_WINDOW not in hues

@@ -89,7 +89,7 @@ def test_wide_order_range_tries_only_propagating_orders(xband, monkeypatch):
     st.integers(-3, 3),
 )
 def test_observable_orders_always_have_a_colour(theta_az, d_x, m):
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1)
     sols = s.orders_in_window(s.GratingTarget(theta_az, d_x), p, (m, m))
     for d in sols:
         assert d.observable == (d.hue is not s.Hue.OUT_OF_WINDOW)
@@ -108,7 +108,7 @@ def test_hue_band_edges(xband):
 
 
 def test_hue_bands_follow_centroid():
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=10000.0)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=10000.0)
     assert s.classify_hue(p, 10000.0) is s.Hue.GREEN
     assert s.classify_hue(p, -10000.0) is s.Hue.RED
     assert s.classify_hue(p, 30000.0) is s.Hue.BLUE
@@ -155,7 +155,7 @@ def test_grating_period_validation(d_x):
 
 @given(st.floats(-1.2, 1.2))
 def test_inversion_recovers_orientation(theta_az):
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1)
     f_d = s.doppler_from_squint(p, s.zero_order_squint(theta_az))
     assert s.invert_orientation_from_doppler(p, f_d) == pytest.approx(
         theta_az, abs=1e-12

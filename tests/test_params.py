@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ def test_derived_bandwidths(xband):
 
 
 def test_window_follows_centroid():
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=5000.0)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=5000.0)
     assert p.doppler_window == (-33000.0, 43000.0)
 
 
@@ -25,7 +26,7 @@ def test_nonpositive_rejected(field):
     kwargs = dict(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1)
     kwargs[field] = 0.0
     with pytest.raises(ParameterError):
-        s.make_params(**kwargs)
+        s.RadarParams(**kwargs)
 
 
 @pytest.mark.parametrize("field", ["f_c", "V", "rho_a", "rho_r", "f_dc"])
@@ -34,13 +35,19 @@ def test_non_finite_rejected(field, value):
     kwargs = dict(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1, f_dc=0.0)
     kwargs[field] = value
     with pytest.raises(ParameterError, match="finite"):
-        s.make_params(**kwargs)
+        s.RadarParams(**kwargs)
 
 
 def test_azimuth_band_beyond_doppler_limit_rejected():
     # rho_a below lam/2 would ask for more Doppler band than 2V/lam exists
     with pytest.raises(ParameterError):
-        s.make_params(9.6e9, 7600.0, 0.01, 0.1)
+        s.RadarParams(9.6e9, 7600.0, 0.01, 0.1)
+
+
+def test_replace_checks_again(xband):
+    # RadarParams checks itself whenever it is built, by replace too
+    with pytest.raises(ParameterError, match="positive"):
+        dataclasses.replace(xband, rho_a=0.0)
 
 
 def test_doppler_of_broadside_is_zero(xband):
@@ -77,7 +84,7 @@ def test_squint_from_doppler_is_elementwise(xband):
 
 @given(st.floats(-1.2, 1.2))
 def test_squint_doppler_roundtrip(theta):
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1)
     assert s.squint_from_doppler(p, s.doppler_from_squint(p, theta)) == pytest.approx(
         theta, abs=1e-12
     )

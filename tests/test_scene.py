@@ -250,9 +250,14 @@ def test_generate_scene_all_kinds():
          "'dx_m' must be positive"),
         ({"kind": "arc", "radius_m": -1.0, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0},
          "'radius_m' must be positive"),
+        ({"kind": "line", "theta_az_deg": 0.0, "length_m": 1e308},
+         "'line': its extent over its sample spacing gives no finite scatterer count"),
+        ({"kind": "catenary", "a_m": 0.001, "half_span_m": 1.0, "theta_inc_deg": 40.0},
+         r"'catenary': its scatterer positions are not finite"),
     ],
     ids=["line_angle", "catenary_incidence", "typo", "fractional_n", "zero_spacing",
-         "single_element", "negative_period", "negative_radius"],
+         "single_element", "negative_period", "negative_radius", "uncountable_line",
+         "overflowing_catenary"],
 )
 def test_generate_scene_checks_its_target(target, field):
     # the Python API builds scenes from target dicts too; they get the same

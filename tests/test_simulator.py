@@ -87,7 +87,7 @@ def test_unambiguous_extent_guard(xband):
 
 
 def test_window_beyond_realizable_doppler():
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=486700.0)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=486700.0)
     with pytest.raises(DopplerRangeError):
         s.synth_spectrum(point(), p, na=64, nr=16)
 
@@ -247,7 +247,7 @@ def test_closed_form_matches_direct_sum(
     arr_params, kind, n, step, angle_deg, offset, amp, nr
 ):
     if kind == "on_bin":
-        p = s.make_params(*ON_BIN["params"])
+        p = s.RadarParams(*ON_BIN["params"])
         na = ON_BIN["na"]
         sc = s.generate_scene({"kind": "array", "theta_az_deg": 0.0, "dx_m": ON_BIN["d_x"],
                                "n": n, "amp": amp}, p.lam)
@@ -328,7 +328,7 @@ def test_half_axis_sum_matches_reference(case):
     # so the smallest grids, an off-centre Doppler window, the range edge
     # and cancelling amplitudes all check the conjugate-partner identity
     f_dc, na, nr, n, fill, signed = HALF_AXIS_CASES[case]
-    p = s.make_params(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
     sc = edge_scene(p, na, nr, n, fill=fill, signed=signed)
     if case == "several_chunks":
         rows, step = sim._block_shape(na, n)
