@@ -13,7 +13,7 @@ from .analysis import (
     estimate_orientation_map,
     verify_scene_against_model,
 )
-from .csi import RGBImage, compose_rgb, encode_ppm, split_subbands
+from .csi import compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
     ChartData,
     DiffractionSolution,
@@ -62,7 +62,6 @@ __all__ = [
     "Hue",
     "Orientation3D",
     "ParameterError",
-    "RGBImage",
     "RadarParams",
     "SarcsiError",
     "Scene",

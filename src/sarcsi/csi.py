@@ -13,33 +13,16 @@ spectrum rows.  The composition builds no magnitude stack and selects its
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from ._threads import threaded_map
-from .scene import check_grid_size
 from .simulator import SpectrumGrid
 
 NORM_MODES = ("linear", "clip_p999")
 TILE = 64    # spectrum rows, range bins or raster rows a worker takes at a time
 SCRATCH_POINTS = 1 << 16    # complex points (1 MiB) of a band job's scratch, at most
-
-
-@dataclass(frozen=True)
-class RGBImage:
-    """8-bit RGB raster, row-major, one row per slant-range line."""
-
-    width: int
-    height: int
-    pixels: np.ndarray   # (height, width, 3) uint8
-
-    def __post_init__(self) -> None:
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise ValueError("pixels must be (height, width, 3)")
-        if self.pixels.dtype != np.uint8:
-            raise ValueError("pixels must be uint8")
 
 
 def _centred_ifft(x: np.ndarray, axis: int) -> None:
@@ -60,8 +43,8 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Doppler f_a, the rule classify_hue applies, so the colour a frequency is
     predicted in is the colour it is rendered in.  Each bin lands in exactly
     one band and the DFT is unitary, so each band image carries exactly the
-    power of its rows.  The band index rises with f_a, so on an ascending f_a
-    each band is one run of rows.
+    power of its rows.  The band index rises with f_a, which ascends, so each
+    band is one run of rows.
 
     The spectrum is consumed.  Its rows take the range IFFT in place, in row
     tiles: each row lies in one band, so one pass serves all three.  Then each
@@ -69,17 +52,12 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     into a zero-filled (bins, na) scratch, takes the azimuth IFFT there and
     writes |.| into the band's magnitudes; a tile has TILE bins, fewer when
     na > SCRATCH_POINTS / TILE, so a scratch holds at most SCRATCH_POINTS.
-    Both passes run on worker threads.  g must be what synth_spectrum makes:
-    power-of-two sizes and an ascending f_a, else ValueError.  Returns (red,
-    green, blue) float64 magnitudes, (na, nr) views of range-major (nr, na)
-    arrays.
+    Both passes run on worker threads.  Returns (red, green, blue) float64
+    (nr, na) magnitude rasters: one row per range bin, one column per Doppler
+    bin, as in the PPM.
     """
     data = g.data
     na, nr = data.shape
-    check_grid_size(na, "na")
-    check_grid_size(nr, "nr")
-    if np.any(np.diff(g.f_a) <= 0):
-        raise ValueError("the Doppler axis f_a must be strictly ascending")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
     deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
           maxlen=0)
@@ -95,7 +73,7 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         np.abs(scratch, out=mags[b][lo : lo + bins])
 
     deque(threaded_map(focus, list(product(range(3), range(0, nr, bins)))), maxlen=0)
-    return tuple(m.T for m in mags)
+    return tuple(mags)
 
 
 def _p999(n: int, top: np.ndarray, above) -> float:
@@ -121,17 +99,16 @@ def _p999(n: int, top: np.ndarray, above) -> float:
 
 def compose_rgb(
     r: np.ndarray, g: np.ndarray, b: np.ndarray, norm: str = "linear"
-) -> RGBImage:
-    """Fuse three per-band grids into one 8-bit RGB raster of their magnitudes.
+) -> np.ndarray:
+    """Fuse three (height, width) band rasters into the (height, width, 3)
+    uint8 pixels of their magnitudes.
 
     The channels share a single normalizer so their relative strengths, and
     therefore the perceived hue, survive quantization: the joint maximum
     (norm="linear") or numpy's linear-rule joint 99.9th percentile with
-    clipping (norm="clip_p999").  Grids arrive azimuth-major and come out as
-    an image with azimuth across and range down.  No magnitude stack is
-    built: the passes run over TILE-row tiles of the transposes (contiguous for
-    split_subbands' images) on worker threads, each taking |.| of one channel
-    at a time into scratch the size of a tile.  The first keeps the column
+    clipping (norm="clip_p999").  No magnitude stack is built: the passes
+    run over TILE-row tiles of the rasters on worker threads, each taking |.|
+    of one channel at a time into scratch the size of a tile.  The first keeps the column
     maxima of every tile; for clip_p999 a second selects the values above a
     bound set by those maxima, from the columns that exceed it, and the
     percentile exactly from them; the last quantizes straight into the pixels,
@@ -141,13 +118,13 @@ def compose_rgb(
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")
     if not (r.shape == g.shape == b.shape and r.ndim == 2 and r.size):
         raise ValueError("channel grids must be three equal-shape non-empty 2-D arrays")
-    height, width = r.shape[::-1]
+    height, width = r.shape
     tiles = range(0, height, TILE)
 
     def magnitudes(lo: int):    # |.| of each channel's tile at lo in turn, in one scratch
         scratch = np.empty((min(TILE, height - lo), width))
         for grid in (r, g, b):
-            yield np.abs(grid.T[lo : lo + TILE], out=scratch)
+            yield np.abs(grid[lo : lo + TILE], out=scratch)
 
     def maxima(lo: int) -> np.ndarray:
         return np.stack([m.max(axis=0) for m in magnitudes(lo)])
@@ -161,7 +138,7 @@ def compose_rgb(
         def above(t: float) -> np.ndarray:
             def select(lo: int) -> np.ndarray:    # from the columns whose maximum is > t
                 tops = top[lo // TILE] > t
-                cols = [np.abs(grid.T[lo : lo + TILE, tops[c]])
+                cols = [np.abs(grid[lo : lo + TILE, tops[c]])
                         for c, grid in enumerate((r, g, b))]
                 return np.concatenate([v[v > t] for v in cols])
 
@@ -181,10 +158,13 @@ def compose_rgb(
             pixels[lo : lo + TILE, :, c] = np.floor(tile, out=tile)
 
     list(threaded_map(quantize, tiles))
-    return RGBImage(width=width, height=height, pixels=pixels)
+    return pixels
 
 
-def encode_ppm(img: RGBImage) -> bytes:
-    """Binary PPM (P6) bytes: tiny header, then raw RGB triplets."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+def encode_ppm(pixels: np.ndarray) -> bytes:
+    """Binary PPM (P6) bytes of (height, width, 3) uint8 pixels: tiny header,
+    then raw RGB triplets, row-major.  Any other array: ValueError."""
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError("pixels must be a (height, width, 3) uint8 array")
+    height, width, _ = pixels.shape
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()

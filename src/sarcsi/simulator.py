@@ -52,17 +52,23 @@ ROW_TILE = 1024
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """Complex 2D spectrum on a uniform (Doppler, range-frequency) grid.
-
-    data: (na, nr) complex samples, azimuth-major
-    f_a: absolute Doppler axis [Hz], spans [f_dc - B_a/2, f_dc + B_a/2)
-    f_r: baseband range-frequency axis [Hz], spans [-B_r/2, B_r/2)
-    """
+    """Complex 2D spectrum on the uniform (Doppler, range-frequency) grid of an
+    acquisition: data is (na, nr), azimuth-major, with power-of-two sizes of
+    at least 8, else ValueError.  The acquisition fixes the axes."""
 
     data: np.ndarray
-    f_a: np.ndarray
-    f_r: np.ndarray
     params: RadarParams
+
+    def __post_init__(self) -> None:
+        if self.data.ndim != 2 or not np.iscomplexobj(self.data):
+            raise ValueError("the spectrum must be a 2-D complex array")
+        check_grid_size(self.data.shape[0], "na")
+        check_grid_size(self.data.shape[1], "nr")
+
+    @property
+    def f_a(self) -> np.ndarray:
+        """Absolute Doppler axis [Hz], spans [f_dc - B_a/2, f_dc + B_a/2)."""
+        return _freq_axis(self.data.shape[0], self.params.B_a, self.params.f_dc)
 
 
 def _freq_axis(n: int, bandwidth: float, center: float = 0.0) -> np.ndarray:
@@ -316,7 +322,7 @@ def synth_spectrum(
             data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
         else:
             data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
-    return SpectrumGrid(data=data, f_a=f_a, f_r=f_r, params=p)
+    return SpectrumGrid(data, p)
 
 
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:

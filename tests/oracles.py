@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sarcsi.analysis import peak_indices
-from sarcsi.csi import RGBImage, _centred_ifft
+from sarcsi.csi import _centred_ifft
 from sarcsi.params import C, RadarParams, doppler_from_squint
 from sarcsi.simulator import SpectrumGrid
 
@@ -152,26 +152,27 @@ def focus_reference(data: np.ndarray) -> np.ndarray:
 
 
 def split_subbands_reference(g: SpectrumGrid) -> list[np.ndarray]:
-    """(red, green, blue) band images: mask each band's rows, focus in 2D."""
+    """(red, green, blue) complex band images: mask each band's rows, focus
+    in 2D.  Each is (nr, na), one row per range bin, as split_subbands'."""
     band = g.params.band_index(g.f_a)
     out = []
     for b in range(3):
         masked = np.zeros_like(g.data)
         np.copyto(masked, g.data, where=(band == b)[:, None])
-        out.append(focus_reference(masked))
+        out.append(focus_reference(masked).T)
     return out
 
 
 def compose_rgb_reference(
     r: np.ndarray, g: np.ndarray, b: np.ndarray, norm: str = "linear"
-) -> RGBImage:
-    """Joint-normalized 8-bit RGB of three magnitude grids, in plain steps."""
-    stack = np.stack([np.abs(r).T, np.abs(g).T, np.abs(b).T], axis=-1)
+) -> np.ndarray:
+    """Joint-normalized (height, width, 3) uint8 pixels of three (height,
+    width) magnitude rasters, in plain steps."""
+    stack = np.stack([np.abs(r), np.abs(g), np.abs(b)], axis=-1)
     if norm == "linear":
         ref = stack.max()
     else:
         ref = float(np.percentile(stack, 99.9))
     if ref > 0:
         stack = np.minimum(stack / ref, 1.0)
-    pixels = np.floor(stack * 255 + 0.5).astype(np.uint8)
-    return RGBImage(width=pixels.shape[1], height=pixels.shape[0], pixels=pixels)
+    return np.floor(stack * 255 + 0.5).astype(np.uint8)

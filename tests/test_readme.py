@@ -11,5 +11,5 @@ def test_python_api_example_runs(capsys):
     (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
     namespace = {}
     exec(compile(code, str(README), "exec"), namespace)
-    assert namespace["rgb"].pixels.shape == (256, 2048, 3)
+    assert namespace["rgb"].shape == (256, 2048, 3)
     assert capsys.readouterr().out.count("\n") == 2

@@ -57,7 +57,7 @@ def test_point_at_origin_is_flat(xband):
     assert np.allclose(np.abs(g.data), 1.0)
     assert g.f_a[0] == -xband.B_a / 2
     assert g.f_a[1] - g.f_a[0] == pytest.approx(xband.B_a / 64)
-    assert g.f_r[0] == -xband.B_r / 2
+    assert sim._freq_axis(16, xband.B_r)[0] == -xband.B_r / 2    # the range axis
 
 
 def test_azimuth_phase_slope_encodes_position(xband):
@@ -74,6 +74,27 @@ def test_grid_size_must_be_power_of_two(xband):
     for na, nr in [(100, 16), (64, 9), (4, 16)]:
         with pytest.raises(ValueError):
             s.synth_spectrum(point(), xband, na=na, nr=nr)
+
+
+def test_spectrum_grid_rejects_what_synthesis_cannot_make(xband):
+    # a spectrum holds what synth_spectrum makes, a 2-D complex array with
+    # power-of-two sizes of at least 8; an odd, a non-power-of-two or a too
+    # small size is rejected, and so is a real or a 1-D array
+    for na, nr in [(15, 8), (16, 5), (96, 8), (16, 12), (2, 8), (16, 4)]:
+        with pytest.raises(ValueError, match="power of two"):
+            s.SpectrumGrid(np.ones((na, nr), complex), xband)
+    for data in (np.ones((16, 8)), np.ones(16, complex), np.ones((2, 16, 8), complex)):
+        with pytest.raises(ValueError, match="2-D complex"):
+            s.SpectrumGrid(data, xband)
+
+
+def test_spectrum_grid_derives_its_doppler_axis(xband):
+    # the axis follows the acquisition, bit for bit what synthesis sums on
+    p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=5000.0)
+    g = s.synth_spectrum(point(), p, na=64, nr=16)
+    want = p.f_dc - p.B_a / 2 + np.arange(64) * (p.B_a / 64)
+    assert np.array_equal(g.f_a, want)
+    assert np.all(np.diff(g.f_a) > 0)
 
 
 def test_unambiguous_extent_guard(xband):
@@ -116,12 +137,7 @@ def test_focus_preserves_energy_and_centers_point(xband):
 
 
 def test_focus_zero_spectrum(xband):
-    g = s.SpectrumGrid(
-        data=np.zeros((16, 8), complex),
-        f_a=np.linspace(-38000.0, 38000.0, 16, endpoint=False),
-        f_r=np.linspace(-7.5e8, 7.5e8, 8, endpoint=False),
-        params=xband,
-    )
+    g = s.SpectrumGrid(np.zeros((16, 8), complex), xband)
     assert np.all(oracles.focus_image(g).data == 0.0)
 
 
