@@ -19,9 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import merge_reports, report_to_json, verify_scene_against_model
+from ._threads import check_memory
 from .csi import NORM_MODES, compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
     BAND_HUES,
+    ROW_BYTES,
     GratingTarget,
     Orientation3D,
     chart_data,
@@ -181,6 +183,10 @@ def _cmd_chart(args: argparse.Namespace) -> int:
     if not math.isfinite(span):
         raise ConfigError(f"--sq-step {args.sq_step} gives no finite number of squint points")
     steps = round(span)
+    # a row per squint point for the zero order and for each non-zero order
+    nonzero = hi - lo + 1 - (lo <= 0 <= hi)
+    rows = (steps + 1) * (1 + nonzero)
+    check_memory(ROW_BYTES * rows, f"a chart of {rows} rows")
     grid_deg = np.linspace(args.sq_min, args.sq_min + steps * args.sq_step, steps + 1)
     if grid_deg[-1] > args.sq_max + 1e-12:
         grid_deg = grid_deg[:-1]

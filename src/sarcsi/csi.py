@@ -108,11 +108,11 @@ def compose_rgb(
     (norm="linear") or numpy's linear-rule joint 99.9th percentile with
     clipping (norm="clip_p999").  No magnitude stack is built: the passes
     run over TILE-row tiles of the rasters on worker threads, each taking |.|
-    of one channel at a time into scratch the size of a tile.  The first keeps the column
-    maxima of every tile; for clip_p999 a second selects the values above a
-    bound set by those maxima, from the columns that exceed it, and the
-    percentile exactly from them; the last quantizes straight into the pixels,
-    rounding half up.  NaN or inf: ValueError.
+    of one channel at a time into scratch the size of a tile.  The first
+    keeps the column maxima of every tile; for clip_p999 a second selects the
+    values above a bound set by those maxima, from the columns that exceed
+    it, and the percentile exactly from them; the last quantizes straight
+    into the pixels, rounding half up.  NaN or inf: ValueError.
     """
     if norm not in NORM_MODES:
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")

@@ -33,8 +33,10 @@ class RadarParams:
     f_dc: Doppler centroid [Hz], 0 for broadside acquisitions
 
     Bandwidths follow the usual SAR resolution relations B_a = V / rho_a and
-    B_r = c / (2 rho_r).  Values that are not finite or not positive, or an
-    azimuth band beyond the realizable Doppler span, raise ParameterError.
+    B_r = c / (2 rho_r).  Values that are not finite or not positive, a
+    bandwidth or Doppler span 2V/lambda that is not (it overflows, or
+    underflows to 0), or an azimuth band beyond the realizable Doppler span,
+    raise ParameterError.
     """
 
     f_c: float
@@ -52,6 +54,13 @@ class RadarParams:
                 "f_c, V, rho_a, rho_r must all be positive, got "
                 f"f_c={self.f_c}, V={self.V}, rho_a={self.rho_a}, rho_r={self.rho_r}"
             )
+        # finite inputs can still overflow (2 rho_r, 2V/lambda) or underflow
+        # (V / rho_a) in what derives from them
+        rates = {"B_a": self.B_a, "B_r": self.B_r, "2V/lambda": 2 * self.V / self.lam}
+        bad = [f"{k}={v}" for k, v in rates.items() if not 0 < v < math.inf]
+        if bad:
+            raise ParameterError(f"derived rates must be positive and finite, got "
+                                 f"{', '.join(bad)} Hz")
         # The window edges must stay inside the realizable Doppler span, else
         # squint_from_doppler is undefined there.
         if self.B_a >= 2 * self.V / self.lam:

@@ -135,7 +135,14 @@ def _inside(lo: float, hi: float) -> Check:
 
 
 _angle = _inside(-90, 90)
-_incidence = _inside(0, 90)
+
+
+def _incidence(t: dict, key: str, where: str) -> float:
+    # checked in radians, as the geometry takes it: 5e-324 deg is 0 rad
+    v = _number(t, key, where)
+    if not 0 < _rad(v) < math.pi / 2:
+        raise ConfigError(f"{where}: field {key!r} must lie in (0, 90)")
+    return v
 
 
 def _angle_above(lower: str) -> Check:
@@ -354,6 +361,30 @@ def parse_scene_config(path: str | Path) -> SceneConfig:
     return scene_config_from_dict(obj)
 
 
+def _counted(target: dict, lam: float) -> tuple[dict, int]:
+    """The checked target and its scatterer count, checked to be finite and
+    for its x, y and amp arrays (24 bytes per scatterer) to fit in physical
+    memory."""
+    target = _validate_target(target)
+    label = target["label"]
+    n = KINDS[target["kind"]].count(target, target.get("spacing_m", lam / 4))
+    if not math.isfinite(n):
+        raise ConfigError(f"target {label!r}: its extent over its sample spacing "
+                          "gives no finite scatterer count")
+    check_memory(24 * n, f"target {label!r} of {n} scatterers")
+    return target, n
+
+
+def _build(target: dict, n: int) -> Scene:
+    label = target["label"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = KINDS[target["kind"]].build(target, n)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError(f"target {label!r}: its scatterer positions are not finite "
+                          "(the geometry overflows)")
+    return Scene(x, y, np.full(x.size, target["amp"]), label, config=target)
+
+
 def generate_scene(target: dict, lam: float) -> Scene:
     """Build the scatterer cloud for one target description.
 
@@ -367,21 +398,18 @@ def generate_scene(target: dict, lam: float) -> Scene:
     finite (the geometry overflowed) are a ConfigError.  Each error names the
     target.  The checked target becomes the scene's config.
     """
-    target = _validate_target(target)
-    kind, label = KINDS[target["kind"]], target["label"]
-    n = kind.count(target, target.get("spacing_m", lam / 4))
-    if not math.isfinite(n):
-        raise ConfigError(f"target {label!r}: its extent over its sample spacing "
-                          "gives no finite scatterer count")
-    check_memory(24 * n, f"target {label!r} of {n} scatterers")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y = kind.build(target, n)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ConfigError(f"target {label!r}: its scatterer positions are not finite "
-                          "(the geometry overflows)")
-    return Scene(x, y, np.full(x.size, target["amp"]), label, config=target)
+    return _build(*_counted(target, lam))
 
 
 def build_scenes(cfg: SceneConfig) -> list[Scene]:
-    """One scatterer cloud per configured target, in config order."""
-    return [generate_scene(t, cfg.radar.lam) for t in cfg.targets]
+    """One scatterer cloud per configured target, in config order.
+
+    Every target's count is checked as generate_scene checks it, and then
+    their total, before any is built: a simulation holds every target's
+    arrays and their merged copy, 48 bytes per scatterer.  A total beyond
+    physical memory raises ValueError.
+    """
+    counted = [_counted(t, cfg.radar.lam) for t in cfg.targets]
+    total = sum(n for _, n in counted)
+    check_memory(48 * total, f"a scene of {total} scatterers")
+    return [_build(t, n) for t, n in counted]

@@ -309,15 +309,16 @@ def synth_spectrum(
     f_r = _freq_axis(nr, p.B_r)
     carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
 
-    u = scene.x / p.V                      # slow time per scatterer [s]
-    v = 2 * scene.y / C                    # fast time per scatterer [s]
-    steps = _uniform_steps(
-        u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
-    )
-    check_memory(_peak_bytes(na, nr, u.size, steps is None),
-                 f"synthesizing a {na}x{nr} spectrum")
-    # An overflowing sum is azimuth_power_spectrum's to reject, without warnings.
+    # An overflowing sum (or slow time, at a tiny V) is azimuth_power_spectrum's
+    # to reject, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        u = scene.x / p.V                      # slow time per scatterer [s]
+        v = 2 * scene.y / C                    # fast time per scatterer [s]
+        steps = _uniform_steps(
+            u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
+        )
+        check_memory(_peak_bytes(na, nr, u.size, steps is None),
+                     f"synthesizing a {na}x{nr} spectrum")
         if steps is None:
             data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
         else:

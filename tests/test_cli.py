@@ -621,6 +621,69 @@ class TestRejectedInput:
         assert peak < 1 << 20
         assert not list(tmp_path.glob("x*"))
 
+    def test_whole_scene_checked_before_any_target_is_built(self, capsys, tmp_path):
+        # each 3e6-scatterer array's x, y and amp (72 MB) fit in the 256 MiB
+        # of physical memory mocked here, but not the two targets' arrays
+        # together with their merged copy (48 bytes per scatterer)
+        array = dict(ARRAY20, n=3_000_000)
+        scene = scene_file(tmp_path, [array, array], na=16)
+        have = 256 << 20
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+        tracemalloc.start()
+        try:
+            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__), \
+                    mock.patch("sarcsi.scene._build", side_effect=AssertionError("built")):
+                code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                                     "--out-prefix", str(tmp_path / "x"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 24 * 3_000_000 < have < 48 * 6_000_000
+        assert (code, out) == (2, "")
+        assert err == ("error: out of memory: a scene of 6000000 scatterers needs 288000000 "
+                       f"bytes, more than the {have} bytes of physical memory\n")
+        assert peak < 1 << 20
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv, what", [
+        (("chart", "--orders=-10000000000000000000:10000000000000000000"),
+         "a chart of 980000000000000000049 rows"),
+        (("chart", "--sq-step", "1e-5"), "a chart of 3600003 rows"),
+        (("chart", "--orders=-30000:30000"), "a chart of 2940049 rows"),
+        (("chart", "--sq-step", "1e-9"), "a chart of 36000000003 rows"),
+        (("predict", "--theta-az", "20", "--dx", "1e300", "--orders=-300000:300000"),
+         "a table of 600001 diffraction orders"),
+        (("predict", "--theta-az", "20", "--dx", "1e300",
+          "--orders=-10000000000000000000:10000000000000000000"),
+         "a table of 20000000000000000001 diffraction orders"),
+        (("analyze", "--scene", "{scene}", "--orders=-300000:300000"),
+         "a table of 600001 diffraction orders"),
+    ], ids=["chart_orders_1e19", "chart_step_1e-5", "chart_orders_30000", "chart_step_1e-9",
+            "predict_orders_300000", "predict_orders_1e19", "analyze_orders_300000"])
+    def test_rows_checked_before_they_are_built(self, capsys, tmp_path, argv, what):
+        # the rows of a chart or an order table are counted before any is
+        # built; beyond the 256 MiB of physical memory mocked here at 512
+        # bytes a row, that is one error line naming the count, and nothing
+        # is written
+        scene = scene_file(tmp_path, [dict(ARRAY20, dx_m=1e300)])
+        have = 256 << 20
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
+                code, stdout, err = run(capsys, *(a.format(scene=scene) for a in argv),
+                                        "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = int(what.split()[3])
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: out of memory: {what} needs {512 * rows} bytes, "
+                       f"more than the {have} bytes of physical memory\n")
+        assert peak < 1 << 20
+        assert not out.exists()
+
     def test_non_finite_geometry_names_the_target(self, capsys, tmp_path):
         # cosh(u / a) overflows for u / a up to 1000: the positions are not
         # finite, which is the target's fault, not its amplitudes'.  One line
@@ -680,6 +743,9 @@ def test_every_numeric_field_keeps_the_exit_contract(capsys, tmp_path, command, 
     out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
            else ("--out", str(tmp_path / "x_analysis.json")))
     code, _, err = run(capsys, command, "--scene", str(scene), *out)
+    if field == "theta_inc_deg" and value == 5e-324:
+        # positive in degrees, but 0 rad
+        assert (code, err) == (2, "error: targets[0]: field 'theta_inc_deg' must lie in (0, 90)\n")
     assert code in (0, 2, 3, 4)
     if code:
         assert err.startswith("error: ") and len(err.splitlines()) == 1

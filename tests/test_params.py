@@ -38,6 +38,18 @@ def test_non_finite_rejected(field, value):
         s.RadarParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, rate", [
+    (dict(rho_r=1e308), "B_r=0.0"),                   # 2 rho_r overflows
+    (dict(rho_r=5e-324), "B_r=inf"),
+    (dict(V=5e-324, rho_a=1e308), "B_a=0.0"),
+    (dict(f_c=1e308, V=2.0**63), "2V/lambda=inf"),
+])
+def test_derived_rates_must_be_numbers(kwargs, rate):
+    # finite, positive inputs whose bandwidth or Doppler span is not
+    with pytest.raises(ParameterError, match=f"positive and finite, got .*{rate}"):
+        s.RadarParams(**{**dict(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1), **kwargs})
+
+
 def test_azimuth_band_beyond_doppler_limit_rejected():
     # rho_a below lam/2 would ask for more Doppler band than 2V/lam exists
     with pytest.raises(ParameterError):
