@@ -15,7 +15,7 @@ import numpy as np
 
 from .dispersion import DiffractionSolution, invert_orientation_from_doppler
 from .params import RadarParams
-from .scene import Scene
+from .scene import DEFAULT_GRID, Scene
 from .simulator import azimuth_power_spectrum, synth_spectrum
 
 # Detection threshold as a fraction of the coherent ceiling Nr * (sum amp)^2.
@@ -90,8 +90,8 @@ def verify_scene_against_model(
     p: RadarParams,
     predictions: list[DiffractionSolution],
     tol_bins: float = 2.0,
-    na: int = 2048,
-    nr: int = 256,
+    na: int = DEFAULT_GRID["na"],
+    nr: int = DEFAULT_GRID["nr"],
 ) -> VerificationReport:
     """Simulate one target and match its spectral peaks to analytic orders.
 

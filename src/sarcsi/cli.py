@@ -118,14 +118,16 @@ def _radar(args: argparse.Namespace, base: RadarParams = DEFAULT_RADAR) -> Radar
     return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _grid(cfg: SceneConfig, args: argparse.Namespace) -> tuple[int, int]:
-    # Flags beat config values; the config's sizes were checked when it was
-    # parsed, the flags are checked here, before any work.
+def _scene_config(args: argparse.Namespace) -> SceneConfig:
+    # The run's one config: flags beat the file's values.  The file was
+    # checked when it was parsed, the flags are checked here, before any work.
+    cfg = parse_scene_config(args.scene)
+    radar = _radar(args, cfg.radar)
     na = args.na if args.na is not None else cfg.na
     nr = args.nr if args.nr is not None else cfg.nr
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
-    return na, nr
+    return dataclasses.replace(cfg, radar=radar, na=na, nr=nr)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -199,10 +201,8 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
-    cfg = parse_scene_config(args.scene)
-    p = _radar(args, cfg.radar)
-    na, nr = _grid(cfg, args)
-    g = synth_spectrum(merge_scenes(build_scenes(cfg)), p, na, nr)
+    cfg = _scene_config(args)
+    g = synth_spectrum(merge_scenes(build_scenes(cfg)), cfg.radar, cfg.na, cfg.nr)
     f_a, power = azimuth_power_spectrum(g)
     red, green, blue = split_subbands(g)
     del g    # consumed by the split, and not needed while the raster is composed
@@ -216,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     csv_path.write_text(azimuth_spectrum_csv(f_a, power))
 
     # Parseval: a band image's energy is the power of the rows in that band.
-    band = p.band_index(f_a)
+    band = cfg.radar.band_index(f_a)
     energies = {hue.value: float(power[band == b].sum()) for b, hue in enumerate(BAND_HUES)}
     report = {
         "band_energy": energies,
@@ -225,14 +225,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "report": json_path.name,
             "rgb": ppm_path.name,
         },
-        "grid": {"na": na, "nr": nr},
+        "grid": {"na": cfg.na, "nr": cfg.nr},
         "norm": args.norm,
         "radar": {
-            "ba_hz": p.B_a,
-            "br_hz": p.B_r,
-            "fc_hz": p.f_c,
-            "fdc_hz": p.f_dc,
-            "v_mps": p.V,
+            "ba_hz": cfg.radar.B_a,
+            "br_hz": cfg.radar.B_r,
+            "fc_hz": cfg.radar.f_c,
+            "fdc_hz": cfg.radar.f_dc,
+            "v_mps": cfg.radar.V,
         },
         "targets": [t["label"] for t in cfg.targets],
         "total_energy": float(power.sum()),
@@ -243,9 +243,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = parse_scene_config(args.scene)
-    p = _radar(args, cfg.radar)
-    na, nr = _grid(cfg, args)
+    cfg = _scene_config(args)
     m_range = _parse_orders(args.orders)
     if args.tol_bins <= 0:
         raise ConfigError(f"--tol-bins must be positive, got {args.tol_bins}")
@@ -257,16 +255,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"analyze supports {supported} targets, not {target['kind']!r}"
             )
-        sols = orders_in_window(grating(target), p, m_range)
+        sols = orders_in_window(grating(target), cfg.radar, m_range)
         if not sols:
             raise EvanescentOrderError(
                 f"target {target['label']!r} has no propagating order in {args.orders}"
             )
         predictions.append(sols)
     reports = [
-        verify_scene_against_model(
-            generate_scene(target, p.lam), p, sols, tol_bins=args.tol_bins, na=na, nr=nr
-        )
+        verify_scene_against_model(generate_scene(target, cfg.radar.lam), cfg.radar, sols,
+                                   tol_bins=args.tol_bins, na=cfg.na, nr=cfg.nr)
         for target, sols in zip(cfg.targets, predictions)
     ]
     _emit(report_to_json(merge_reports(reports)), args.out)

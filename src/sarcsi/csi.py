@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from ._threads import threaded_map
+from ._threads import check_memory, threaded_map, workers
 from .simulator import SpectrumGrid
 
 NORM_MODES = ("linear", "clip_p999")
@@ -54,15 +54,20 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     na > SCRATCH_POINTS / TILE, so a scratch holds at most SCRATCH_POINTS.
     Both passes run on worker threads.  Returns (red, green, blue) float64
     (nr, na) magnitude rasters: one row per range bin, one column per Doppler
-    bin, as in the PPM.
+    bin, as in the PPM.  The stage peaks with the spectrum, the rasters and a
+    scratch per worker live; when those need more than physical memory,
+    ValueError is raised before any work.
     """
     data = g.data
     na, nr = data.shape
+    bins = max(1, min(TILE, SCRATCH_POINTS // na))
+    jobs = list(product(range(3), range(0, nr, bins)))
+    check_memory(data.nbytes + 24 * na * nr + workers(len(jobs)) * 16 * bins * na,
+                 f"splitting a {na}x{nr} spectrum")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
     deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
           maxlen=0)
     mags = [np.empty((nr, na)) for _ in range(3)]
-    bins = max(1, min(TILE, SCRATCH_POINTS // na))
 
     def focus(job: tuple[int, int]) -> None:
         b, lo = job
@@ -72,7 +77,7 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         _centred_ifft(scratch, 1)
         np.abs(scratch, out=mags[b][lo : lo + bins])
 
-    deque(threaded_map(focus, list(product(range(3), range(0, nr, bins)))), maxlen=0)
+    deque(threaded_map(focus, jobs), maxlen=0)
     return tuple(mags)
 
 

@@ -65,7 +65,9 @@ def merge_scenes(scenes: Sequence[Scene]) -> Scene:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Parsed and validated scene description: radar constants, grid, targets."""
+    """Parsed and validated scene description: radar constants, grid, and
+    targets each checked against its kind's schema, as scene_config_from_dict
+    makes them."""
 
     radar: RadarParams
     na: int
@@ -311,6 +313,9 @@ KINDS: dict[str, TargetKind] = {
 _COMMON = {"kind": lambda t, key, where: t[key], "amp": _positive, "label": _label}
 _RADAR = {"fc_hz": _positive, "v_mps": _positive, "rho_a_m": _positive, "rho_r_m": _positive}
 _GRID = {"na": _grid_size, "nr": _grid_size}
+# The grid of a config that gives none, and of synthesis and verification
+# called without one.
+DEFAULT_GRID = {"na": 2048, "nr": 256}
 
 
 def _validate_target(t: object, i: int | None = None) -> dict:
@@ -337,7 +342,7 @@ def scene_config_from_dict(obj: object) -> SceneConfig:
     radar = _fields(obj.get("radar"), _RADAR, {"fdc_hz": _number}, "radar")
     params = RadarParams(radar["fc_hz"], radar["v_mps"], radar["rho_a_m"],
                          radar["rho_r_m"], radar.get("fdc_hz", 0.0))
-    grid = _fields(obj.get("grid", {"na": 2048, "nr": 256}), _GRID, {}, "grid")
+    grid = _fields(obj.get("grid", DEFAULT_GRID), _GRID, {}, "grid")
     targets = obj.get("targets")
     if not isinstance(targets, list) or not targets:
         raise ConfigError("config: field 'targets' must be a non-empty array")
@@ -362,10 +367,9 @@ def parse_scene_config(path: str | Path) -> SceneConfig:
 
 
 def _counted(target: dict, lam: float) -> tuple[dict, int]:
-    """The checked target and its scatterer count, checked to be finite and
+    """A checked target and its scatterer count, checked to be finite and
     for its x, y and amp arrays (24 bytes per scatterer) to fit in physical
     memory."""
-    target = _validate_target(target)
     label = target["label"]
     n = KINDS[target["kind"]].count(target, target.get("spacing_m", lam / 4))
     if not math.isfinite(n):
@@ -398,12 +402,13 @@ def generate_scene(target: dict, lam: float) -> Scene:
     finite (the geometry overflowed) are a ConfigError.  Each error names the
     target.  The checked target becomes the scene's config.
     """
-    return _build(*_counted(target, lam))
+    return _build(*_counted(_validate_target(target), lam))
 
 
 def build_scenes(cfg: SceneConfig) -> list[Scene]:
     """One scatterer cloud per configured target, in config order.
 
+    The targets are checked ones, as scene_config_from_dict makes them.
     Every target's count is checked as generate_scene checks it, and then
     their total, before any is built: a simulation holds every target's
     arrays and their merged copy, 48 bytes per scatterer.  A total beyond

@@ -32,7 +32,7 @@ import numpy as np
 from ._threads import check_memory, threaded_map, workers
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
-from .scene import Scene, check_grid_size
+from .scene import DEFAULT_GRID, Scene, check_grid_size
 
 # Scatterer count from which a uniform collinear run is summed in closed form.
 # The closed form costs O(na * nr) whatever the count, the direct sum
@@ -271,7 +271,7 @@ def _peak_bytes(na: int, nr: int, n: int, direct: bool) -> int:
 
 
 def synth_spectrum(
-    scene: Scene, p: RadarParams, na: int = 2048, nr: int = 256
+    scene: Scene, p: RadarParams, na: int = DEFAULT_GRID["na"], nr: int = DEFAULT_GRID["nr"]
 ) -> SpectrumGrid:
     """Coherently sum every scatterer's phase ramp on the full spectral grid.
 
@@ -291,7 +291,9 @@ def synth_spectrum(
     grid whose spectrum, or whose synthesis at its peak, needs more than
     physical memory raises ValueError, and a scene that does not fit the
     unambiguous extents of the grid, whose result would wrap,
-    AliasingError, all before anything grid-sized is allocated.
+    AliasingError, all before anything grid-sized is allocated.  A
+    scatterer's time that is not finite (x / V overflows at a tiny platform
+    speed V) raises ValueError.
     """
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
@@ -309,11 +311,14 @@ def synth_spectrum(
     f_r = _freq_axis(nr, p.B_r)
     carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
 
-    # An overflowing sum (or slow time, at a tiny V) is azimuth_power_spectrum's
-    # to reject, without warnings.
+    # Slow time overflows at a tiny V; an overflowing sum is
+    # azimuth_power_spectrum's to reject.  Neither warns.
     with np.errstate(over="ignore", invalid="ignore"):
         u = scene.x / p.V                      # slow time per scatterer [s]
         v = 2 * scene.y / C                    # fast time per scatterer [s]
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError(f"a scatterer's slow time x / V or fast time 2 y / c is not "
+                             f"finite at the platform speed V = {p.V!r} m/s")
         steps = _uniform_steps(
             u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
         )

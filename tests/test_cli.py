@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sarcsi as s
-from sarcsi import cli, csi, simulator as sim
+from sarcsi import _threads, cli, csi, scene as scene_module, simulator as sim
 from sarcsi.cli import main
 from sarcsi.scene import KINDS
 
@@ -235,6 +235,41 @@ class TestSimulate:
         report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["grid"] == {"na": 128, "nr": 16}
         assert report["radar"]["ba_hz"] == 38000.0    # V / 0.2 m
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--fc", "fc_hz", 1.92e10), ("--v", "v_mps", 3800.0), ("--rho-a", "rho_a_m", 0.2),
+    ])
+    def test_radar_flag_acts_as_the_config_value(self, tmp_path, flag, field, value):
+        # a flag replaces the config's value everywhere, the arc's default
+        # quarter-wavelength sample spacing included: the three products are
+        # those of a config that holds the value.  In a child process, whose
+        # stderr must stay empty
+        arc = {"kind": "arc", "radius_m": 20.0, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0}
+        blobs = []
+        for name, flags in (("flag", (flag, repr(value))), ("file", ())):
+            (tmp_path / name).mkdir()
+            scene = scene_file(tmp_path / name, [arc], na=256, nr=32)
+            if not flags:
+                cfg = json.loads(scene.read_text())
+                cfg["radar"][field] = value
+                scene.write_text(json.dumps(cfg))
+            prefix = tmp_path / name / "run"
+            assert run_process("simulate", "--scene", str(scene), "--out-prefix",
+                               str(prefix), *flags) == (0, "")
+            blobs.append([prefix.with_name(prefix.name + suffix).read_bytes()
+                          for suffix in ("_rgb.ppm", "_azspec.csv", "_report.json")])
+        assert blobs[0] == blobs[1]
+
+    def test_each_target_is_checked_once(self, capsys, tmp_path):
+        # scene_config_from_dict checks the targets; building takes them as
+        # checked
+        scene = scene_file(tmp_path, README_TARGETS[:3], na=256, nr=32)
+        with mock.patch("sarcsi.scene._validate_target",
+                        wraps=scene_module._validate_target) as validate:
+            code, _, err = run(capsys, "simulate", "--scene", str(scene),
+                               "--out-prefix", str(tmp_path / "x"))
+        assert (code, err) == (0, "")
+        assert validate.call_count == 3
 
     def test_aliasing_exit(self, capsys, tmp_path):
         big = {"kind": "line", "theta_az_deg": 0.0, "length_m": 300.0,
@@ -697,6 +732,64 @@ class TestRejectedInput:
                        "finite (the geometry overflows)\n")
         assert not list(tmp_path.glob("x*"))
 
+
+    def test_subband_split_beyond_physical_memory(self, capsys, tmp_path):
+        # the closed form of a 20 m line (25 bytes per grid point) fits in
+        # the 30 bytes per point of physical memory mocked here, but the
+        # split holds the spectrum and three float64 rasters (40 bytes per
+        # point) and a scratch per worker: one error line before the rasters
+        # are allocated, and nothing written
+        na, nr = 4096, 512
+        line = {"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}
+        scene = scene_file(tmp_path, [line], rho_r=0.1, na=na, nr=nr)
+        have = 30 * na * nr
+        bins = csi.SCRATCH_POINTS // na
+        need = 40 * na * nr + _threads.workers(3 * nr // bins) * 16 * bins * na
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+        with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
+            code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                                 "--out-prefix", str(tmp_path / "x"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: out of memory: splitting a {na}x{nr} spectrum needs {need} "
+                       f"bytes, more than the {have} bytes of physical memory\n")
+        assert not list(tmp_path.glob("x*"))
+
+
+# What the in-process fuzz (tests/test_fuzz.py) keeps as examples, a platform
+# speed whose slow time overflows, and an amplitude whose spectrum does, on
+# the fuzz's valid 64 x 16 line config.
+PROCESS_CASES = [
+    (("chart", "--orders=0:9223372036854775808"), LINE2),
+    (("simulate", "--fc", "1e+308", "--rho-r", "1e+308"), LINE2),
+    (("simulate", "--v", "5e-324"), LINE2),
+    (("analyze", "--v", "5e-324"), LINE2),
+    (("predict", "--theta-az", "0", "--fc", "1e+308", "--v", "9223372036854775808"), LINE2),
+    (("analyze", "--v", "1e+308", "--rho-a", "1e+308"), LINE2),
+    (("simulate",), dict(LINE2, amp=1e308)),
+    (("analyze",), dict(LINE2, amp=1e308)),
+]
+
+
+@pytest.mark.parametrize("argv, target", PROCESS_CASES,
+                         ids=[" ".join(argv) + f" amp={t.get('amp', 1)}"
+                              for argv, t in PROCESS_CASES])
+def test_exit_contract_in_a_child_process(tmp_path, argv, target):
+    # in-process, numpy's warnings are errors; a real process prints them on
+    # stderr after the error line.  So stderr is empty or one error line
+    command, *flags = argv
+    scene = scene_file(tmp_path, [target], na=64, nr=16)
+    files = {"simulate": ("--scene", str(scene), "--out-prefix", str(tmp_path / "x")),
+             "analyze": ("--scene", str(scene), "--out", str(tmp_path / "x.json"))}
+    code, err = run_process(command, *files.get(command, ()), *flags)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+        return
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not list(tmp_path.glob("x*"))
+    if "5e-324" in flags:
+        assert err == ("error: a scatterer's slow time x / V or fast time 2 y / c is not "
+                       "finite at the platform speed V = 5e-324 m/s\n")
 
 def test_radar_flags_replace_the_base_values():
     # flags replace fields of the base; nothing else of it is recomputed
