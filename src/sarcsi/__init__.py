@@ -8,11 +8,7 @@ rules), a signal-level spectrum simulator, focusing and the RGB
 composition step, and inversion from colour back to orientation.
 """
 
-from .analysis import (
-    VerificationReport,
-    estimate_orientation_map,
-    verify_scene_against_model,
-)
+from .analysis import TargetReport, estimate_orientation_map, verify_scene_against_model
 from .csi import compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
     ChartData,
@@ -67,7 +63,7 @@ __all__ = [
     "Scene",
     "SceneConfig",
     "SpectrumGrid",
-    "VerificationReport",
+    "TargetReport",
     "azimuth_power_spectrum",
     "build_scenes",
     "chart_data",

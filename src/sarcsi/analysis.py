@@ -9,7 +9,7 @@ maps of a CSI product back to a per-pixel orientation estimate.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,18 +47,6 @@ class TargetReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Aggregate pass/fail of model predictions against simulated spectra."""
-
-    tol_bins: float
-    targets: list[TargetReport] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(t.passed for t in self.targets)
-
-
 def peak_indices(values: np.ndarray, min_height: float) -> np.ndarray:
     """Local maxima of a 1-D profile at or above min_height.
 
@@ -92,7 +80,7 @@ def verify_scene_against_model(
     tol_bins: float = 2.0,
     na: int = DEFAULT_GRID["na"],
     nr: int = DEFAULT_GRID["nr"],
-) -> VerificationReport:
+) -> TargetReport:
     """Simulate one target and match its spectral peaks to analytic orders.
 
     Peaks are local maxima of the azimuth power marginal at or above half
@@ -137,7 +125,7 @@ def verify_scene_against_model(
         )
     unmatched_pred = len(observable) - len(used_pred)
     unmatched_det = len(detected) - len(used_det)
-    target = TargetReport(
+    return TargetReport(
         label=scene.label,
         predicted=[
             {
@@ -155,29 +143,22 @@ def verify_scene_against_model(
         unmatched_detections=unmatched_det,
         passed=unmatched_pred == 0 and unmatched_det == 0,
     )
-    return VerificationReport(tol_bins=tol_bins, targets=[target])
 
 
-def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    """Collect several single-target reports into one."""
+def merge_reports(reports: list[TargetReport], tol_bins: float) -> dict:
+    """One run's report: its tolerance, overall pass and every target's report."""
     if not reports:
         raise ValueError("nothing to merge")
-    tol = reports[0].tol_bins
-    if any(r.tol_bins != tol for r in reports):
-        raise ValueError("reports disagree on tol_bins")
-    return VerificationReport(
-        tol_bins=tol, targets=[t for r in reports for t in r.targets]
-    )
-
-
-def report_to_json(report: VerificationReport) -> str:
-    """Stable-key JSON for golden-file comparison."""
-    payload = {
-        "tol_bins": report.tol_bins,
-        "passed": report.passed,
-        "targets": [asdict(t) for t in report.targets],
+    return {
+        "tol_bins": tol_bins,
+        "passed": all(t.passed for t in reports),
+        "targets": [asdict(t) for t in reports],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def report_to_json(report: dict) -> str:
+    """Stable-key JSON for golden-file comparison."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def estimate_orientation_map(

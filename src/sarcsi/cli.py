@@ -266,7 +266,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                    tol_bins=args.tol_bins, na=cfg.na, nr=cfg.nr)
         for target, sols in zip(cfg.targets, predictions)
     ]
-    _emit(report_to_json(merge_reports(reports)), args.out)
+    _emit(report_to_json(merge_reports(reports, args.tol_bins)), args.out)
     return 0
 
 

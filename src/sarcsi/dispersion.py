@@ -50,8 +50,12 @@ class DiffractionSolution:
     m: int
     theta_sq: float      # [rad]
     f_d: float           # [Hz]
-    observable: bool
     hue: Hue
+
+    @property
+    def observable(self) -> bool:
+        """f_d lies in the observable Doppler window, so its hue is a band's."""
+        return self.hue is not Hue.OUT_OF_WINDOW
 
 
 @dataclass(frozen=True)
@@ -170,12 +174,7 @@ def orders_in_window(
             if not abs(theta) < math.pi / 2:
                 continue
         f_d = doppler_from_squint(p, theta)
-        obs = observable(p, f_d)
-        out.append(
-            DiffractionSolution(
-                m=m, theta_sq=theta, f_d=f_d, observable=obs, hue=classify_hue(p, f_d)
-            )
-        )
+        out.append(DiffractionSolution(m=m, theta_sq=theta, f_d=f_d, hue=classify_hue(p, f_d)))
     return out
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import json
 import math
@@ -610,13 +611,15 @@ class TestRejectedInput:
             ("chart", "--sq-step", "nan"),
             ("analyze", "--scene", "{scene}", "--tol-bins", "nan"),
             ("predict", "--theta-az", "10", "--dx", "inf"),
+            ("predict", "--theta-az", "10", "--fc", "abc"),
         ],
     )
     def test_non_finite_float_flag(self, tmp_path, argv):
         scene = scene_file(tmp_path, [LINE2])
         code, err = run_process(*(a.format(scene=scene) for a in argv))
         assert code == 2
-        assert err.startswith("error:") and "finite" in err
+        assert err.startswith("error:")
+        assert f"expected a finite number, got {argv[-1]!r}" in err
         assert "usage:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("target, message", [
@@ -864,14 +867,40 @@ def test_cli_import_leaves_out_concurrent_futures():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_functions_exist():
-    # the benchmark's per-layer tracer wraps these by name and only warns
-    # when one is missing, so a rename would silently drop a layer metric
+def traced_functions():
+    """The (module, name) pairs the benchmark's per-layer tracer wraps."""
     path = ROOT / "bench" / "trace_cli.py"
     spec = importlib.util.spec_from_file_location("trace_cli", path)
     trace_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_cli)
-    assert trace_cli.TRACED
-    for mod_name, fn_name in trace_cli.TRACED:
+    return trace_cli.TRACED
+
+
+def test_traced_functions_exist():
+    # the benchmark's per-layer tracer wraps these by name and only warns
+    # when one is missing, so a rename would silently drop a layer metric
+    assert traced_functions()
+    for mod_name, fn_name in traced_functions():
         fn = getattr(importlib.import_module(mod_name), fn_name, None)
         assert callable(fn), f"{mod_name}.{fn_name}"
+
+
+def test_traced_functions_are_called(capsys, tmp_path):
+    # a name the tracer wraps can stay defined but stop being called, which
+    # drops its layer metric just as silently as a rename would
+    scene = scene_file(tmp_path, [LINE2], na=64, nr=16)
+    with contextlib.ExitStack() as stack:
+        mocks = {}
+        for mod_name, fn_name in traced_functions():
+            module = importlib.import_module(mod_name)
+            mocks[mod_name, fn_name] = stack.enter_context(
+                mock.patch.object(module, fn_name, wraps=getattr(module, fn_name)))
+        for argv in (
+            ("predict", "--theta-az", "20", "--dx", "0.05"),
+            ("predict3d", "--theta-h", "2", "--theta-v", "-1", "--theta-inc", "40"),
+            ("simulate", "--scene", str(scene), "--out-prefix", str(tmp_path / "sim")),
+            ("analyze", "--scene", str(scene), "--out", str(tmp_path / "report.json")),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+    assert [key for key, m in mocks.items() if not m.called] == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sarcsi as s
-from sarcsi import csi
+from sarcsi import _threads, csi
 
 
 def point_grid(p, na, nr, x=0.0):
@@ -451,6 +451,50 @@ def test_split_allocates_only_magnitudes_and_tiles(xband):
         images = sum(m.nbytes for m in mags)
         scratch = n_cpus * csi.SCRATCH_POINTS * 16
         assert peak <= images + scratch + (1 << 19) < images + g.data.nbytes, n_cpus
+
+
+def split_checked_bytes(na, nr):
+    # what split_subbands checks against physical memory: the spectrum and
+    # the three float64 rasters (40 bytes per point), and a scratch per worker
+    bins = csi.SCRATCH_POINTS // na
+    return 40 * na * nr + _threads.workers(3 * nr // bins) * 16 * bins * na
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_split_holds_what_its_check_counts(xband, n_cpus):
+    # the spectrum it consumes plus what the split traces stays within 1 MiB
+    # of the bytes its memory check counts, from both sides; the f_a axis
+    # and the band index (8 na bytes each) are not counted
+    na, nr = 2048, 256
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+        s.split_subbands(random_grid(xband, na, nr))     # warms up the imports
+        g = random_grid(xband, na, nr)
+        tracemalloc.start()
+        try:
+            s.split_subbands(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        checked = split_checked_bytes(na, nr)
+    assert checked - (1 << 20) <= g.data.nbytes + peak <= checked + (1 << 20)
+
+
+def test_compose_fits_in_what_the_split_checks(xband):
+    # composition runs on the split's rasters once the spectrum is gone;
+    # the rasters plus what compose traces stay within the split's checked
+    # bytes, so compose needs no memory check of its own
+    na, nr = 2048, 256
+    with mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
+        bands = s.split_subbands(random_grid(xband, na, nr))
+        s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
+        tracemalloc.start()
+        try:
+            s.compose_rgb(*bands, norm="clip_p999")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        checked = split_checked_bytes(na, nr)
+    assert sum(m.nbytes for m in bands) + peak <= checked
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)

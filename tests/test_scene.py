@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,35 @@ def test_merge_scenes():
         s.merge_scenes([])
 
 
+def test_scene_building_holds_what_its_check_counts():
+    # build_scenes checks 48 bytes per scatterer: each target's arrays and
+    # their merged copy.  On the README's five-target scene, building and
+    # merging trace no more than that, plus 64 KiB
+    obj = {"radar": GOOD["radar"], "targets": [
+        {"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0},
+        {"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64},
+        {"kind": "arc", "radius_m": 80.0, "tan_lo_deg": -4.0, "tan_hi_deg": 4.0},
+        {"kind": "catenary", "a_m": 120.0, "half_span_m": 30.0, "theta_inc_deg": 40.0},
+        {"kind": "segment3d", "theta_h_deg": 10.0, "theta_v_deg": 5.0,
+         "theta_inc_deg": 40.0, "length_m": 1.0},
+    ]}
+    cfg = scene_config_from_dict(obj)
+    s.merge_scenes(s.build_scenes(cfg))     # warms up the imports
+    tracemalloc.start()
+    try:
+        sc = s.merge_scenes(s.build_scenes(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sc.n == 9440
+    assert peak <= 48 * sc.n + (1 << 16)
+
+
+def test_scene_arrays_must_have_equal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        s.Scene(x=np.zeros(3), y=np.zeros(2), amp=np.ones(3))
+
+
 # --- config parsing ---------------------------------------------------------
 
 GOOD = {
@@ -175,6 +205,8 @@ def test_missing_file(tmp_path):
         (lambda o: o["radar"].update(fc_hz=float("nan")), "'fc_hz' must be finite"),
         (lambda o: o["targets"][0].update(length_m=float("inf")), "'length_m' must be finite"),
         (lambda o: o["targets"][0].update(theta_az_deg=10**400), "'theta_az_deg' must be finite"),
+        (lambda o: o.update(targets=[1]), r"targets\[0\]: expected an object"),
+        (lambda o: o["targets"][0].update(label=5), "field 'label' must be a string"),
     ],
 )
 def test_schema_violations_name_the_field(tmp_path, mutate, message):
@@ -182,6 +214,11 @@ def test_schema_violations_name_the_field(tmp_path, mutate, message):
     mutate(obj)
     with pytest.raises(ConfigError, match=message):
         s.parse_scene_config(write_cfg(tmp_path, obj))
+
+
+def test_config_root_must_be_an_object(tmp_path):
+    with pytest.raises(ConfigError, match="config root must be an object"):
+        s.parse_scene_config(write_cfg(tmp_path, []))
 
 
 def test_unhashable_kind_is_a_config_error(tmp_path):
