@@ -13,7 +13,7 @@ spectrum rows.  The composition builds no magnitude stack and selects its
 from __future__ import annotations
 
 from collections import deque
-from itertools import product
+from itertools import pairwise
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .simulator import SpectrumGrid
 
 NORM_MODES = ("linear", "clip_p999")
 TILE = 64    # spectrum rows, range bins or raster rows a worker takes at a time
-SCRATCH_POINTS = 1 << 16    # complex points (1 MiB) of a band job's scratch, at most
+BLOCK = 512    # raster columns compose_rgb takes at a time within a tile
+SCRATCH_POINTS = 1 << 16    # complex points (1 MiB) of each band scratch of a split job, at most
 
 
 def _centred_ifft(x: np.ndarray, axis: int) -> None:
@@ -46,39 +47,54 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     power of its rows.  The band index rises with f_a, which ascends, so each
     band is one run of rows.
 
-    The spectrum is consumed.  Its rows take the range IFFT in place, in row
-    tiles: each row lies in one band, so one pass serves all three.  Then each
-    (band, range tile) job copies the band's rows of its bins, transposed,
-    into a zero-filled (bins, na) scratch, takes the azimuth IFFT there and
-    writes |.| into the band's magnitudes; a tile has TILE bins, fewer when
-    na > SCRATCH_POINTS / TILE, so a scratch holds at most SCRATCH_POINTS.
-    Both passes run on worker threads.  Returns (red, green, blue) float64
-    (nr, na) magnitude rasters: one row per range bin, one column per Doppler
-    bin, as in the PPM.  The stage peaks with the spectrum, the rasters and a
-    scratch per worker live; when those need more than physical memory,
-    ValueError is raised before any work.
+    The spectrum is consumed, and red and green are left in its memory.  Its
+    rows take the range IFFT in place, in row tiles: each row lies in one
+    band, so one pass serves all three.  Then each range-tile job copies all
+    three bands' rows of its bins, transposed, into three zeroed (bins, na)
+    scratches, takes their azimuth IFFTs and writes |red| into
+    data.real and |green| into data.imag of the bins it has just read, which
+    no other job reads; |blue| goes to a raster of its own.  A tile has TILE
+    bins, fewer when na > SCRATCH_POINTS / TILE, so a scratch holds at most
+    SCRATCH_POINTS.  Both passes run on worker threads.  Returns (red, green,
+    blue) float64 (nr, na) magnitude rasters: one row per range bin, one
+    column per Doppler bin, as in the PPM.  Red and green are transposed views
+    of the spectrum's buffer, blue is C-contiguous.  The stage peaks with the
+    spectrum's buffer, blue and three scratches per worker live; when those
+    need more than physical memory, ValueError is raised before any work.
     """
     data = g.data
     na, nr = data.shape
     bins = max(1, min(TILE, SCRATCH_POINTS // na))
-    jobs = list(product(range(3), range(0, nr, bins)))
-    check_memory(data.nbytes + 24 * na * nr + workers(len(jobs)) * 16 * bins * na,
+    tiles = range(0, nr, bins)
+    n = workers(len(tiles))
+    pitch = max(nr, data.strides[0] // data.itemsize)    # synthesis pads its rows
+    check_memory(16 * na * pitch + 8 * na * nr + n * 3 * 16 * bins * na,
                  f"splitting a {na}x{nr} spectrum")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
     deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
           maxlen=0)
-    mags = [np.empty((nr, na)) for _ in range(3)]
+    blue = np.empty((nr, na))
+    # One buffer for every worker's scratch, freed as one block when the split
+    # returns; job k may take slot k % n, as job k - n has finished before
+    # threaded_map starts job k.
+    slots = np.empty((n, 3, bins, na), data.dtype)
 
-    def focus(job: tuple[int, int]) -> None:
-        b, lo = job
-        rows = slice(cuts[b], cuts[b + 1])
-        scratch = np.zeros((min(bins, nr - lo), na), data.dtype)
-        scratch[:, rows] = data[rows, lo : lo + bins].T
-        _centred_ifft(scratch, 1)
-        np.abs(scratch, out=mags[b][lo : lo + bins])
+    def focus(k: int) -> None:
+        lo = tiles[k]
+        cols = slice(lo, lo + bins)
+        scratch = slots[k % n, :, : min(bins, nr - lo)]
+        scratch[...] = 0
+        for band, (a, b) in zip(scratch, pairwise(cuts)):
+            band[:, a:b] = data[a:b, cols].T
+        _centred_ifft(scratch, 2)
+        red, green, pair = scratch
+        np.abs(pair, out=blue[cols])
+        np.abs(red, out=pair.real)    # |red| + j|green| in blue's scratch,
+        np.abs(green, out=pair.imag)  # then back to the bins, transposed
+        data[:, cols] = pair.T
 
-    deque(threaded_map(focus, jobs), maxlen=0)
-    return tuple(mags)
+    deque(threaded_map(focus, range(len(tiles))), maxlen=0)
+    return data.real.T, data.imag.T, blue
 
 
 def _p999(n: int, top: np.ndarray, above) -> float:
@@ -112,27 +128,34 @@ def compose_rgb(
     therefore the perceived hue, survive quantization: the joint maximum
     (norm="linear") or numpy's linear-rule joint 99.9th percentile with
     clipping (norm="clip_p999").  No magnitude stack is built: the passes
-    run over TILE-row tiles of the rasters on worker threads, each taking |.|
-    of one channel at a time into scratch the size of a tile.  The first
-    keeps the column maxima of every tile; for clip_p999 a second selects the
-    values above a bound set by those maxima, from the columns that exceed
-    it, and the percentile exactly from them; the last quantizes straight
-    into the pixels, rounding half up.  NaN or inf: ValueError.
+    run over TILE-row tiles of the rasters on worker threads, and within a
+    tile over blocks of BLOCK columns, taking |.| of the three channels'
+    block into one scratch.  A raster that is a transposed view, as
+    split_subbands' red and green are, is so read BLOCK of its underlying
+    rows at a time, TILE values of each, which stay in cache while they are
+    transposed.  The first pass keeps the column maxima of every tile; for
+    clip_p999 a second selects the values above a bound set by those maxima,
+    from the columns that exceed it, and the percentile exactly from them;
+    the last quantizes straight into the pixels, rounding half up, and skips
+    the blocks whose maxima quantize to 0.  NaN or inf: ValueError.
     """
     if norm not in NORM_MODES:
         raise ValueError(f"norm must be one of {NORM_MODES}, got {norm!r}")
     if not (r.shape == g.shape == b.shape and r.ndim == 2 and r.size):
         raise ValueError("channel grids must be three equal-shape non-empty 2-D arrays")
     height, width = r.shape
-    tiles = range(0, height, TILE)
+    tiles, blocks = range(0, height, TILE), range(0, width, BLOCK)
 
-    def magnitudes(lo: int):    # |.| of each channel's tile at lo in turn, in one scratch
-        scratch = np.empty((min(TILE, height - lo), width))
-        for grid in (r, g, b):
-            yield np.abs(grid[lo : lo + TILE], out=scratch)
+    def magnitudes(lo: int, starts):    # (column, |.| of the channels' block) of tile lo
+        scratch = np.empty((3, min(TILE, height - lo), min(BLOCK, width)))
+        for k in starts:
+            block = scratch[:, :, : width - k]
+            for grid, m in zip((r, g, b), block):
+                np.abs(grid[lo : lo + TILE, k : k + BLOCK], out=m)
+            yield k, block
 
     def maxima(lo: int) -> np.ndarray:
-        return np.stack([m.max(axis=0) for m in magnitudes(lo)])
+        return np.concatenate([m.max(axis=1) for _, m in magnitudes(lo, blocks)], axis=1)
 
     top = np.stack(list(threaded_map(maxima, tiles)))    # (tile, channel, column)
     if not np.isfinite(top).all():    # NaN and inf survive the maxima
@@ -150,17 +173,26 @@ def compose_rgb(
             return np.concatenate(list(threaded_map(select, tiles)))
 
         ref = _p999(3 * r.size, top.reshape(-1), above)
-    pixels = np.empty((height, width, 3), np.uint8)
+    pixels = np.zeros((height, width, 3), np.uint8)
+
+    def level(x: float) -> float:    # what quantize makes of x, before the cast
+        return (min(x / ref, 1.0) if ref > 0 else x) * 255 + 0.5
 
     def quantize(lo: int) -> None:
-        for c, tile in enumerate(magnitudes(lo)):
+        # Each step is monotone, so a block whose largest magnitude quantizes
+        # to 0 is all 0, as the pixels start: such dark blocks are not read.
+        tops = top[lo // TILE]
+        lit = [k for k in blocks if level(float(tops[:, k : k + BLOCK].max())) >= 1]
+        for k, block in magnitudes(lo, lit):
             if ref > 0:
-                tile /= ref
-                np.minimum(tile, 1.0, out=tile)
-            # round-half-up, so 0.5 steps are platform-independent (unlike np.round)
-            tile *= 255
-            tile += 0.5
-            pixels[lo : lo + TILE, :, c] = np.floor(tile, out=tile)
+                block /= ref
+                np.minimum(block, 1.0, out=block)
+            # round-half-up, so 0.5 steps are platform-independent (unlike
+            # np.round); the values are >= 0.5, so the cast's truncation floors
+            block *= 255
+            block += 0.5
+            for c, m in enumerate(block):
+                pixels[lo : lo + TILE, k : k + BLOCK, c] = m
 
     list(threaded_map(quantize, tiles))
     return pixels
@@ -168,8 +200,10 @@ def compose_rgb(
 
 def encode_ppm(pixels: np.ndarray) -> bytes:
     """Binary PPM (P6) bytes of (height, width, 3) uint8 pixels: tiny header,
-    then raw RGB triplets, row-major.  Any other array: ValueError."""
+    then raw RGB triplets, row-major, copied once.  Any other array:
+    ValueError."""
     if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError("pixels must be a (height, width, 3) uint8 array")
     height, width, _ = pixels.shape
-    return f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    return b"".join((header, np.ascontiguousarray(pixels).data))

@@ -15,10 +15,11 @@ samples themselves.  A uniformly sampled collinear run of equal amplitudes
 (a line, an array, a 3-D segment) is a geometric series in n, summed in
 closed form as its array factor; every other cloud term by term, in blocks
 of azimuth rows by scatterers, as real matrix products over the range columns
-l <= nr/2 that also give their conjugate partners nr - l.  Either path stays
-within max|dG| / max|G| <= 1e-10 of the plain direct sum, which the tests keep
-as the reference, in tests/oracles.py with the peak oracles and the ideal
-point response.
+l <= nr/2 that also give their conjugate partners nr - l; the direct sum
+writes G over its own partial sums, so its spectrum is a view with a row
+pitch of nr + 2.  Either path stays within max|dG| / max|G| <= 1e-10 of the
+plain direct sum, which the tests keep as the reference, in tests/oracles.py
+with the peak oracles and the ideal point response.
 """
 
 from __future__ import annotations
@@ -48,13 +49,17 @@ UNIFORM_TOL_CYCLES = 1e-11
 # BLOCK_PHASES phases.
 BLOCK_PHASES = 1 << 18
 ROW_TILE = 1024
+# Grid points whose |G|^2 azimuth_power_spectrum holds at a time (512 KiB).
+POWER_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
 class SpectrumGrid:
     """Complex 2D spectrum on the uniform (Doppler, range-frequency) grid of an
     acquisition: data is (na, nr), azimuth-major, with power-of-two sizes of
-    at least 8, else ValueError.  The acquisition fixes the axes."""
+    at least 8, else ValueError; it may be a view whose rows are further
+    apart than nr values (synthesis's direct sum returns a pitch of nr + 2).
+    The acquisition fixes the axes."""
 
     data: np.ndarray
     params: RadarParams
@@ -203,11 +208,17 @@ def _direct_sum(
     0 < l < h - 1.  Worker threads build the blocks of _block_shape, each a
     row tile by a sample chunk, chunk after chunk, and a chunk's range factor
     with its first tile; this thread adds each block's (2 rows, 2h) product
-    into the tile's T and S rows in block order, the first chunk's in place.
-    So the sum depends on the block shape and the BLAS alone, whose rounding
-    may follow a product's row count and the BLAS thread count.  The operand
-    ring and the product buffer are freed before G is allocated; the
-    element-wise combine runs per row tile.
+    into the tile's T rows over its S rows in block order, the first chunk's
+    in place.  So the sum depends on the block shape and the BLAS alone,
+    whose rounding may follow a product's row count and the BLAS thread count.
+
+    Then each tile's rows are paired, through the product buffer, so that
+    row 2k holds T_k and row 2k + 1 S_k (a single chunk's Re and Im halves
+    are multiplied straight into those rows).  A pair is nr + 2 complex
+    values, so G row k fits in the memory of its own pair: the element-wise
+    combine, per row tile on worker threads, copies a group of pairs to a
+    small buffer and writes their G rows over them.  Returns G as an (na, nr)
+    view whose rows have a pitch of nr + 2.
     """
     na, nr = f_a.size, f_r.size
     h = nr // 2 + 1
@@ -229,21 +240,33 @@ def _direct_sum(
     prod = np.empty((2 * rows, 2 * h)) if step < u.size else None
     for (lo, a), (w, chunk_r) in zip(jobs, threaded_map(block, range(len(jobs)))):
         r = chunk_r if a == 0 else r
-        if lo == 0:                   # an empty scene still gets one empty block
-            np.matmul(w, r, out=ts[2 * a : 2 * (a + rows)])
+        tile = ts[2 * a : 2 * (a + rows)]
+        if prod is None:              # one chunk (an empty scene still gets one empty block)
+            np.matmul(w.reshape(2, rows, -1), r, out=_pairs(tile))
+        elif lo == 0:
+            np.matmul(w, r, out=tile)
         else:
-            ts[2 * a : 2 * (a + rows)] += np.matmul(w, r, out=prod)
-    del w, r, chunk_r, prod
+            tile += np.matmul(w, r, out=prod)
+    if prod is not None:
+        for a in range(0, na, rows):
+            tile = ts[2 * a : 2 * (a + rows)]
+            np.copyto(prod, tile)
+            _pairs(tile)[...] = prod.reshape(2, rows, -1)
+    del w, r, chunk_r, prod, tile
     slots.clear()
-    g = np.empty((na, nr), complex)
-    group = max(1, (1 << 14) // nr)   # rows whose T, S and G parts stay in cache
+    pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
+    g = pairs[:, :nr]
+    group = _combine_group(nr, rows)  # rows whose T, S and G parts stay in cache
     mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
 
-    def combine(a0: int) -> None:     # tile a0's T rows start at 2 a0: row a's is a0 + a
+    def combine(a0: int) -> None:
+        staged = np.empty((group, 2 * h), complex)
         for a in range(a0, a0 + rows, group):
             b = min(a + group, a0 + rows)
-            t, s = ts[a0 + a : a0 + b], ts[a0 + rows + a : a0 + rows + b]
-            tr, ti, sr, si = t[:, 0::2], t[:, 1::2], s[:, 0::2], s[:, 1::2]
+            pair = staged[: b - a]
+            pair[...] = pairs[a:b]    # G rows a..b overwrite these pairs
+            t, s = pair[:, :h], pair[:, h:]
+            tr, ti, sr, si = t.real, t.imag, s.real, s.imag
             gr, gi = g.real[a:b], g.imag[a:b]
             np.add(tr, si, out=gr[:, :h])
             np.subtract(sr, ti, out=gi[:, :h])
@@ -254,10 +277,22 @@ def _direct_sum(
     return g
 
 
+def _pairs(tile: np.ndarray) -> np.ndarray:
+    """The (2, rows, 2h) view of a row tile's (2 rows, 2h) partial sums whose
+    [0, k] is row 2k, T_k, and [1, k] row 2k + 1, S_k."""
+    return tile.reshape(len(tile) // 2, 2, -1).swapaxes(0, 1)
+
+
+def _combine_group(nr: int, rows: int) -> int:
+    """Azimuth rows the combine stages at a time."""
+    return min(rows, max(1, (1 << 14) // nr))
+
+
 def _peak_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     """Bytes synthesis holds at its peak: the closed form's three float64
-    (na, nr) temporaries and a mask, or the direct sum's T over S together
-    with G or with the blocks in flight and the product, whichever is larger."""
+    (na, nr) temporaries and a mask, or the direct sum's T and S, which G
+    later overwrites, together with the blocks in flight and the product or
+    with the combine's staging buffers, whichever is larger."""
     if not direct:
         return 25 * na * nr
     rows, step = _block_shape(na, n)
@@ -267,7 +302,8 @@ def _peak_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     blocks = (workers(jobs) + 1) * 16 * step * (rows + h)
     if step < n:
         blocks += 32 * rows * h
-    return 32 * na * h + max(16 * na * nr, blocks)
+    staged = workers(na // rows) * 32 * _combine_group(nr, rows) * h
+    return 32 * na * h + max(blocks, staged)
 
 
 def synth_spectrum(
@@ -285,7 +321,8 @@ def synth_spectrum(
       ROW_TILE azimuth rows by a chunk of samples), one real matrix product
       over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
       identity extends to all nr; worker threads build the blocks, and each
-      row tile's products are added in chunk order.
+      row tile's products are added in chunk order.  G is written over the
+      partial sums, so data is an (na, nr) view with a row pitch of nr + 2.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  A
     grid whose spectrum, or whose synthesis at its peak, needs more than
@@ -332,10 +369,17 @@ def synth_spectrum(
 
 
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Range-marginal power per Doppler bin: P[k] = sum_l |G[k, l]|^2.  Raises
-    ValueError unless the powers and their total are finite (|G|^2 may overflow)."""
+    """Range-marginal power per Doppler bin: P[k] = sum_l |G[k, l]|^2, a few
+    rows at a time in one small scratch.  Raises ValueError unless the powers
+    and their total are finite (|G|^2 may overflow)."""
+    na, nr = g.data.shape
+    rows = max(1, POWER_POINTS // nr)
+    power = np.empty(na)
+    scratch = np.empty((min(rows, na), nr))
     with np.errstate(over="ignore"):
-        power = np.sum(np.abs(g.data) ** 2, axis=1)
+        for lo in range(0, na, rows):
+            sq = np.abs(g.data[lo : lo + rows], out=scratch[: min(rows, na - lo)])
+            np.sum(np.square(sq, out=sq), axis=1, out=power[lo : lo + rows])
         if not np.isfinite(power.sum()):
             raise ValueError("the spectrum's power is not finite; lower the target amplitudes")
     return g.f_a, power

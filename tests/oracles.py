@@ -1,13 +1,16 @@
-"""Independent references for the simulator: peak oracles and the ideal PSF.
+"""Independent references for the simulator: the direct sum, peak oracles
+and the ideal PSF.
 
 These compute the same physics as the simulator by other routes (the array
 factor sampled on a frequency grid, a time-domain integral over the line's
 focused envelope, the closed-form point response), so tests and acceptance
-criteria C3 and C8 can check the simulator against them.  The plain
-shift-and-transform focusing and CSI composition the library once used are
-kept here too, as references for its faster forms, and so is the complex
-band focusing the library used before it focused bands straight into
-magnitudes.  They are test code, not part of the sarcsi library.
+criteria C3 and C8 can check the simulator against them.  The plain direct
+sum, every phasor written out and unchunked, is the reference for both of
+the simulator's sums.  The plain shift-and-transform focusing and CSI
+composition the library once used are kept here too, as references for its
+faster forms, and so is the complex band focusing the library used before
+it focused bands straight into magnitudes.  They are test code, not part of
+the sarcsi library.
 """
 
 import math
@@ -144,6 +147,18 @@ def zero_order_peak_oracle(
         phase = np.exp(2j * np.pi * f_prime[sl, None] * u[None, :])
         vals[sl] = np.abs(np.trapezoid(env * phase, u, axis=1))
     return float(f[np.argmax(vals)])
+
+
+def direct_sum(scene, p: RadarParams, na: int, nr: int) -> np.ndarray:
+    """The spectrum as an unchunked direct sum of every phasor, written out
+    from the model: the reference for both of synthesis's paths."""
+    f_a = p.f_dc - p.B_a / 2 + np.arange(na) * (p.B_a / na)
+    f_r = -p.B_r / 2 + np.arange(nr) * (p.B_r / nr)
+    carrier = p.f_c * np.cos(np.arcsin(p.lam * f_a / (2 * p.V)))
+    u, v = scene.x / p.V, 2 * scene.y / C
+    az = np.exp(-2j * np.pi * (np.outer(f_a, u) + np.outer(carrier, v)))
+    rg = np.exp(-2j * np.pi * np.outer(v, f_r))
+    return (az * scene.amp) @ rg
 
 
 def focus_reference(data: np.ndarray) -> np.ndarray:

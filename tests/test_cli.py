@@ -738,16 +738,17 @@ class TestRejectedInput:
 
     def test_subband_split_beyond_physical_memory(self, capsys, tmp_path):
         # the closed form of a 20 m line (25 bytes per grid point) fits in
-        # the 30 bytes per point of physical memory mocked here, but the
-        # split holds the spectrum and three float64 rasters (40 bytes per
-        # point) and a scratch per worker: one error line before the rasters
-        # are allocated, and nothing written
+        # the physical memory mocked here, one page short of what the split
+        # holds: the spectrum and the blue raster (24 bytes per point) and
+        # three scratches per worker.  One error line before blue is
+        # allocated, and nothing written
         na, nr = 4096, 512
         line = {"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}
         scene = scene_file(tmp_path, [line], rho_r=0.1, na=na, nr=nr)
-        have = 30 * na * nr
         bins = csi.SCRATCH_POINTS // na
-        need = 40 * na * nr + _threads.workers(3 * nr // bins) * 16 * bins * na
+        need = 24 * na * nr + _threads.workers(nr // bins) * 3 * 16 * bins * na
+        have = (need - 1) // 4096 * 4096
+        assert have >= 25 * na * nr
         sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
         with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
             code, out, err = run(capsys, "simulate", "--scene", str(scene),

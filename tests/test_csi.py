@@ -232,14 +232,18 @@ def random_grid(p, na, nr, seed=5):
 def test_split_matches_masked_2d_focus(xband, grid):
     # focusing each band from its own rows, with sign-flip shifts, gives the
     # magnitudes of the plain mask-shift-ifft2-shift bands, as float64 (nr, na)
-    # rasters
+    # rasters; red and green are written into the spectrum's own memory, blue
+    # into a raster of its own
     g = grid(xband)
     want = [np.abs(w) for w in oracles.split_subbands_reference(g)]
     got = s.split_subbands(g)
     scale = max(w.max() for w in want)
     for m, ref in zip(got, want):
-        assert m.dtype == np.float64 and m.flags.c_contiguous
+        assert m.shape == ref.shape == g.data.shape[::-1] and m.dtype == np.float64
         assert np.abs(m - ref).max() <= 1e-12 * scale
+    red, green, blue = got
+    assert np.shares_memory(red, g.data) and np.shares_memory(green, g.data)
+    assert not np.shares_memory(red, green) and not np.shares_memory(blue, g.data)
 
 
 @pytest.mark.parametrize("shape", [(64, 8), (16, 8)])
@@ -327,14 +331,15 @@ def test_tiny_scene_ppm_matches_reference(tmp_path, norm):
 
 
 def test_band_focus_failure_propagates(xband, run_bounded):
-    # the second band tile's azimuth IFFT raises on a worker thread:
-    # split_subbands re-raises it in the caller instead of hanging on it
-    g = random_grid(xband, 64, 8)
+    # the second range tile's azimuth IFFT (32 bins of 2048 rows, two tiles)
+    # raises on a worker thread: split_subbands re-raises it in the caller
+    # instead of hanging on it
+    g = random_grid(xband, 2048, 64)
     band_calls = itertools.count()
     centred_ifft = csi._centred_ifft
 
     def failing(x, axis):
-        if x.shape[axis] == 64 and next(band_calls) == 1:    # along azimuth
+        if x.shape[axis] == 2048 and next(band_calls) == 1:    # along azimuth
             raise RuntimeError("band 2 failed")
         return centred_ifft(x, axis)
 
@@ -385,7 +390,8 @@ def test_p999_is_numpy_percentile_exactly():
 
 def test_compose_p999_makes_no_full_copy(xband):
     # no magnitude stack and no np.percentile: besides the pixels, compose
-    # holds a 64-row scratch tile per worker and the small group maxima
+    # holds a scratch block per worker, TILE rows by BLOCK columns of all
+    # three channels, and the small group maxima
     na, nr = 1024, 128
     bands = s.split_subbands(random_grid(xband, na, nr))
     want = oracles.compose_rgb_reference(*bands, norm="clip_p999")
@@ -399,7 +405,7 @@ def test_compose_p999_makes_no_full_copy(xband):
         finally:
             tracemalloc.stop()
     assert np.array_equal(got, want)
-    scratch = 2 * 64 * na * 8
+    scratch = 2 * 3 * csi.TILE * csi.BLOCK * 8
     stack = nr * na * 3 * 8
     assert peak <= got.nbytes + 1.25 * scratch < stack
 
@@ -432,11 +438,12 @@ def test_range_major_images_are_bit_identical(xband, shape):
 
 
 def test_split_allocates_only_magnitudes_and_tiles(xband):
-    # the spectrum's rows are transformed in place and each band tile in a
-    # scratch of at most SCRATCH_POINTS, here (32, 2048): past the three
-    # magnitude images, the split holds one scratch per worker, on 1, 2 or 4
-    # CPUs, and no spectrum- or band-sized temporary (numpy's FFT keeps a
-    # fixed buffer of about 0.25 MiB)
+    # the spectrum's rows are transformed in place, each range tile's three
+    # bands in three scratches of at most SCRATCH_POINTS, here (32, 2048)
+    # each, and red and green go back into the spectrum: past the blue
+    # raster, the split holds three scratches per worker, on 1, 2 or 4 CPUs,
+    # and no spectrum- or band-sized temporary (numpy's FFT keeps a fixed
+    # buffer of about 0.25 MiB)
     na, nr = 2048, 256
     for n_cpus in (1, 2, 4):
         with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
@@ -444,48 +451,60 @@ def test_split_allocates_only_magnitudes_and_tiles(xband):
             g = random_grid(xband, na, nr)
             tracemalloc.start()
             try:
-                mags = s.split_subbands(g)
+                red, green, blue = s.split_subbands(g)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        images = sum(m.nbytes for m in mags)
-        scratch = n_cpus * csi.SCRATCH_POINTS * 16
-        assert peak <= images + scratch + (1 << 19) < images + g.data.nbytes, n_cpus
+        scratch = n_cpus * 3 * csi.SCRATCH_POINTS * 16
+        assert peak <= blue.nbytes + scratch + (1 << 19), n_cpus
+        assert peak - scratch < blue.nbytes + red.nbytes, n_cpus
 
 
-def split_checked_bytes(na, nr):
-    # what split_subbands checks against physical memory: the spectrum and
-    # the three float64 rasters (40 bytes per point), and a scratch per worker
+def split_checked_bytes(na, nr, pitch=None):
+    # what split_subbands checks against physical memory: the spectrum's
+    # buffer, rows of pitch values, and the blue raster (24 bytes per point
+    # when pitch = nr), and three scratches per worker
     bins = csi.SCRATCH_POINTS // na
-    return 40 * na * nr + _threads.workers(3 * nr // bins) * 16 * bins * na
+    return (16 * na * (pitch or nr) + 8 * na * nr
+            + _threads.workers(nr // bins) * 3 * 16 * bins * na)
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_split_holds_what_its_check_counts(xband, n_cpus):
     # the spectrum it consumes plus what the split traces stays within 1 MiB
-    # of the bytes its memory check counts, from both sides; the f_a axis
-    # and the band index (8 na bytes each) are not counted
+    # of the bytes its memory check counts, from both sides, for a C-ordered
+    # spectrum and for one whose rows are padded as the direct sum pads them;
+    # the f_a axis and the band index (8 na bytes each) are not counted
     na, nr = 2048, 256
-    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
-        s.split_subbands(random_grid(xband, na, nr))     # warms up the imports
-        g = random_grid(xband, na, nr)
-        tracemalloc.start()
-        try:
-            s.split_subbands(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        checked = split_checked_bytes(na, nr)
-    assert checked - (1 << 20) <= g.data.nbytes + peak <= checked + (1 << 20)
+
+    def grid(pitch):
+        data = np.empty((na, pitch), complex)[:, :nr]
+        data[...] = random_grid(xband, na, nr).data
+        return s.SpectrumGrid(data, xband)
+
+    for pitch in (nr, nr + 2):
+        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+            s.split_subbands(grid(pitch))     # warms up the imports
+            g = grid(pitch)
+            tracemalloc.start()
+            try:
+                s.split_subbands(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            checked = split_checked_bytes(na, nr, pitch)
+        assert checked - (1 << 20) <= g.data.base.nbytes + peak <= checked + (1 << 20), pitch
 
 
 def test_compose_fits_in_what_the_split_checks(xband):
-    # composition runs on the split's rasters once the spectrum is gone;
-    # the rasters plus what compose traces stay within the split's checked
-    # bytes, so compose needs no memory check of its own
+    # composition runs on the split's rasters, red and green in the
+    # spectrum's buffer; that buffer and blue plus what compose traces stay
+    # within the split's checked bytes, so compose needs no memory check of
+    # its own
     na, nr = 2048, 256
     with mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
-        bands = s.split_subbands(random_grid(xband, na, nr))
+        g = random_grid(xband, na, nr)
+        bands = s.split_subbands(g)
         s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
         tracemalloc.start()
         try:
@@ -494,7 +513,58 @@ def test_compose_fits_in_what_the_split_checks(xband):
         finally:
             tracemalloc.stop()
         checked = split_checked_bytes(na, nr)
-    assert sum(m.nbytes for m in bands) + peak <= checked
+    assert g.data.nbytes + bands[2].nbytes + peak <= checked
+
+
+@pytest.mark.parametrize("norm", csi.NORM_MODES)
+@pytest.mark.parametrize("scene", ["random", "point"])
+def test_compose_does_not_depend_on_layout(xband, norm, scene):
+    # red and green come from the split as transposed views of the spectrum's
+    # padded buffer and blue as a raster; composed, they and their C-ordered
+    # copies give the same pixel bytes, on the whole rasters and on sizes
+    # that are multiples of neither TILE nor BLOCK.  A point target leaves
+    # most blocks dark, which quantize does not read
+    na, nr = 1024, 256
+    data = np.empty((na, nr + 2), complex)[:, :nr]
+    data[...] = (random_grid if scene == "random" else point_grid)(xband, na, nr).data
+    bands = s.split_subbands(s.SpectrumGrid(data, xband))
+    assert not bands[0].flags.c_contiguous and not bands[1].flags.c_contiguous
+    for rows, cols in ((nr, na), (200, 1000), (37, 530)):
+        views = [m[:rows, :cols] for m in bands]
+        copies = [np.ascontiguousarray(m) for m in views]
+        got = s.compose_rgb(*views, norm=norm)
+        assert got.tobytes() == s.compose_rgb(*copies, norm=norm).tobytes()
+        assert np.array_equal(got, oracles.compose_rgb_reference(*copies, norm=norm))
+
+
+@pytest.mark.parametrize("norm, lit", [("linear", 2), ("clip_p999", 4)])
+def test_compose_skips_only_blocks_that_quantize_to_zero(norm, lit):
+    # a 70 x 1100 raster is six blocks (two tiles by three blocks of BLOCK
+    # columns, the last 76 wide): one bright value, a value that quantizes
+    # to 1 and one that quantizes to 0 under "linear", and faint noise in
+    # the first block column.  The maxima read all six blocks, quantize only
+    # those whose maximum does not quantize to 0, and the pixels are those of
+    # the plain composition
+    bands = [np.zeros((70, 1100)) for _ in range(3)]
+    bands[0][1:, :512] = 1e-3 * np.random.default_rng(1).random((69, 512))
+    bands[0][3, 5] = 1.0
+    bands[1][66, 600] = 1.0 / 255               # linear: level 1.5, pixel 1
+    bands[2][10, 1050] = 0.4 / 255              # linear: level 0.9, pixel 0
+    absolute, blocks = np.abs, []
+
+    def spy(x, *args, **kwargs):
+        if "out" in kwargs:                     # a block read into the scratch
+            blocks.append(x.shape)
+        return absolute(x, *args, **kwargs)
+
+    with mock.patch("os.sched_getaffinity", return_value={0}, create=True), \
+            mock.patch.object(csi.np, "abs", side_effect=spy):
+        got = s.compose_rgb(*bands, norm=norm)
+    want = oracles.compose_rgb_reference(*bands, norm=norm)
+    assert np.array_equal(got, want)
+    if norm == "linear":
+        assert (want[66, 600, 1], want[10, 1050, 2]) == (1, 0)
+    assert len(blocks) == 3 * (6 + lit)
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)

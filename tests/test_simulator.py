@@ -28,17 +28,6 @@ def point(x=0.0, y=0.0, amp=1.0):
                    label="pt")
 
 
-def reference_spectrum(scene, p, na, nr):
-    """Unchunked direct sum of every phasor, written out from the model."""
-    f_a = p.f_dc - p.B_a / 2 + np.arange(na) * (p.B_a / na)
-    f_r = -p.B_r / 2 + np.arange(nr) * (p.B_r / nr)
-    carrier = p.f_c * np.cos(np.arcsin(p.lam * f_a / (2 * p.V)))
-    u, v = scene.x / p.V, 2 * scene.y / s.C
-    az = np.exp(-2j * np.pi * (np.outer(f_a, u) + np.outer(carrier, v)))
-    rg = np.exp(-2j * np.pi * np.outer(v, f_r))
-    return (az * scene.amp) @ rg
-
-
 def relative_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
@@ -272,7 +261,7 @@ def test_closed_form_matches_direct_sum(
         sc = collinear_run(kind, n, step, angle_deg, offset, amp, p.lam)
     with only_path("closed"):
         g = s.synth_spectrum(sc, p, na=na, nr=nr).data
-    assert relative_error(g, reference_spectrum(sc, p, na, nr)) <= ERROR_BUDGET
+    assert relative_error(g, oracles.direct_sum(sc, p, na, nr)) <= ERROR_BUDGET
     if kind == "on_bin":
         # the limit of the Dirichlet ratio, with (-1)^(m (n-1)) at m = -1
         sign = -1.0 if n % 2 == 0 else 1.0
@@ -296,7 +285,7 @@ def test_other_scenes_take_the_direct_sum(arr_params, case):
                                "tan_hi_deg": 2.0, "spacing_m": 0.01}, arr_params.lam)
     with only_path("direct"):
         g = s.synth_spectrum(sc, arr_params, na=256, nr=16).data
-    assert relative_error(g, reference_spectrum(sc, arr_params, 256, 16)) <= 1e-12
+    assert relative_error(g, oracles.direct_sum(sc, arr_params, 256, 16)) <= 1e-12
 
 
 def spread_scene(n, seed=3):
@@ -352,7 +341,40 @@ def test_half_axis_sum_matches_reference(case):
     with only_path("direct"):
         g = s.synth_spectrum(sc, p, na=na, nr=nr).data
     assert g.shape == (na, nr)
-    assert relative_error(g, reference_spectrum(sc, p, na, nr)) <= 1e-12
+    assert relative_error(g, oracles.direct_sum(sc, p, na, nr)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_staged_combine_at_the_narrowest_range_axis(xband, n_cpus):
+    # at nr = 8 the combine stages a whole row tile at a time (16384 / nr
+    # rows, at most ROW_TILE) and each G row covers 8 of its pair's 10
+    # values, so its mirrored half lands on the S values it is built from;
+    # 4096 rows by 700 scatterers are four row tiles by three sample chunks.
+    # G is written over the pairs' buffer and must still be the direct sum
+    na, nr, n = 4096, 8, 700
+    rows, step = sim._block_shape(na, n)
+    assert na // rows == 4 and -(-n // step) == 3
+    assert sim._combine_group(nr, rows) == rows
+    sc = edge_scene(xband, na, nr, n, signed=True)
+    with cpus(n_cpus), only_path("direct"):
+        g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+    assert g.shape == (na, nr) and g.strides == (16 * (nr + 2), 16)
+    assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4096, 512), (2048, 256), (64, 8)])
+def test_azimuth_power_is_bit_identical_on_a_padded_view(xband, shape):
+    # the marginal is taken a few rows at a time in one scratch; on the
+    # direct sum's padded rows it gives the bits of the whole-grid sum of a
+    # C-ordered copy
+    na, nr = shape
+    rng = np.random.default_rng(na)
+    data = np.empty((na, nr + 2), complex)[:, :nr]
+    data.real[...] = rng.standard_normal((na, nr))
+    data.imag[...] = rng.standard_normal((na, nr))
+    f_a, power = s.azimuth_power_spectrum(s.SpectrumGrid(data, xband))
+    assert np.array_equal(power, np.sum(np.abs(data.copy()) ** 2, axis=1))
+    assert np.array_equal(f_a, s.SpectrumGrid(data.copy(), xband).f_a)
 
 
 def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
@@ -378,7 +400,7 @@ def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
         assert tiles == na // sim.ROW_TILE == 4 and blocks == 2 * tiles
         assert (len(combine_threads) > 1) == (n_cpus > 1)
     assert np.array_equal(got[0], got[1])
-    assert relative_error(got[0], reference_spectrum(sc, xband, na, nr)) <= 1e-12
+    assert relative_error(got[0], oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
 
 
 def test_direct_block_allocates_only_its_operands(xband):
@@ -454,7 +476,7 @@ def test_chunked_sum_spans_chunks(xband):
     sc = spread_scene(n)
     with only_path("direct"):
         g = s.synth_spectrum(sc, xband, na=na, nr=8).data
-    assert relative_error(g, reference_spectrum(sc, xband, na, 8)) <= 1e-12
+    assert relative_error(g, oracles.direct_sum(sc, xband, na, 8)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
@@ -527,7 +549,7 @@ def test_threaded_blocks_reuse_a_fixed_ring(xband, n_cpus):
         ring = [outs[k] for k in range(n_cpus + 1)]
         assert len({id(out) for out in ring}) == n_cpus + 1
         assert all(outs[k] is ring[k % (n_cpus + 1)] for k in outs)
-    assert relative_error(g, reference_spectrum(sc, xband, na, 8)) <= 1e-12
+    assert relative_error(g, oracles.direct_sum(sc, xband, na, 8)) <= 1e-12
 
 
 def test_chunk_failure_propagates(xband, run_bounded):
@@ -555,7 +577,7 @@ def test_one_chunk_starts_no_thread(xband):
     with cpus(4), only_path("direct"), \
             mock.patch("threading.Thread", side_effect=AssertionError("thread started")):
         g = s.synth_spectrum(sc, xband, na=2048, nr=64).data
-    assert relative_error(g, reference_spectrum(sc, xband, 2048, 64)) <= 1e-12
+    assert relative_error(g, oracles.direct_sum(sc, xband, 2048, 64)) <= 1e-12
 
 
 def test_closed_form_memory_is_independent_of_n(arr_params):
@@ -647,11 +669,12 @@ class TestZeroOrderOracle:
 
 @pytest.mark.parametrize("case", ["direct", "closed"])
 def test_synthesis_holds_what_the_preflight_counts(xband, case):
-    # a 2048 x 256 scene on two CPUs.  The curve's direct sum holds T over S,
-    # then G, with the ring of workers + 1 operand blocks and one product in
-    # between, and no second T-over-S-sized product buffer; the line's closed
-    # form holds a few float64 grids.  Either peak is what the memory
-    # preflight checks against physical memory
+    # a 2048 x 256 scene on two CPUs.  The curve's direct sum holds T and S
+    # with the ring of workers + 1 operand blocks, each with its range
+    # factor, and one product, and no second T-and-S-sized product buffer;
+    # G is written over T and S, so it is a view of their buffer with a row
+    # pitch of nr + 2.  The line's closed form holds a few float64 grids.
+    # Either peak is what the memory preflight checks against physical memory
     na, nr = 2048, 256
     if case == "direct":
         target = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0, "tan_hi_deg": 2.0,
@@ -670,9 +693,10 @@ def test_synthesis_holds_what_the_preflight_counts(xband, case):
         finally:
             tracemalloc.stop()
         counted = sim._peak_bytes(na, nr, sc.n, case == "direct")
-    assert relative_error(g, reference_spectrum(sc, xband, na, nr)) <= 1e-12
+    assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
     if case == "direct":
         assert na // rows == 2 and sc.n > 4 * step
-        ts, ring, product = 32 * na * h, 3 * 16 * rows * step, 32 * rows * h
-        assert peak <= ts + g.nbytes + ring + product + (1 << 20)
+        ts, ring, product = 32 * na * h, 3 * 16 * step * (rows + h), 32 * rows * h
+        assert peak <= ts + ring + product + (1 << 20)
+        assert g.base.nbytes == ts and g.strides == (16 * (nr + 2), 16)
     assert counted - (1 << 20) <= peak <= counted + (1 << 20)
