@@ -1,7 +1,7 @@
 """What the host gives the package: the one thread pool, ordered maps over
 the CPUs in the affinity mask that synthesis, focusing and composition use,
 and the physical-memory check that scene building, synthesis and the
-sub-band split make before they allocate."""
+colour stages make before they allocate."""
 
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import merge_reports, report_to_json, verify_scene_against_model
 from ._threads import check_memory
-from .csi import NORM_MODES, compose_rgb, encode_ppm, split_subbands
+from .csi import NORM_MODES, colour_bytes, compose_rgb, encode_ppm, split_subbands
 from .dispersion import (
     BAND_HUES,
     ROW_BYTES,
@@ -202,7 +202,12 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
     cfg = _scene_config(args)
-    g = synth_spectrum(merge_scenes(build_scenes(cfg)), cfg.radar, cfg.na, cfg.nr)
+    scene = merge_scenes(build_scenes(cfg))
+    # before synthesis; the direct sum's row pitch nr + 2 over-counts the closed form
+    check_memory(colour_bytes(cfg.na, cfg.nr, cfg.nr + 2),
+                 f"splitting and composing a {cfg.na}x{cfg.nr} spectrum")
+    g = synth_spectrum(scene, cfg.radar, cfg.na, cfg.nr)
+    del scene    # colour_bytes does not count it
     f_a, power = azimuth_power_spectrum(g)
     red, green, blue = split_subbands(g)
     del g    # consumed by the split, and not needed while the raster is composed

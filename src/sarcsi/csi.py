@@ -37,6 +37,20 @@ def _centred_ifft(x: np.ndarray, axis: int) -> None:
     np.negative(odd, out=odd)
 
 
+def _bins(na: int) -> int:    # range bins of a split job
+    return max(1, min(TILE, SCRATCH_POINTS // na))
+
+
+def colour_bytes(na: int, nr: int, pitch: int) -> int:
+    """Peak bytes of the split and composition of an (na, nr) spectrum, rows
+    pitch values apart: its buffer and blue, and the split's band scratches or
+    compose's pixels, block scratches and tile maxima (twice: np.stack copies)."""
+    bins, tiles = _bins(na), -(-nr // TILE)
+    split = workers(-(-nr // bins)) * 3 * 16 * bins * na
+    compose = 3 * na * nr + workers(tiles) * 24 * TILE * min(BLOCK, na) + 2 * tiles * 24 * na
+    return 16 * na * pitch + 8 * na * nr + max(split, compose)
+
+
 def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Focus each colour band of the spectrum separately, into its magnitudes.
 
@@ -59,17 +73,16 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     blue) float64 (nr, na) magnitude rasters: one row per range bin, one
     column per Doppler bin, as in the PPM.  Red and green are transposed views
     of the spectrum's buffer, blue is C-contiguous.  The stage peaks with the
-    spectrum's buffer, blue and three scratches per worker live; when those
-    need more than physical memory, ValueError is raised before any work.
+    spectrum's buffer, blue and three scratches per worker live; if it or
+    compose_rgb's peak (colour_bytes) exceeds physical memory: ValueError.
     """
     data = g.data
     na, nr = data.shape
-    bins = max(1, min(TILE, SCRATCH_POINTS // na))
+    bins = _bins(na)
     tiles = range(0, nr, bins)
     n = workers(len(tiles))
     pitch = max(nr, data.strides[0] // data.itemsize)    # synthesis pads its rows
-    check_memory(16 * na * pitch + 8 * na * nr + n * 3 * 16 * bins * na,
-                 f"splitting a {na}x{nr} spectrum")
+    check_memory(colour_bytes(na, nr, pitch), f"splitting and composing a {na}x{nr} spectrum")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
     deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
           maxlen=0)
@@ -176,7 +189,7 @@ def compose_rgb(
     pixels = np.zeros((height, width, 3), np.uint8)
 
     def level(x: float) -> float:    # what quantize makes of x, before the cast
-        return (min(x / ref, 1.0) if ref > 0 else x) * 255 + 0.5
+        return (min(x / ref, 1.0) if ref > 0 else float(x > 0)) * 255 + 0.5
 
     def quantize(lo: int) -> None:
         # Each step is monotone, so a block whose largest magnitude quantizes
@@ -187,6 +200,8 @@ def compose_rgb(
             if ref > 0:
                 block /= ref
                 np.minimum(block, 1.0, out=block)
+            else:    # all above a normalizer of 0 saturates
+                np.greater(block, 0, out=block)
             # round-half-up, so 0.5 steps are platform-independent (unlike
             # np.round); the values are >= 0.5, so the cast's truncation floors
             block *= 255

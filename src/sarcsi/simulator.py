@@ -288,7 +288,7 @@ def _combine_group(nr: int, rows: int) -> int:
     return min(rows, max(1, (1 << 14) // nr))
 
 
-def _peak_bytes(na: int, nr: int, n: int, direct: bool) -> int:
+def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     """Bytes synthesis holds at its peak: the closed form's three float64
     (na, nr) temporaries and a mask, or the direct sum's T and S, which G
     later overwrites, together with the blocks in flight and the product or
@@ -324,18 +324,16 @@ def synth_spectrum(
       row tile's products are added in chunk order.  G is written over the
       partial sums, so data is an (na, nr) view with a row pitch of nr + 2.
 
-    Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  A
-    grid whose spectrum, or whose synthesis at its peak, needs more than
-    physical memory raises ValueError, and a scene that does not fit the
-    unambiguous extents of the grid, whose result would wrap,
-    AliasingError, all before anything grid-sized is allocated.  A
-    scatterer's time that is not finite (x / V overflows at a tiny platform
-    speed V) raises ValueError.
+    Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
+    window's edges |f_dc| + B_a/2 and f_c + B_r/2 pick the path: the axes'
+    maxima to the bit at f_dc = 0, above them otherwise, never a looser test.
+    A scene beyond the grid's unambiguous extents (it would wrap) raises
+    AliasingError, and synthesis_bytes beyond physical memory ValueError,
+    before any array of na values is allocated.  A scatterer's time that is
+    not finite (x / V overflows at a tiny platform speed V) raises ValueError.
     """
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
-    # the spectrum alone, before the axes are built
-    check_memory(16 * na * nr, f"a {na}x{nr} spectrum")
     x_max = p.V * na / (2 * p.B_a)
     y_max = (C / 2) * nr / (2 * p.B_r)
     if scene.n and (np.abs(scene.x).max() >= x_max or np.abs(scene.y).max() >= y_max):
@@ -344,10 +342,6 @@ def synth_spectrum(
             f"{np.abs(scene.y).max():.3g} m range) exceeds the unambiguous "
             f"half-extents ({x_max:.3g} m, {y_max:.3g} m) of a {na}x{nr} grid"
         )
-    f_a = _freq_axis(na, p.B_a, p.f_dc)
-    f_r = _freq_axis(nr, p.B_r)
-    carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
-
     # Slow time overflows at a tiny V; an overflowing sum is
     # azimuth_power_spectrum's to reject.  Neither warns.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -356,11 +350,12 @@ def synth_spectrum(
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError(f"a scatterer's slow time x / V or fast time 2 y / c is not "
                              f"finite at the platform speed V = {p.V!r} m/s")
-        steps = _uniform_steps(
-            u, v, scene.amp, np.abs(f_a).max(), carrier.max() + np.abs(f_r).max()
-        )
-        check_memory(_peak_bytes(na, nr, u.size, steps is None),
+        steps = _uniform_steps(u, v, scene.amp, abs(p.f_dc) + p.B_a / 2, p.f_c + p.B_r / 2)
+        check_memory(synthesis_bytes(na, nr, u.size, steps is None),
                      f"synthesizing a {na}x{nr} spectrum")
+        f_a = _freq_axis(na, p.B_a, p.f_dc)
+        f_r = _freq_axis(nr, p.B_r)
+        carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
         if steps is None:
             data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
         else:

@@ -188,6 +188,6 @@ def compose_rgb_reference(
         ref = stack.max()
     else:
         ref = float(np.percentile(stack, 99.9))
-    if ref > 0:
-        stack = np.minimum(stack / ref, 1.0)
+    # above a reference of 0 every value saturates
+    stack = np.minimum(stack / ref, 1.0) if ref > 0 else (stack > 0).astype(float)
     return np.floor(stack * 255 + 0.5).astype(np.uint8)

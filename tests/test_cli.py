@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sarcsi as s
-from sarcsi import _threads, cli, csi, scene as scene_module, simulator as sim
+from sarcsi import cli, csi, scene as scene_module, simulator as sim
 from sarcsi.cli import main
 from sarcsi.scene import KINDS
 
@@ -524,10 +524,13 @@ class TestRejectedInput:
     @pytest.mark.parametrize("na, flags", [(2**63, ()), (256, ("--na", str(2**40)))],
                              ids=["config_na_2^63", "flag_na_2^40"])
     def test_spectrum_beyond_physical_memory(self, capsys, tmp_path, command, na, flags):
-        # a power-of-two grid passes the size rule, but its 16-byte-per-point
-        # spectrum cannot fit in physical memory: one error line naming the
-        # size, before anything grid-sized is allocated
+        # a power-of-two grid passes the size rule, but its stages cannot fit
+        # in physical memory: simulate refuses the colour stages, which it
+        # checks first, analyze the synthesis (a direct sum of the 1 m line).
+        # One error line naming the size, before anything grid-sized is
+        # allocated
         scene = scene_file(tmp_path, [LINE2], na=na)
+        n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
         out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
                else ("--out", str(tmp_path / "x_analysis.json")))
         tracemalloc.start()
@@ -537,9 +540,13 @@ class TestRejectedInput:
         finally:
             tracemalloc.stop()
         size = 2**63 if na == 2**63 else 2**40
+        if command == "simulate":
+            what, need = "splitting and composing", csi.colour_bytes(size, 8, 10)
+        else:
+            what, need = "synthesizing", sim.synthesis_bytes(size, 8, n, True)
         assert code == 2 and stdout == ""
         assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
-        assert f"{size}x8 spectrum needs {16 * size * 8} bytes" in err
+        assert f"{what} a {size}x8 spectrum needs {need} bytes" in err
         assert "Traceback" not in err
         assert peak < 4 << 20
         assert not list(tmp_path.glob("x*"))
@@ -549,30 +556,34 @@ class TestRejectedInput:
         ("analyze", [{"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}], False),
     ], ids=["simulate_direct_sum", "analyze_closed_form"])
     def test_synthesis_beyond_physical_memory(self, capsys, tmp_path, command, targets, direct):
-        # the 2048 x 256 spectrum (8 MiB) fits in the 20 bytes per grid point
-        # of physical memory mocked here, but its synthesis does not: the
-        # direct sum holds T over S beside G (about 32 bytes per point), the
-        # closed form three float64 grids and a mask (25).  One error line
-        # naming the grid and both byte counts, before anything grid-sized
-        # is allocated
+        # on two CPUs, the physical memory mocked here is one page short of
+        # what synthesis holds: the direct sum's T over S with the blocks in
+        # flight (about 26 MiB), the closed form's three float64 grids and a
+        # mask (25 bytes per point).  The README scene's colour stages (about
+        # 18 MiB), which simulate checks first, fit.  One error line naming
+        # the grid and both byte counts, before anything grid-sized is
+        # allocated
         na, nr = 2048, 256
         scene = scene_file(tmp_path, targets, rho_r=0.1, na=na, nr=nr)
         n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
-        need, have = sim._peak_bytes(na, nr, n, direct), 20 * na * nr
-        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
         out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
                else ("--out", str(tmp_path / "x_analysis.json")))
-        tracemalloc.start()
-        try:
-            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
-                code, stdout, err = run(capsys, command, "--scene", str(scene), *out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
+            need = sim.synthesis_bytes(na, nr, n, direct)
+            have = (need - 1) // 4096 * 4096
+            sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+            tracemalloc.start()
+            try:
+                with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
+                    code, stdout, err = run(capsys, command, "--scene", str(scene), *out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if command == "simulate":
+                assert csi.colour_bytes(na, nr, nr + 2) <= have
         assert code == 2 and stdout == ""
         assert err == (f"error: out of memory: synthesizing a {na}x{nr} spectrum needs "
                        f"{need} bytes, more than the {have} bytes of physical memory\n")
-        assert 16 * na * nr < have < need
         assert peak < 1 << 20
         assert not list(tmp_path.glob("x*"))
 
@@ -739,23 +750,25 @@ class TestRejectedInput:
     def test_subband_split_beyond_physical_memory(self, capsys, tmp_path):
         # the closed form of a 20 m line (25 bytes per grid point) fits in
         # the physical memory mocked here, one page short of what the split
-        # holds: the spectrum and the blue raster (24 bytes per point) and
-        # three scratches per worker.  One error line before blue is
-        # allocated, and nothing written
+        # and composition hold: the spectrum's buffer at the direct sum's row
+        # pitch and the blue raster (about 24 bytes per point), with the
+        # composition's pixels and scratches.  One error line before
+        # synthesis is called, and nothing written
         na, nr = 4096, 512
         line = {"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}
         scene = scene_file(tmp_path, [line], rho_r=0.1, na=na, nr=nr)
-        bins = csi.SCRATCH_POINTS // na
-        need = 24 * na * nr + _threads.workers(nr // bins) * 3 * 16 * bins * na
+        n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
+        need = csi.colour_bytes(na, nr, nr + 2)
         have = (need - 1) // 4096 * 4096
-        assert have >= 25 * na * nr
+        assert have >= sim.synthesis_bytes(na, nr, n, direct=False)
         sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
-        with mock.patch("os.sysconf", side_effect=sysconf.__getitem__):
+        with mock.patch("os.sysconf", side_effect=sysconf.__getitem__), \
+                mock.patch("sarcsi.cli.synth_spectrum", side_effect=AssertionError("synthesized")):
             code, out, err = run(capsys, "simulate", "--scene", str(scene),
                                  "--out-prefix", str(tmp_path / "x"))
         assert (code, out) == (2, "")
-        assert err == (f"error: out of memory: splitting a {na}x{nr} spectrum needs {need} "
-                       f"bytes, more than the {have} bytes of physical memory\n")
+        assert err == (f"error: out of memory: splitting and composing a {na}x{nr} spectrum "
+                       f"needs {need} bytes, more than the {have} bytes of physical memory\n")
         assert not list(tmp_path.glob("x*"))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import sarcsi as s
-from sarcsi import _threads, csi
+from sarcsi import csi
 
 
 def point_grid(p, na, nr, x=0.0):
@@ -110,7 +110,22 @@ def test_compose_orientation_and_dtype():
 
 def test_compose_black_when_empty():
     z = np.zeros((3, 3))
-    assert np.all(s.compose_rgb(z, z, z) == 0)
+    for norm in csi.NORM_MODES:
+        assert np.all(s.compose_rgb(z, z, z, norm=norm) == 0), norm
+
+
+@pytest.mark.parametrize("norm, pixels", [("linear", [255, 128]), ("clip_p999", [255, 255])],
+                         ids=["linear", "clip_p999"])
+def test_compose_saturates_above_a_zero_percentile(norm, pixels):
+    # among 12,286 zeros the 99.9th percentile is 0: every value above it
+    # saturates, where |x| * 255 + 0.5 once wrapped in the cast (10.0 gave
+    # 246); "linear" scales by the maximum.  The reference composes alike
+    r = np.zeros((64, 64))
+    r[3, 4], r[40, 50] = 10.0, 5.0
+    z = np.zeros_like(r)
+    px = s.compose_rgb(r, z, z, norm=norm)
+    assert [px[3, 4, 0], px[40, 50, 0]] == pixels and px.sum() == sum(pixels)
+    assert np.array_equal(px, oracles.compose_rgb_reference(r, z, z, norm=norm))
 
 
 def test_compose_joint_normalization():
@@ -460,60 +475,62 @@ def test_split_allocates_only_magnitudes_and_tiles(xband):
         assert peak - scratch < blue.nbytes + red.nbytes, n_cpus
 
 
-def split_checked_bytes(na, nr, pitch=None):
-    # what split_subbands checks against physical memory: the spectrum's
-    # buffer, rows of pitch values, and the blue raster (24 bytes per point
-    # when pitch = nr), and three scratches per worker
-    bins = csi.SCRATCH_POINTS // na
-    return (16 * na * (pitch or nr) + 8 * na * nr
-            + _threads.workers(nr // bins) * 3 * 16 * bins * na)
+def padded_grid(p, na, nr, pitch):
+    """random_grid's spectrum in a buffer whose rows are pitch values apart."""
+    data = np.empty((na, pitch), complex)[:, :nr]
+    data[...] = random_grid(p, na, nr).data
+    return s.SpectrumGrid(data, p)
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2])
-def test_split_holds_what_its_check_counts(xband, n_cpus):
-    # the spectrum it consumes plus what the split traces stays within 1 MiB
-    # of the bytes its memory check counts, from both sides, for a C-ordered
-    # spectrum and for one whose rows are padded as the direct sum pads them;
-    # the f_a axis and the band index (8 na bytes each) are not counted
-    na, nr = 2048, 256
+def traced(fn, *args, **kwargs):
+    """fn's result and the peak of what it traced."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def grid(pitch):
-        data = np.empty((na, pitch), complex)[:, :nr]
-        data[...] = random_grid(xband, na, nr).data
-        return s.SpectrumGrid(data, xband)
 
+COLOUR_CASES = {    # grid, CPUs and the stage that holds more
+    "2048x256-1cpu": (2048, 256, 1, "split"),
+    "2048x256-2cpus": (2048, 256, 2, "split"),
+    "4096x512-1cpu": (4096, 512, 1, "compose"),
+    "4096x512-2cpus": (4096, 512, 2, "compose"),
+    "1024x1024-1cpu": (1024, 1024, 1, "compose"),
+    "1024x1024-2cpus": (1024, 1024, 2, "split"),
+}
+
+
+@pytest.mark.parametrize("case", COLOUR_CASES)
+def test_colour_stages_hold_what_colour_bytes_counts(xband, case):
+    # for a C-ordered spectrum and one whose rows are padded as the direct
+    # sum pads them: the spectrum's buffer plus what the split traces, and
+    # that buffer plus blue plus what compose traces, stay within
+    # colour_bytes (the split to 1 MiB: numpy's FFT keeps a small buffer),
+    # and the stage that holds more within 1 MiB below it; the f_a axis and
+    # the band index (8 na bytes each) are not counted.  One page less
+    # physical memory refuses the split before it touches the spectrum
+    na, nr, n_cpus, larger = COLOUR_CASES[case]
     for pitch in (nr, nr + 2):
         with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
-            s.split_subbands(grid(pitch))     # warms up the imports
-            g = grid(pitch)
-            tracemalloc.start()
-            try:
+            checked = csi.colour_bytes(na, nr, pitch)
+            g = padded_grid(xband, na, nr, pitch)
+            before = g.data.copy()
+            sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (checked - 1) // 4096}
+            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__), \
+                    pytest.raises(ValueError, match=f"splitting and composing a {na}x{nr} "
+                                                    f"spectrum needs {checked} bytes"):
                 s.split_subbands(g)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            checked = split_checked_bytes(na, nr, pitch)
-        assert checked - (1 << 20) <= g.data.base.nbytes + peak <= checked + (1 << 20), pitch
-
-
-def test_compose_fits_in_what_the_split_checks(xband):
-    # composition runs on the split's rasters, red and green in the
-    # spectrum's buffer; that buffer and blue plus what compose traces stay
-    # within the split's checked bytes, so compose needs no memory check of
-    # its own
-    na, nr = 2048, 256
-    with mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
-        g = random_grid(xband, na, nr)
-        bands = s.split_subbands(g)
-        s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
-        tracemalloc.start()
-        try:
+            assert np.array_equal(g.data, before)
+            del before
+            s.split_subbands(padded_grid(xband, na, nr, pitch))     # warms up the imports
+            bands, peak = traced(s.split_subbands, g)
+            split = g.data.base.nbytes + peak
             s.compose_rgb(*bands, norm="clip_p999")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        checked = split_checked_bytes(na, nr)
-    assert g.data.nbytes + bands[2].nbytes + peak <= checked
+            compose = g.data.base.nbytes + bands[2].nbytes + traced(
+                s.compose_rgb, *bands, norm="clip_p999")[1]
+        assert split <= checked + (1 << 20) and compose <= checked, pitch
+        assert {"split": split, "compose": compose}[larger] >= checked - (1 << 20), pitch
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)

@@ -1,10 +1,13 @@
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ import sarcsi as s
 from sarcsi import _threads, simulator as sim
 from sarcsi.analysis import peak_indices
 from sarcsi.errors import AliasingError, DopplerRangeError
+from sarcsi.scene import scene_config_from_dict
 from sarcsi.simulator import azimuth_spectrum_csv
 
 # Bound on max|dG| / max|G| between any synthesis path and the direct sum.
@@ -692,7 +696,7 @@ def test_synthesis_holds_what_the_preflight_counts(xband, case):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        counted = sim._peak_bytes(na, nr, sc.n, case == "direct")
+        counted = sim.synthesis_bytes(na, nr, sc.n, case == "direct")
     assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
     if case == "direct":
         assert na // rows == 2 and sc.n > 4 * step
@@ -700,3 +704,80 @@ def test_synthesis_holds_what_the_preflight_counts(xband, case):
         assert peak <= ts + ring + product + (1 << 20)
         assert g.base.nbytes == ts and g.strides == (16 * (nr + 2), 16)
     assert counted - (1 << 20) <= peak <= counted + (1 << 20)
+
+
+def axes_maxima(p, na, nr):
+    """max|f_a| and max(carrier) + max|f_r|: what picked the synthesis path
+    before the window's edges did."""
+    f_a = sim._freq_axis(na, p.B_a, p.f_dc)
+    carrier = p.f_c * np.cos(s.squint_from_doppler(p, f_a))
+    return np.abs(f_a).max(), carrier.max() + np.abs(sim._freq_axis(nr, p.B_r)).max()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(1e8, 1e11), st.floats(1.0, 1e4), st.floats(0.51, 100.0), st.floats(1e-3, 100.0),
+       st.one_of(st.just(0.0), st.floats(-0.99, 0.99)), st.integers(3, 14), st.integers(3, 12))
+def test_window_edges_bound_the_axes(f_c, v, rho_a_waves, rho_r, centroid, log_na, log_nr):
+    # the edges |f_dc| + B_a/2 and f_c + B_r/2 bound the axes' maxima from
+    # above, and equal them to the bit at f_dc = 0; the centroid is a share
+    # of the largest that keeps the window realizable
+    p = s.RadarParams(f_c, v, rho_a_waves * s.C / f_c, rho_r)
+    f_dc = centroid * (2 * p.V / p.lam - p.B_a / 2)
+    p = s.RadarParams(f_c, v, p.rho_a, rho_r, f_dc=f_dc)
+    axes = axes_maxima(p, 2**log_na, 2**log_nr)
+    edges = (abs(p.f_dc) + p.B_a / 2, p.f_c + p.B_r / 2)
+    if f_dc == 0:
+        assert edges == axes
+    else:
+        assert edges[0] >= axes[0] and edges[1] >= axes[1]
+
+
+def path_scenes():
+    """(id, scene, radar, na, nr): what the benchmark synthesizes on seeds 1-3
+    (the merged scene of simulate, each target of analyze), and long lines,
+    closed-form scenes, under a Doppler centroid."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):    # for its dataclasses
+        spec.loader.exec_module(workloads)
+    for name in ("simulate-mixed", "simulate-sparse-wide", "analyze-collinear"):
+        w = workloads.WORKLOADS[name]
+        for seed in (1, 2, 3):
+            cfg = scene_config_from_dict(workloads.scene_config(w, seed))
+            scenes = s.build_scenes(cfg)
+            if w.command == "simulate":
+                scenes = [s.merge_scenes(scenes)]
+            for k, sc in enumerate(scenes):
+                yield f"{name}:{seed}:{k}", sc, cfg.radar, cfg.na, cfg.nr
+    for f_dc, na, nr in ((5000.0, 2048, 256), (-12345.6, 2048, 256), (20000.0, 512, 32)):
+        p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1, f_dc=f_dc)
+        for length in (1.0, 20.0):
+            line = {"kind": "line", "theta_az_deg": 2.0, "length_m": length}
+            yield f"line_{length}m:{f_dc}", s.generate_scene(line, p.lam), p, na, nr
+
+
+def test_scenes_keep_their_synthesis_path():
+    # every scene the benchmark runs, and lines under a Doppler centroid,
+    # take the path the axes' maxima took, which at f_dc = 0 are the bounds
+    # synthesis now passes, to the bit; synthesis checks its memory once
+    # (the sums are stubbed)
+    def stub(f_a, f_r, *_):
+        return np.zeros((f_a.size, f_r.size), complex)
+
+    paths = set()
+    for label, sc, p, na, nr in path_scenes():
+        with mock.patch.object(sim, "_direct_sum", side_effect=stub) as direct, \
+                mock.patch.object(sim, "_closed_form", side_effect=stub), \
+                mock.patch.object(sim, "_uniform_steps", wraps=sim._uniform_steps) as pick, \
+                mock.patch.object(sim, "check_memory", wraps=sim.check_memory) as check:
+            s.synth_spectrum(sc, p, na, nr)
+        axes = axes_maxima(p, na, nr)
+        bounds = pick.call_args.args[3:]
+        assert bounds == axes if p.f_dc == 0 else min(np.subtract(bounds, axes)) >= 0, label
+        taken = "direct" if direct.called else "closed"
+        u, v = sc.x / p.V, 2 * sc.y / s.C
+        assert taken == ("closed" if sim._uniform_steps(u, v, sc.amp, *axes) else "direct"), label
+        assert check.call_count == 1, label
+        paths.add(taken)
+    assert paths == {"direct", "closed"}
