@@ -491,9 +491,40 @@ def traced(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-COLOUR_CASES = {    # grid, CPUs and the stage that holds more
-    "2048x256-1cpu": (2048, 256, 1, "split"),
-    "2048x256-2cpus": (2048, 256, 2, "split"),
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_split_holds_what_its_check_counts(xband, n_cpus):
+    # at 2048x256 the split is the colour stage that holds more: the spectrum
+    # it consumes plus what the split traces stays within 1 MiB of
+    # colour_bytes, from both sides, for a C-ordered spectrum and for one
+    # whose rows are padded as the direct sum pads them; the f_a axis and the
+    # band index (8 na bytes each) are not counted
+    na, nr = 2048, 256
+    for pitch in (nr, nr + 2):
+        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+            s.split_subbands(padded_grid(xband, na, nr, pitch))     # warms up the imports
+            g = padded_grid(xband, na, nr, pitch)
+            peak = traced(s.split_subbands, g)[1]
+            checked = csi.colour_bytes(na, nr, pitch)
+        assert checked - (1 << 20) <= g.data.base.nbytes + peak <= checked + (1 << 20), pitch
+
+
+def test_compose_fits_in_what_the_split_checks(xband):
+    # composition runs on the split's rasters, red and green in the
+    # spectrum's buffer; that buffer and blue plus what compose traces stay
+    # within the colour_bytes the split checks, on 1 and 2 CPUs, so compose
+    # needs no memory check of its own
+    na, nr = 2048, 256
+    for n_cpus in (1, 2):
+        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+            g = random_grid(xband, na, nr)
+            bands = s.split_subbands(g)
+            s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
+            peak = traced(s.compose_rgb, *bands, norm="clip_p999")[1]
+            checked = csi.colour_bytes(na, nr, nr)
+        assert g.data.nbytes + bands[2].nbytes + peak <= checked, n_cpus
+
+
+COLOUR_CASES = {    # grid, CPUs and the stage that holds more; 2048x256 is above
     "4096x512-1cpu": (4096, 512, 1, "compose"),
     "4096x512-2cpus": (4096, 512, 2, "compose"),
     "1024x1024-1cpu": (1024, 1024, 1, "compose"),
