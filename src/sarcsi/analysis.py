@@ -66,10 +66,10 @@ def peak_indices(values: np.ndarray, min_height: float) -> np.ndarray:
 
 
 def detect_peaks(
-    f_a: np.ndarray, power: np.ndarray, ref_power: float, frac: float = DETECT_FRAC
+    f_a: np.ndarray, power: np.ndarray, ref_power: float
 ) -> list[tuple[float, float]]:
-    """(frequency, power) of local maxima at or above frac of ref_power."""
-    idx = peak_indices(power, frac * ref_power)
+    """(frequency, power) of local maxima at or above DETECT_FRAC of ref_power."""
+    idx = peak_indices(power, DETECT_FRAC * ref_power)
     return [(float(f_a[i]), float(power[i])) for i in idx]
 
 

@@ -51,6 +51,7 @@ from .scene import (
 from .simulator import (
     azimuth_power_spectrum,
     azimuth_spectrum_csv,
+    check_synthesis,
     synth_spectrum,
 )
 
@@ -266,11 +267,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"target {target['label']!r} has no propagating order in {args.orders}"
             )
         predictions.append(sols)
-    reports = [
-        verify_scene_against_model(generate_scene(target, cfg.radar.lam), cfg.radar, sols,
-                                   tol_bins=args.tol_bins, na=cfg.na, nr=cfg.nr)
-        for target, sols in zip(cfg.targets, predictions)
-    ]
+    scenes = [generate_scene(target, cfg.radar.lam) for target in cfg.targets]
+    n = sum(scene.n for scene in scenes)
+    check_memory(24 * n, f"the targets' {n} scatterers")
+    for scene in scenes:
+        check_synthesis(scene, cfg.radar, cfg.na, cfg.nr)
+    reports = [verify_scene_against_model(scene, cfg.radar, sols, tol_bins=args.tol_bins,
+                                          na=cfg.na, nr=cfg.nr)
+               for scene, sols in zip(scenes, predictions)]
     _emit(report_to_json(merge_reports(reports, args.tol_bins)), args.out)
     return 0
 

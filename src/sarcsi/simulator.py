@@ -151,16 +151,12 @@ def _closed_form(
 
 
 def _direct_block(
-    f_a: np.ndarray,
-    carrier: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    out: np.ndarray | None = None,
+    f_a: np.ndarray, carrier: np.ndarray, u: np.ndarray, v: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """w (2 na, n), Re over Im of exp(-j2pi phi), phi = f_a u + carrier v, built
-    in place (Im is scratch first), in the flat out if given."""
+    in place in the flat out (Im is scratch first)."""
     na = f_a.size
-    w = np.empty((2 * na, u.size)) if out is None else out[: 2 * na * u.size].reshape(2 * na, -1)
+    w = out[: 2 * na * u.size].reshape(2 * na, -1)
     phase, scratch = w[:na], w[na:]
     np.multiply.outer(f_a, u, out=phase)
     phase += np.multiply.outer(carrier, v, out=scratch)
@@ -208,26 +204,26 @@ def _direct_sum(
     0 < l < h - 1.  Worker threads build the blocks of _block_shape, each a
     row tile by a sample chunk, chunk after chunk, and a chunk's range factor
     with its first tile; this thread adds each block's (2 rows, 2h) product
-    into the tile's T rows over its S rows in block order, the first chunk's
-    in place.  So the sum depends on the block shape and the BLAS alone,
-    whose rounding may follow a product's row count and the BLAS thread count.
+    into its tile's partial sums in block order, the first chunk's by a copy
+    (a single chunk's Re and Im halves are multiplied straight into them).
+    Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on
+    the block shape and the BLAS alone, whose rounding may follow a
+    product's row count and the BLAS thread count.
 
-    Then each tile's rows are paired, through the product buffer, so that
-    row 2k holds T_k and row 2k + 1 S_k (a single chunk's Re and Im halves
-    are multiplied straight into those rows).  A pair is nr + 2 complex
-    values, so G row k fits in the memory of its own pair: the element-wise
-    combine, per row tile on worker threads, copies a group of pairs to a
-    small buffer and writes their G rows over them.  Returns G as an (na, nr)
-    view whose rows have a pitch of nr + 2.
+    A pair is nr + 2 complex values, so G row k fits in the memory of its own
+    pair: the element-wise combine, per row tile on worker threads, copies a
+    group of pairs to a small buffer and writes their G rows over them.
+    Returns G as an (na, nr) view whose rows have a pitch of nr + 2.
     """
     na, nr = f_a.size, f_r.size
     h = nr // 2 + 1
     rows, step = _block_shape(na, u.size)
     jobs = list(product(range(0, max(u.size, 1), step), range(0, na, rows)))
     n_workers = workers(len(jobs))
-    # Threaded, block k is built in slot k % (n_workers + 1), whose last block was added
-    # before threaded_map starts k: builder timing cannot change the memory touched.
-    slots = [np.empty(2 * rows * step) for _ in range(n_workers + 1)] if n_workers > 1 else [None]
+    # Block k is built in slot k % len(slots), whose last block was added before
+    # block k starts (threaded_map runs n_workers ahead; inline, the previous
+    # block is still held): builder timing cannot change the memory touched.
+    slots = [np.empty(2 * rows * step) for _ in range(min(len(jobs), n_workers + 1))]
 
     def block(k: int) -> tuple[np.ndarray, np.ndarray | None]:
         lo, a = jobs[k]
@@ -236,22 +232,17 @@ def _direct_sum(
                           slots[k % len(slots)])
         return w, (_range_factor(f_r, v[sl], amp[sl]) if a == 0 else None)
 
-    ts = np.empty((2 * na, 2 * h))    # row tile a: T rows at 2a, then its S rows
+    ts = np.empty((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
     prod = np.empty((2 * rows, 2 * h)) if step < u.size else None
     for (lo, a), (w, chunk_r) in zip(jobs, threaded_map(block, range(len(jobs)))):
         r = chunk_r if a == 0 else r
-        tile = ts[2 * a : 2 * (a + rows)]
+        tile = ts[2 * a : 2 * (a + rows)].reshape(rows, 2, -1)
         if prod is None:              # one chunk (an empty scene still gets one empty block)
-            np.matmul(w.reshape(2, rows, -1), r, out=_pairs(tile))
+            np.matmul(w.reshape(2, rows, -1), r, out=tile.swapaxes(0, 1))
         elif lo == 0:
-            np.matmul(w, r, out=tile)
+            tile[...] = _pairs(np.matmul(w, r, out=prod))
         else:
-            tile += np.matmul(w, r, out=prod)
-    if prod is not None:
-        for a in range(0, na, rows):
-            tile = ts[2 * a : 2 * (a + rows)]
-            np.copyto(prod, tile)
-            _pairs(tile)[...] = prod.reshape(2, rows, -1)
+            tile += _pairs(np.matmul(w, r, out=prod))
     del w, r, chunk_r, prod, tile
     slots.clear()
     pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
@@ -277,10 +268,10 @@ def _direct_sum(
     return g
 
 
-def _pairs(tile: np.ndarray) -> np.ndarray:
-    """The (2, rows, 2h) view of a row tile's (2 rows, 2h) partial sums whose
-    [0, k] is row 2k, T_k, and [1, k] row 2k + 1, S_k."""
-    return tile.reshape(len(tile) // 2, 2, -1).swapaxes(0, 1)
+def _pairs(p: np.ndarray) -> np.ndarray:
+    """The (rows, 2, 2h) view of a (2 rows, 2h) product, T rows over S rows,
+    whose [k, 0] is T_k and [k, 1] S_k."""
+    return p.reshape(2, len(p) // 2, -1).swapaxes(0, 1)
 
 
 def _combine_group(nr: int, rows: int) -> int:
@@ -325,13 +316,30 @@ def synth_spectrum(
       partial sums, so data is an (na, nr) view with a row pitch of nr + 2.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
-    window's edges |f_dc| + B_a/2 and f_c + B_r/2 pick the path: the axes'
-    maxima to the bit at f_dc = 0, above them otherwise, never a looser test.
-    A scene beyond the grid's unambiguous extents (it would wrap) raises
-    AliasingError, and synthesis_bytes beyond physical memory ValueError,
-    before any array of na values is allocated.  A scatterer's time that is
-    not finite (x / V overflows at a tiny platform speed V) raises ValueError.
+    scene and the grid are checked by check_synthesis first.
     """
+    u, v, steps = check_synthesis(scene, p, na, nr)
+    # An overflowing sum is azimuth_power_spectrum's to reject; it does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_a = _freq_axis(na, p.B_a, p.f_dc)
+        f_r = _freq_axis(nr, p.B_r)
+        carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
+        if steps is None:
+            data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
+        else:
+            data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
+    return SpectrumGrid(data, p)
+
+
+def check_synthesis(scene: Scene, p: RadarParams, na: int, nr: int
+                    ) -> tuple[np.ndarray, np.ndarray, tuple[float, float] | None]:
+    """synth_spectrum's checks, made before any array of na values exists:
+    grid sizes, extents (AliasingError where the scene would wrap), finite
+    times u = x / V and v = 2 y / c, and synthesis_bytes within physical
+    memory (ValueError).  The window's edges |f_dc| + B_a/2 and f_c + B_r/2
+    pick the path: the axes' maxima to the bit at f_dc = 0, above them
+    otherwise, never a looser test.  Returns u, v and the closed form's
+    steps, or None for the direct sum."""
     check_grid_size(na, "na")
     check_grid_size(nr, "nr")
     x_max = p.V * na / (2 * p.B_a)
@@ -342,25 +350,16 @@ def synth_spectrum(
             f"{np.abs(scene.y).max():.3g} m range) exceeds the unambiguous "
             f"half-extents ({x_max:.3g} m, {y_max:.3g} m) of a {na}x{nr} grid"
         )
-    # Slow time overflows at a tiny V; an overflowing sum is
-    # azimuth_power_spectrum's to reject.  Neither warns.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):    # slow time overflows at a tiny V
         u = scene.x / p.V                      # slow time per scatterer [s]
         v = 2 * scene.y / C                    # fast time per scatterer [s]
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise ValueError(f"a scatterer's slow time x / V or fast time 2 y / c is not "
                              f"finite at the platform speed V = {p.V!r} m/s")
         steps = _uniform_steps(u, v, scene.amp, abs(p.f_dc) + p.B_a / 2, p.f_c + p.B_r / 2)
-        check_memory(synthesis_bytes(na, nr, u.size, steps is None),
-                     f"synthesizing a {na}x{nr} spectrum")
-        f_a = _freq_axis(na, p.B_a, p.f_dc)
-        f_r = _freq_axis(nr, p.B_r)
-        carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
-        if steps is None:
-            data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
-        else:
-            data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
-    return SpectrumGrid(data, p)
+    check_memory(synthesis_bytes(na, nr, u.size, steps is None),
+                 f"synthesizing a {na}x{nr} spectrum")
+    return u, v, steps
 
 
 def azimuth_power_spectrum(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ def test_detect_peaks_uses_external_reference():
     power = np.array([0.0, 10.0, 0.0, 4.0, 0.0])
     got = detect_peaks(f, power, ref_power=10.0)
     assert got == [(1.0, 10.0)]
-    got = detect_peaks(f, power, ref_power=10.0, frac=0.3)
+    got = detect_peaks(f, power, ref_power=6.0)
     assert got == [(1.0, 10.0), (3.0, 4.0)]
 
 

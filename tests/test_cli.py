@@ -415,6 +415,29 @@ class TestAnalyze:
         assert code == 2
         assert "analyze supports" in err
 
+    @pytest.mark.parametrize("line, code, err", [
+        ({"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}, 2,
+         "error: out of memory: synthesizing a 2048x256 spectrum needs 13107200 bytes"),
+        ({"kind": "line", "theta_az_deg": 0.0, "length_m": 300.0}, 4, "error: scene extent"),
+    ], ids=["memory", "extent"])
+    def test_every_synthesis_checked_before_the_first(self, capsys, tmp_path, line, code, err):
+        # the 64-element array's direct sum (12.9 MB) fits in the physical
+        # memory mocked here, one page under the 20 m line's closed form; the
+        # 300 m line exceeds the grid's azimuth extent.  Either line is
+        # refused before the array ahead of it is summed
+        na, nr = 2048, 256
+        scene = scene_file(tmp_path, [ARRAY20, line], rho_r=0.1, na=na, nr=nr)
+        have = (sim.synthesis_bytes(na, nr, 2561, False) - 1) // 4096 * 4096
+        assert sim.synthesis_bytes(na, nr, 64, True) <= have
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+        with mock.patch("os.sysconf", side_effect=sysconf.__getitem__), \
+                mock.patch.object(sim, "_direct_sum", wraps=sim._direct_sum) as direct:
+            got = run(capsys, "analyze", "--scene", str(scene),
+                      "--out", str(tmp_path / "x.json"))
+        assert got[:2] == (code, "") and got[2].startswith(err)
+        assert direct.call_count == 0
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_tolerance(self, capsys, tmp_path):
         scene = scene_file(tmp_path, [LINE2])
         code, _, err = run(capsys, "analyze", "--scene", str(scene),

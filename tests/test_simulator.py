@@ -410,8 +410,8 @@ def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
 def test_direct_block_allocates_only_its_operands(xband):
     # a full block of a 2048 x 256 sum, one row tile by one sample chunk: the
     # phases, their whole cycles and the carrier product are all built inside
-    # the returned (2 rows, step) array; only the small range factor has a
-    # temporary of its own
+    # the returned (2 rows, step) view of its flat slot; only the small range
+    # factor has a temporary of its own
     na, nr = 2048, 256
     rows, step = sim._block_shape(na, 4 * na)
     assert rows * step == sim.BLOCK_PHASES and rows < na
@@ -422,7 +422,7 @@ def test_direct_block_allocates_only_its_operands(xband):
     u, v = sc.x / xband.V, 2 * sc.y / s.C
     tracemalloc.start()
     try:
-        w = sim._direct_block(f_a, carrier, u, v)
+        w = sim._direct_block(f_a, carrier, u, v, np.empty(2 * rows * step))
         r = sim._range_factor(f_r, v, sc.amp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -502,7 +502,8 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
         sl = slice(lo, lo + step)
         r = sim._range_factor(f_r, v[sl], sc.amp[sl])
         for a in range(0, na, rows):
-            p = sim._direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl]) @ r
+            p = sim._direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
+                                  np.empty(2 * rows * step)) @ r
             tiles[a] = p if lo == 0 else tiles[a] + p
     tb = np.concatenate([tiles[a][:rows] for a in tiles] + [tiles[a][rows:] for a in tiles])
     want = half_axis_combine(tb.view(complex), na, nr)
@@ -525,10 +526,10 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_threaded_blocks_reuse_a_fixed_ring(xband, n_cpus):
-    # twenty blocks, five sample chunks by four row tiles, in that order: on
-    # worker threads block k is built in buffer k mod (workers + 1), so how
-    # far the builders run ahead cannot change the memory touched; inline,
-    # each block allocates its own
+    # twenty blocks, five sample chunks by four row tiles, in that order:
+    # block k is built in buffer k mod (workers + 1), so how far the builders
+    # run ahead cannot change the memory touched; inline, blocks alternate
+    # between two buffers, as the previous block is still held
     na, n = 4096, 1031
     sc = spread_scene(n)
     u = sc.x / xband.V
@@ -547,12 +548,9 @@ def test_threaded_blocks_reuse_a_fixed_ring(xband, n_cpus):
             mock.patch.object(sim, "_direct_block", side_effect=spy):
         g = s.synth_spectrum(sc, xband, na=na, nr=8).data
     assert sorted(outs) == list(range(20))
-    if n_cpus == 1:
-        assert all(out is None for out in outs.values())
-    else:
-        ring = [outs[k] for k in range(n_cpus + 1)]
-        assert len({id(out) for out in ring}) == n_cpus + 1
-        assert all(outs[k] is ring[k % (n_cpus + 1)] for k in outs)
+    ring = [outs[k] for k in range(n_cpus + 1)]
+    assert len({id(out) for out in ring}) == n_cpus + 1
+    assert all(outs[k] is ring[k % (n_cpus + 1)] for k in outs)
     assert relative_error(g, oracles.direct_sum(sc, xband, na, 8)) <= 1e-12
 
 
