@@ -44,6 +44,7 @@ from .scene import (
     SceneConfig,
     build_scenes,
     check_grid_size,
+    check_scatterers,
     generate_scene,
     merge_scenes,
     parse_scene_config,
@@ -267,9 +268,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"target {target['label']!r} has no propagating order in {args.orders}"
             )
         predictions.append(sols)
+    # every target's arrays are held until the last is verified
+    check_scatterers(cfg.targets, cfg.radar.lam, 24)
     scenes = [generate_scene(target, cfg.radar.lam) for target in cfg.targets]
-    n = sum(scene.n for scene in scenes)
-    check_memory(24 * n, f"the targets' {n} scatterers")
     for scene in scenes:
         check_synthesis(scene, cfg.radar, cfg.na, cfg.nr)
     reports = [verify_scene_against_model(scene, cfg.radar, sols, tol_bins=args.tol_bins,

@@ -405,16 +405,19 @@ def generate_scene(target: dict, lam: float) -> Scene:
     return _build(*_counted(_validate_target(target), lam))
 
 
-def build_scenes(cfg: SceneConfig) -> list[Scene]:
-    """One scatterer cloud per configured target, in config order.
-
-    The targets are checked ones, as scene_config_from_dict makes them.
-    Every target's count is checked as generate_scene checks it, and then
-    their total, before any is built: a simulation holds every target's
-    arrays and their merged copy, 48 bytes per scatterer.  A total beyond
-    physical memory raises ValueError.
-    """
-    counted = [_counted(t, cfg.radar.lam) for t in cfg.targets]
+def check_scatterers(targets: Sequence[dict], lam: float, per_scatterer: int
+                     ) -> list[tuple[dict, int]]:
+    """Checked targets with their scatterer counts, each checked as
+    generate_scene checks it, and then their total at per_scatterer bytes a
+    scatterer (ValueError beyond physical memory), before any is built."""
+    counted = [_counted(t, lam) for t in targets]
     total = sum(n for _, n in counted)
-    check_memory(48 * total, f"a scene of {total} scatterers")
-    return [_build(t, n) for t, n in counted]
+    check_memory(per_scatterer * total, f"a scene of {total} scatterers")
+    return counted
+
+
+def build_scenes(cfg: SceneConfig) -> list[Scene]:
+    """One scatterer cloud per checked target of cfg, in config order, after
+    check_scatterers at 48 bytes per scatterer: a simulation holds every
+    target's arrays and their merged copy."""
+    return [_build(t, n) for t, n in check_scatterers(cfg.targets, cfg.radar.lam, 48)]

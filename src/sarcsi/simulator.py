@@ -181,11 +181,18 @@ def _range_factor(f_r: np.ndarray, v: np.ndarray, amp: np.ndarray) -> np.ndarray
 
 
 def _block_shape(na: int, n: int) -> tuple[int, int]:
-    """(rows, samples) of the direct sum's blocks for na rows and n samples."""
+    """(rows, samples) of the direct sum's blocks for na rows and n samples;
+    a block never has more samples than the scene."""
     if na * n <= BLOCK_PHASES:
         return na, max(n, 1)          # one full-height block, built inline
     rows = min(na, ROW_TILE)
-    return rows, BLOCK_PHASES // rows
+    return rows, min(BLOCK_PHASES // rows, n)
+
+
+def _ring(jobs: int) -> int:
+    """Blocks the direct sum holds at once: one per worker that threaded_map
+    runs ahead (two inline, the last still held), never more than jobs."""
+    return min(jobs, workers(jobs) + 1)
 
 
 def _direct_sum(
@@ -201,11 +208,11 @@ def _direct_sum(
     T and S sum a_n cos(2pi phi_kn) and -a_n sin(2pi phi_kn) times
     exp(+j2pi f_r[l] v_n), phi = f_a u + carrier v.  As f_r[nr - l] = -f_r[l],
     G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
-    0 < l < h - 1.  Worker threads build the blocks of _block_shape, each a
-    row tile by a sample chunk, chunk after chunk, and a chunk's range factor
-    with its first tile; this thread adds each block's (2 rows, 2h) product
-    into its tile's partial sums in block order, the first chunk's by a copy
-    (a single chunk's Re and Im halves are multiplied straight into them).
+    0 < l < h - 1.  Worker threads build only the blocks of _block_shape, a
+    row tile by a sample chunk each, chunk after chunk, in _ring slots; this
+    thread builds a chunk's range factor at its first tile and adds each
+    block's (2 rows, 2h) product into its tile's zeroed partial sums in block
+    order (a single chunk's Re and Im halves are multiplied straight into them).
     Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on
     the block shape and the BLAS alone, whose rounding may follow a
     product's row count and the BLAS thread count.
@@ -219,31 +226,27 @@ def _direct_sum(
     h = nr // 2 + 1
     rows, step = _block_shape(na, u.size)
     jobs = list(product(range(0, max(u.size, 1), step), range(0, na, rows)))
-    n_workers = workers(len(jobs))
     # Block k is built in slot k % len(slots), whose last block was added before
-    # block k starts (threaded_map runs n_workers ahead; inline, the previous
-    # block is still held): builder timing cannot change the memory touched.
-    slots = [np.empty(2 * rows * step) for _ in range(min(len(jobs), n_workers + 1))]
+    # block k starts: builder timing cannot change the memory touched.
+    slots = [np.empty(2 * rows * step) for _ in range(_ring(len(jobs)))]
 
-    def block(k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def block(k: int) -> np.ndarray:
         lo, a = jobs[k]
         sl = slice(lo, lo + step)
-        w = _direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
-                          slots[k % len(slots)])
-        return w, (_range_factor(f_r, v[sl], amp[sl]) if a == 0 else None)
+        return _direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
+                             slots[k % len(slots)])
 
-    ts = np.empty((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
+    ts = np.zeros((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
     prod = np.empty((2 * rows, 2 * h)) if step < u.size else None
-    for (lo, a), (w, chunk_r) in zip(jobs, threaded_map(block, range(len(jobs)))):
-        r = chunk_r if a == 0 else r
+    for (lo, a), w in zip(jobs, threaded_map(block, range(len(jobs)))):
+        if a == 0:                    # a chunk's first row tile: its range factor
+            r = _range_factor(f_r, v[lo : lo + step], amp[lo : lo + step])
         tile = ts[2 * a : 2 * (a + rows)].reshape(rows, 2, -1)
         if prod is None:              # one chunk (an empty scene still gets one empty block)
             np.matmul(w.reshape(2, rows, -1), r, out=tile.swapaxes(0, 1))
-        elif lo == 0:
-            tile[...] = _pairs(np.matmul(w, r, out=prod))
-        else:
-            tile += _pairs(np.matmul(w, r, out=prod))
-    del w, r, chunk_r, prod, tile
+        else:                         # T rows over S rows, added to their pairs
+            tile += np.matmul(w, r, out=prod).reshape(2, rows, -1).swapaxes(0, 1)
+    del w, r, prod, tile
     slots.clear()
     pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
     g = pairs[:, :nr]
@@ -268,12 +271,6 @@ def _direct_sum(
     return g
 
 
-def _pairs(p: np.ndarray) -> np.ndarray:
-    """The (rows, 2, 2h) view of a (2 rows, 2h) product, T rows over S rows,
-    whose [k, 0] is T_k and [k, 1] S_k."""
-    return p.reshape(2, len(p) // 2, -1).swapaxes(0, 1)
-
-
 def _combine_group(nr: int, rows: int) -> int:
     """Azimuth rows the combine stages at a time."""
     return min(rows, max(1, (1 << 14) // nr))
@@ -282,15 +279,14 @@ def _combine_group(nr: int, rows: int) -> int:
 def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     """Bytes synthesis holds at its peak: the closed form's three float64
     (na, nr) temporaries and a mask, or the direct sum's T and S, which G
-    later overwrites, together with the blocks in flight and the product or
-    with the combine's staging buffers, whichever is larger."""
+    later overwrites, with the combine's staging buffers or, if larger, the
+    _ring blocks, a range factor as the next is built, and any product."""
     if not direct:
         return 25 * na * nr
     rows, step = _block_shape(na, n)
     jobs = na // rows * -(-max(n, 1) // step)
     h = nr // 2 + 1
-    # the ring (two blocks inline), each block with a range factor
-    blocks = (workers(jobs) + 1) * 16 * step * (rows + h)
+    blocks = _ring(jobs) * 16 * rows * step + 40 * step * h
     if step < n:
         blocks += 32 * rows * h
     staged = workers(na // rows) * 32 * _combine_group(nr, rows) * h

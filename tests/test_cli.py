@@ -694,28 +694,31 @@ class TestRejectedInput:
         assert not list(tmp_path.glob("x*"))
 
     def test_whole_scene_checked_before_any_target_is_built(self, capsys, tmp_path):
-        # each 3e6-scatterer array's x, y and amp (72 MB) fit in the 256 MiB
-        # of physical memory mocked here, but not the two targets' arrays
-        # together with their merged copy (48 bytes per scatterer)
+        # each 3e6-scatterer array's x, y and amp (72 MB) fit in the physical
+        # memory mocked here, but not the two targets' arrays together:
+        # simulate holds them with their merged copy (48 bytes per scatterer,
+        # 256 MiB mocked), analyze until the last is verified (24 bytes, 128
+        # MiB).  Either exits 2 before any target is built
         array = dict(ARRAY20, n=3_000_000)
         scene = scene_file(tmp_path, [array, array], na=16)
-        have = 256 << 20
-        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
-        tracemalloc.start()
-        try:
-            with mock.patch("os.sysconf", side_effect=sysconf.__getitem__), \
-                    mock.patch("sarcsi.scene._build", side_effect=AssertionError("built")):
-                code, out, err = run(capsys, "simulate", "--scene", str(scene),
-                                     "--out-prefix", str(tmp_path / "x"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 24 * 3_000_000 < have < 48 * 6_000_000
-        assert (code, out) == (2, "")
-        assert err == ("error: out of memory: a scene of 6000000 scatterers needs 288000000 "
-                       f"bytes, more than the {have} bytes of physical memory\n")
-        assert peak < 1 << 20
-        assert not list(tmp_path.glob("x*"))
+        for argv, per, have in ((("simulate", "--out-prefix", str(tmp_path / "x")), 48, 256 << 20),
+                                (("analyze", "--out", str(tmp_path / "x.json")), 24, 128 << 20)):
+            sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+            tracemalloc.start()
+            try:
+                with mock.patch("os.sysconf", side_effect=sysconf.__getitem__), \
+                        mock.patch("sarcsi.scene._build", side_effect=AssertionError("built")):
+                    code, out, err = run(capsys, argv[0], "--scene", str(scene), *argv[1:])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 24 * 3_000_000 < have < per * 6_000_000
+            assert (code, out) == (2, ""), argv[0]
+            assert err == (f"error: out of memory: a scene of 6000000 scatterers needs "
+                           f"{per * 6_000_000} bytes, more than the {have} bytes of physical "
+                           "memory\n")
+            assert peak < 1 << 20
+            assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("argv, what", [
         (("chart", "--orders=-10000000000000000000:10000000000000000000"),

@@ -669,24 +669,30 @@ class TestZeroOrderOracle:
                                      support_cells=8)
 
 
-@pytest.mark.parametrize("case", ["direct", "closed"])
+@pytest.mark.parametrize("case", ["direct", "closed", "array64", "array193"])
 def test_synthesis_holds_what_the_preflight_counts(xband, case):
     # a 2048 x 256 scene on two CPUs.  The curve's direct sum holds T and S
-    # with the ring of workers + 1 operand blocks, each with its range
-    # factor, and one product, and no second T-and-S-sized product buffer;
-    # G is written over T and S, so it is a view of their buffer with a row
-    # pitch of nr + 2.  The line's closed form holds a few float64 grids.
-    # Either peak is what the memory preflight checks against physical memory
+    # with the ring of workers + 1 operand blocks, a range factor and the
+    # next one as it is built, and one product, and no second
+    # T-and-S-sized product buffer; G is written over T and S, so it is a
+    # view of their buffer with a row pitch of nr + 2.  A 64-element array
+    # is one full-height block, so its ring is that one block; a 193-element
+    # array is one chunk of 193 samples over two row tiles, two blocks and
+    # no product.  The line's closed form holds a few float64 grids.  Each
+    # peak is what the memory preflight checks against physical memory
     na, nr = 2048, 256
+    direct = case != "closed"
     if case == "direct":
         target = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0, "tan_hi_deg": 2.0,
                   "spacing_m": 0.002}
-    else:
+    elif case == "closed":
         target = {"kind": "line", "theta_az_deg": 1.0, "length_m": 20.0, "spacing_m": 0.002}
+    else:
+        target = {"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": int(case[5:])}
     sc = s.generate_scene(target, xband.lam)
     rows, step = sim._block_shape(na, sc.n)
     h = nr // 2 + 1
-    with cpus(2), only_path(case):
+    with cpus(2), only_path("direct" if direct else "closed"):
         s.synth_spectrum(sc, xband, na=na, nr=nr)      # warms up the imports
         tracemalloc.start()
         try:
@@ -694,13 +700,15 @@ def test_synthesis_holds_what_the_preflight_counts(xband, case):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        counted = sim.synthesis_bytes(na, nr, sc.n, case == "direct")
+        counted = sim.synthesis_bytes(na, nr, sc.n, direct)
     assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
     if case == "direct":
         assert na // rows == 2 and sc.n > 4 * step
         ts, ring, product = 32 * na * h, 3 * 16 * step * (rows + h), 32 * rows * h
         assert peak <= ts + ring + product + (1 << 20)
         assert g.base.nbytes == ts and g.strides == (16 * (nr + 2), 16)
+    elif direct:                      # one block, or two row tiles of one chunk
+        assert (na // rows, -(-sc.n // step)) == {"array64": (1, 1), "array193": (2, 1)}[case]
     assert counted - (1 << 20) <= peak <= counted + (1 << 20)
 
 

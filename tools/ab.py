@@ -1,0 +1,154 @@
+"""A/B benchmark of two revisions, in interleaved pairs of `bench/run.py`.
+
+Usage (from inside the git checkout):
+
+    python3 tools/ab.py PARENT CHANGE --pairs K --seconds S [--workloads W ...] --out FILE
+
+Standard library only.  Each revision is unpacked with `git archive REV |
+tar -x` into a temporary directory, so the checkout and its `.git` are left
+as they are, and the directories are deleted at the end.  For every workload
+(by default those of the change's BENCHMARK.json), pair i (0 .. K-1) runs
+both trees' own, unmodified
+
+    python3 bench/run.py --workload W --seed i+1 --seconds S --trace 0
+
+one after the other: the parent first on even i, the change first on odd i.
+The last stdout line of each run is its result.  FILE gets one JSON record:
+the machine facts the bench printed and the host, a method note, every pair
+per workload, and per metric each side's median and quartiles over the
+pairs with how many pairs each side won, and the invocations attempted and
+failed on each side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def unpack(rev: str, top: str, dest: Path) -> None:
+    """The tree of rev, as `git archive rev | tar -x` writes it into dest."""
+    dest.mkdir()
+    archive = subprocess.Popen(["git", "-C", top, "archive", rev], stdout=subprocess.PIPE)
+    tar = subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() or tar.returncode:
+        raise SystemExit(f"ab: could not unpack {rev}")
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One run of tree's bench/run.py: its result line and its machine facts."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"ab: bench of {tree.name} on {workload} seed {seed} failed:\n"
+                         f"{proc.stderr[-2000:]}")
+    facts = next((json.loads(line[len("# facts "):]) for line in lines
+                  if line.startswith("# facts ")), {})
+    return json.loads(lines[-1]), facts
+
+
+def spread(xs: list[float]) -> dict:
+    """Median and quartiles, as statistics.quantiles(n=4) gives them."""
+    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric of the pairs: each side's spread and the pairs it won (a
+    tie counts for neither side)."""
+    metrics = {}
+    for name in sorted(pairs[0]["parent"]):
+        kind = better.get(name, "lower")
+        sign = -1 if kind == "lower" else 1
+        wins = dict.fromkeys(SIDES, 0)
+        for p in pairs:
+            diff = sign * (p["change"][name] - p["parent"][name])
+            if diff:
+                wins["change" if diff > 0 else "parent"] += 1
+        metrics[name] = {
+            "better": kind,
+            "pairs": len(pairs),
+            **{side: spread([p[side][name] for p in pairs]) for side in SIDES},
+            **{f"{side}_wins": wins[side] for side in SIDES},
+        }
+    return metrics
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--workloads", nargs="+")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    top = git("rev-parse", "--show-toplevel")
+    revs = {side: git("-C", top, "rev-parse", "--verify", rev + "^{commit}")
+            for side, rev in zip(SIDES, (args.parent, args.change))}
+
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            unpack(revs[side], top, trees[side])
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+        facts: dict = {}
+        record: dict = {}
+        for workload in workloads:
+            pairs = []
+            counts = {key: dict.fromkeys(SIDES, 0) for key in ("attempted", "failed")}
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair: dict = {"seed": i + 1, "first": order[0]}
+                for side in order:
+                    result, seen = bench(trees[side], workload, i + 1, args.seconds)
+                    facts = facts or seen
+                    pair[side] = {k: m["value"] for k, m in result["metrics"].items()}
+                    for key in counts:
+                        counts[key][side] += result[key]
+                print(f"ab: {workload} pair {i + 1}/{args.pairs} wall_s "
+                      + " ".join(f"{s} {pair[s].get('wall_s')}" for s in SIDES), file=sys.stderr)
+                pairs.append(pair)
+            record[workload] = {"pairs": pairs, "metrics": summarize(pairs, better), **counts}
+
+    out = {
+        "facts": facts,
+        "host": {"machine": platform.machine(), "python": platform.python_version()},
+        "notes": {
+            "method": (
+                f"tools/ab.py: for pair i (0-{args.pairs - 1}) both trees ran `python3 "
+                f"bench/run.py --workload W --seed i+1 --seconds {args.seconds:g} --trace 0` "
+                "from their own `git archive` of the revision; the parent ran first on even "
+                "i. Medians, quartiles (statistics.quantiles, n=4) and wins are over the "
+                "pairs; a tie counts for neither side."),
+            "revisions": revs,
+        },
+        "workloads": record,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
