@@ -3,9 +3,10 @@
 Linear and periodic targets concentrate their backscatter at specific squint
 angles, which a SAR acquisition observes as Doppler frequencies; rendering
 Doppler sub-bands as red, green, and blue turns that dispersion into colour.
-This package carries the closed-form model (orders, 3D projection, hue
-rules), a signal-level spectrum simulator, focusing and the RGB
-composition step, and inversion from colour back to orientation.
+This package carries the closed-form model (one grating equation for every
+order, 3D projection, hue rules), a signal-level spectrum simulator,
+focusing and the RGB composition step, and inversion from colour back to
+orientation.
 """
 
 from .analysis import TargetReport, estimate_orientation_map, verify_scene_against_model
@@ -20,10 +21,8 @@ from .dispersion import (
     chart_to_csv,
     classify_hue,
     effective_squint_3d,
-    high_order_squint,
-    invert_orientation_from_doppler,
+    order_squint,
     orders_in_window,
-    zero_order_squint,
 )
 from .errors import (
     AliasingError,
@@ -75,15 +74,13 @@ __all__ = [
     "encode_ppm",
     "estimate_orientation_map",
     "generate_scene",
-    "high_order_squint",
-    "invert_orientation_from_doppler",
     "merge_scenes",
     "observable",
+    "order_squint",
     "orders_in_window",
     "parse_scene_config",
     "split_subbands",
     "squint_from_doppler",
     "synth_spectrum",
     "verify_scene_against_model",
-    "zero_order_squint",
 ]

@@ -9,12 +9,13 @@ maps of a CSI product back to a per-pixel orientation estimate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dispersion import DiffractionSolution, invert_orientation_from_doppler
-from .params import RadarParams
+from .dispersion import DiffractionSolution
+from .params import RadarParams, squint_from_doppler
 from .scene import DEFAULT_GRID, Scene
 from .simulator import azimuth_power_spectrum, synth_spectrum
 
@@ -87,10 +88,14 @@ def verify_scene_against_model(
     the coherent ceiling nr * (sum of amplitudes)^2.  Observable predictions
     and detections are paired greedily by ascending bin distance; a pairing
     only counts within tol_bins.  The target passes when every observable
-    prediction found its peak and no detection is left unclaimed.
+    prediction found its peak and no detection is left unclaimed.  An empty
+    prediction list or a tol_bins outside (0, inf) raises ValueError before
+    any synthesis.
     """
     if not predictions:
         raise ValueError("need at least one predicted order")
+    if not 0 < tol_bins < math.inf:
+        raise ValueError(f"match tolerance must be positive and finite, got {tol_bins} bins")
     g = synth_spectrum(scene, p, na, nr)
     f_a, power = azimuth_power_spectrum(g)
     ceiling = nr * float(scene.amp.sum()) ** 2
@@ -187,5 +192,5 @@ def estimate_orientation_map(
     theta = np.full(r.shape, np.nan)
     if mask.any():
         f_hat = np.einsum("b,bij->ij", centers, e)[mask] / total[mask]
-        theta[mask] = invert_orientation_from_doppler(p, f_hat)
+        theta[mask] = -squint_from_doppler(p, f_hat)    # the zero order's theta_az
     return theta, mask

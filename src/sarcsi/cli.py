@@ -205,8 +205,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
     cfg = _scene_config(args)
     scene = merge_scenes(build_scenes(cfg))
-    # before synthesis; the direct sum's row pitch nr + 2 over-counts the closed form
-    check_memory(colour_bytes(cfg.na, cfg.nr, cfg.nr + 2),
+    check_memory(colour_bytes(cfg.na, cfg.nr),
                  f"splitting and composing a {cfg.na}x{cfg.nr} spectrum")
     g = synth_spectrum(scene, cfg.radar, cfg.na, cfg.nr)
     del scene    # colour_bytes does not count it

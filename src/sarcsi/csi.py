@@ -18,7 +18,7 @@ from itertools import pairwise
 import numpy as np
 
 from ._threads import check_memory, threaded_map, workers
-from .simulator import SpectrumGrid
+from .simulator import SpectrumGrid, spectrum_bytes
 
 NORM_MODES = ("linear", "clip_p999")
 TILE = 64    # spectrum rows, range bins or raster rows a worker takes at a time
@@ -41,14 +41,14 @@ def _bins(na: int) -> int:    # range bins of a split job
     return max(1, min(TILE, SCRATCH_POINTS // na))
 
 
-def colour_bytes(na: int, nr: int, pitch: int) -> int:
-    """Peak bytes of the split and composition of an (na, nr) spectrum, rows
-    pitch values apart: its buffer and blue, and the split's band scratches or
+def colour_bytes(na: int, nr: int) -> int:
+    """Peak bytes of the split and composition of an (na, nr) spectrum: its
+    buffer (spectrum_bytes) and blue, and the split's band scratches or
     compose's pixels, block scratches and tile maxima (twice: np.stack copies)."""
     bins, tiles = _bins(na), -(-nr // TILE)
     split = workers(-(-nr // bins)) * 3 * 16 * bins * na
     compose = 3 * na * nr + workers(tiles) * 24 * TILE * min(BLOCK, na) + 2 * tiles * 24 * na
-    return 16 * na * pitch + 8 * na * nr + max(split, compose)
+    return spectrum_bytes(na, nr) + 8 * na * nr + max(split, compose)
 
 
 def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,8 +81,7 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bins = _bins(na)
     tiles = range(0, nr, bins)
     n = workers(len(tiles))
-    pitch = max(nr, data.strides[0] // data.itemsize)    # synthesis pads its rows
-    check_memory(colour_bytes(na, nr, pitch), f"splitting and composing a {na}x{nr} spectrum")
+    check_memory(colour_bytes(na, nr), f"splitting and composing a {na}x{nr} spectrum")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
     deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
           maxlen=0)

@@ -1,13 +1,14 @@
 """Closed-form dispersion model: diffraction orders, 3D projection, hue classes.
 
-A linear target oriented at theta_az in the imaging plane concentrates its
-response at squint theta_sq = -theta_az (the zero order).  A periodic target
-with azimuth spacing d_x adds grating orders at
+A linear target oriented at theta_az in the imaging plane, with scatterers
+d_x apart along azimuth, responds at the squints of the grating equation
 
-    theta_sq_m = arcsin(m * lambda * cos(theta_az) / (2 d_x)) - theta_az
+    sin(theta_sq + theta_az) = m * lambda * cos(theta_az) / (2 d_x)
 
-and each order lands at a Doppler frequency, hence a display colour, through
-doppler_from_squint.
+Its zero order m = 0, theta_sq = -theta_az, needs no period: it is the whole
+response of a continuous target (a curved surface's smooth gradient), while
+a periodic target adds the orders m != 0.  Each order lands at a Doppler
+frequency, hence a display colour, through doppler_from_squint.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from enum import Enum
 
 from ._threads import check_memory
 from .errors import EvanescentOrderError
-from .params import (
-    C,
-    RadarParams,
-    doppler_from_squint,
-    observable,
-    squint_from_doppler,
-)
+from .params import C, RadarParams, doppler_from_squint, observable
 
 
 class Hue(str, Enum):
@@ -104,22 +99,18 @@ class Orientation3D:
         )
 
 
-def zero_order_squint(theta_az: float) -> float:
-    """Peak squint [rad] of a continuous linear target: theta_sq = -theta_az."""
-    if not abs(theta_az) < math.pi / 2:
-        raise ValueError("orientation must satisfy |theta_az| < 90 deg")
-    return -theta_az
+def order_squint(t: GratingTarget, m: int, lam: float) -> float:
+    """Squint angle [rad] of the m-th order of t at wavelength lam.
 
-
-def high_order_squint(t: GratingTarget, m: int, lam: float) -> float:
-    """Squint angle [rad] of the m-th grating order of a periodic target.
-
-    Solves arcsin(m lam cos(theta_az) / (2 d_x)) - theta_az.  Raises
-    EvanescentOrderError when the arcsine argument leaves [-1, 1], i.e. the
-    order does not propagate.
+    m = 0 gives -theta_az for every target; m != 0 solves
+    arcsin(m lam cos(theta_az) / (2 d_x)) - theta_az, which needs a periodic
+    target (ValueError otherwise) and raises EvanescentOrderError when the
+    arcsine argument leaves [-1, 1], i.e. the order does not propagate.
     """
+    if m == 0:
+        return -t.theta_az
     if t.d_x is None:
-        raise ValueError("high_order_squint needs a periodic target (d_x set)")
+        raise ValueError(f"order m={m} needs a periodic target (d_x set)")
     arg = m * lam * math.cos(t.theta_az) / (2 * t.d_x)
     if abs(arg) > 1:
         raise EvanescentOrderError(
@@ -152,27 +143,26 @@ def orders_in_window(
     m_lo, m_hi = m_range
     if m_lo > m_hi:
         raise ValueError(f"empty order range {m_lo}:{m_hi}")
-    # Only |m| <= 2 d_x / (lam cos(theta_az)) can propagate, so the loop stops
-    # one order past that; the checks below still decide the edge orders.
-    bound = 0.0 if t.d_x is None else 2 * t.d_x / (p.lam * math.cos(t.theta_az))
-    if math.isfinite(bound):
-        m_max = math.floor(bound) + 1
-        m_lo, m_hi = max(m_lo, -m_max), min(m_hi, m_max)
+    # A continuous target has only m = 0; otherwise only |m| <= 2 d_x /
+    # (lam cos(theta_az)) can propagate, so the loop stops one order past
+    # that and the checks below still decide the edge orders.
+    if t.d_x is None:
+        m_lo, m_hi = max(m_lo, 0), min(m_hi, 0)
+    else:
+        bound = 2 * t.d_x / (p.lam * math.cos(t.theta_az))
+        if math.isfinite(bound):
+            m_max = math.floor(bound) + 1
+            m_lo, m_hi = max(m_lo, -m_max), min(m_hi, m_max)
     rows = m_hi - m_lo + 1
     check_memory(ROW_BYTES * rows, f"a table of {rows} diffraction orders")
     out: list[DiffractionSolution] = []
     for m in range(m_lo, m_hi + 1):
-        if t.d_x is None:
-            if m != 0:
-                continue
-            theta = zero_order_squint(t.theta_az)
-        else:
-            try:
-                theta = high_order_squint(t, m, p.lam)
-            except EvanescentOrderError:
-                continue
-            if not abs(theta) < math.pi / 2:
-                continue
+        try:
+            theta = order_squint(t, m, p.lam)
+        except EvanescentOrderError:
+            continue
+        if not abs(theta) < math.pi / 2:
+            continue
         f_d = doppler_from_squint(p, theta)
         out.append(DiffractionSolution(m=m, theta_sq=theta, f_d=f_d, hue=classify_hue(p, f_d)))
     return out
@@ -185,11 +175,6 @@ def effective_squint_3d(o: Orientation3D) -> float:
     The implied in-plane orientation is theta_az = -theta_sq.
     """
     return math.atan(-o.slope)
-
-
-def invert_orientation_from_doppler(p: RadarParams, f_d):
-    """In-plane orientation [rad] whose zero order peaks at Doppler f_d, elementwise."""
-    return -squint_from_doppler(p, f_d)
 
 
 @dataclass(frozen=True)
@@ -225,8 +210,8 @@ def chart_data(
 
         tan(theta_az) = -tan(theta_sq) + m lam / (2 d_x cos(theta_sq))
     """
-    if d_x <= 0:
-        raise ValueError(f"grating period must be positive, got {d_x}")
+    if not 0 < d_x < math.inf:
+        raise ValueError(f"grating period must be positive and finite, got {d_x}")
     for theta in theta_sq_grid:
         if not abs(theta) < math.pi / 2:
             raise ValueError("grid angles must satisfy |theta_sq| < 90 deg")

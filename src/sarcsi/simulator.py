@@ -276,11 +276,18 @@ def _combine_group(nr: int, rows: int) -> int:
     return min(rows, max(1, (1 << 14) // nr))
 
 
+def spectrum_bytes(na: int, nr: int) -> int:
+    """Bytes of a synthesized (na, nr) spectrum: the direct sum's na T/S pairs
+    of nr + 2 complex values, which its G rows overwrite (32 na more than a
+    closed-form spectrum holds)."""
+    return 16 * na * (nr + 2)
+
+
 def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     """Bytes synthesis holds at its peak: the closed form's three float64
-    (na, nr) temporaries and a mask, or the direct sum's T and S, which G
-    later overwrites, with the combine's staging buffers or, if larger, the
-    _ring blocks, a range factor as the next is built, and any product."""
+    (na, nr) temporaries and a mask, or the direct sum's spectrum_bytes, with
+    the combine's staging buffers or, if larger, the _ring blocks, a range
+    factor as the next is built, and any product."""
     if not direct:
         return 25 * na * nr
     rows, step = _block_shape(na, n)
@@ -290,7 +297,7 @@ def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     if step < n:
         blocks += 32 * rows * h
     staged = workers(na // rows) * 32 * _combine_group(nr, rows) * h
-    return 32 * na * h + max(blocks, staged)
+    return spectrum_bytes(na, nr) + max(blocks, staged)
 
 
 def synth_spectrum(

@@ -79,7 +79,7 @@ def fd_of_line():
 
     def _fd(p, theta_az_deg: float) -> float:
         return s.doppler_from_squint(
-            p, s.zero_order_squint(math.radians(theta_az_deg))
+            p, s.order_squint(s.GratingTarget(math.radians(theta_az_deg)), 0, p.lam)
         )
 
     return _fd

@@ -149,7 +149,7 @@ def test_c4_interference_consistency(xband):
         m = int(rng.choice([-3, -2, -1, 1, 2, 3]))
         t = s.GratingTarget(theta_az, d_x)
         try:
-            theta_sq = s.high_order_squint(t, m, xband.lam)
+            theta_sq = s.order_squint(t, m, xband.lam)
             f_d = s.doppler_from_squint(xband, theta_sq)
         except (s.EvanescentOrderError, ValueError):
             continue

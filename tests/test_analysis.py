@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ def test_verify_requires_predictions(xband):
     sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0}, xband.lam)
     with pytest.raises(ValueError):
         s.verify_scene_against_model(sc, xband, [])
+
+
+@pytest.mark.parametrize("tol_bins", [math.nan, math.inf, 0.0, -1.0])
+def test_verify_rejects_a_tolerance_outside_zero_to_inf(xband, tol_bins):
+    # a NaN or infinite tolerance would let the 2-degree prediction of this
+    # broadside line match its peak; it is refused before any synthesis
+    sc = s.generate_scene({"kind": "line", "theta_az_deg": 0.0, "length_m": 1.0}, xband.lam)
+    wrong = solution(0, math.radians(-2.0), xband)
+    with mock.patch("sarcsi.analysis.synth_spectrum",
+                    side_effect=AssertionError("synthesized")) as synth, \
+            pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        s.verify_scene_against_model(sc, xband, [wrong], tol_bins=tol_bins, na=512, nr=16)
+    assert synth.call_count == 0
 
 
 def test_merge_reports(xband):

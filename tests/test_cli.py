@@ -79,7 +79,7 @@ class TestPredict:
         m, sq, fd, obs, hue = visible[0].split(",")
         assert m == "1" and hue == "red"
         t = s.GratingTarget(math.radians(20.0), 0.05)
-        want = s.doppler_from_squint(xband, s.high_order_squint(t, 1, xband.lam))
+        want = s.doppler_from_squint(xband, s.order_squint(t, 1, xband.lam))
         assert float(fd) == pytest.approx(want, abs=1e-9)
 
     def test_continuous_line(self, capsys, xband, fd_of_line):
@@ -90,6 +90,12 @@ class TestPredict:
         assert float(row[1]) == pytest.approx(-2.0)
         assert float(row[2]) == pytest.approx(fd_of_line(xband, 2.0))
         assert row[4] == "red"
+
+    def test_zero_order_row_does_not_depend_on_the_period(self, capsys):
+        # m = 0 is -theta_az with or without --dx, to the sign of a zero
+        rows = [run(capsys, "predict", "--theta-az", "0", *extra)[1].splitlines()[1]
+                for extra in ((), ("--dx", "0.05", "--orders", "0:0"))]
+        assert rows == ["0,-0.0,-0.0,true,green"] * 2
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "orders.csv"
@@ -564,7 +570,7 @@ class TestRejectedInput:
             tracemalloc.stop()
         size = 2**63 if na == 2**63 else 2**40
         if command == "simulate":
-            what, need = "splitting and composing", csi.colour_bytes(size, 8, 10)
+            what, need = "splitting and composing", csi.colour_bytes(size, 8)
         else:
             what, need = "synthesizing", sim.synthesis_bytes(size, 8, n, True)
         assert code == 2 and stdout == ""
@@ -603,7 +609,7 @@ class TestRejectedInput:
             finally:
                 tracemalloc.stop()
             if command == "simulate":
-                assert csi.colour_bytes(na, nr, nr + 2) <= have
+                assert csi.colour_bytes(na, nr) <= have
         assert code == 2 and stdout == ""
         assert err == (f"error: out of memory: synthesizing a {na}x{nr} spectrum needs "
                        f"{need} bytes, more than the {have} bytes of physical memory\n")
@@ -784,7 +790,7 @@ class TestRejectedInput:
         line = {"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}
         scene = scene_file(tmp_path, [line], rho_r=0.1, na=na, nr=nr)
         n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
-        need = csi.colour_bytes(na, nr, nr + 2)
+        need = csi.colour_bytes(na, nr)
         have = (need - 1) // 4096 * 4096
         assert have >= sim.synthesis_bytes(na, nr, n, direct=False)
         sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}

@@ -496,15 +496,16 @@ def test_split_holds_what_its_check_counts(xband, n_cpus):
     # at 2048x256 the split is the colour stage that holds more: the spectrum
     # it consumes plus what the split traces stays within 1 MiB of
     # colour_bytes, from both sides, for a C-ordered spectrum and for one
-    # whose rows are padded as the direct sum pads them; the f_a axis and the
-    # band index (8 na bytes each) are not counted
+    # whose rows are padded as the direct sum pads them (colour_bytes counts
+    # the padded buffer for both, 64 KiB above the C-ordered one); the f_a
+    # axis and the band index (8 na bytes each) are not counted
     na, nr = 2048, 256
     for pitch in (nr, nr + 2):
         with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
             s.split_subbands(padded_grid(xband, na, nr, pitch))     # warms up the imports
             g = padded_grid(xband, na, nr, pitch)
             peak = traced(s.split_subbands, g)[1]
-            checked = csi.colour_bytes(na, nr, pitch)
+            checked = csi.colour_bytes(na, nr)
         assert checked - (1 << 20) <= g.data.base.nbytes + peak <= checked + (1 << 20), pitch
 
 
@@ -520,7 +521,7 @@ def test_compose_fits_in_what_the_split_checks(xband):
             bands = s.split_subbands(g)
             s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
             peak = traced(s.compose_rgb, *bands, norm="clip_p999")[1]
-            checked = csi.colour_bytes(na, nr, nr)
+            checked = csi.colour_bytes(na, nr)
         assert g.data.nbytes + bands[2].nbytes + peak <= checked, n_cpus
 
 
@@ -544,7 +545,7 @@ def test_colour_stages_hold_what_colour_bytes_counts(xband, case):
     na, nr, n_cpus, larger = COLOUR_CASES[case]
     for pitch in (nr, nr + 2):
         with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
-            checked = csi.colour_bytes(na, nr, pitch)
+            checked = csi.colour_bytes(na, nr)
             g = padded_grid(xband, na, nr, pitch)
             before = g.data.copy()
             sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (checked - 1) // 4096}

@@ -10,33 +10,42 @@ from sarcsi.errors import EvanescentOrderError
 DEG = math.radians
 
 
-def test_zero_order_is_negated_orientation():
-    assert s.zero_order_squint(DEG(20.0)) == -DEG(20.0)
+def test_zero_order_is_negated_orientation(xband):
+    assert s.order_squint(s.GratingTarget(DEG(20.0)), 0, xband.lam) == -DEG(20.0)
     with pytest.raises(ValueError):
-        s.zero_order_squint(DEG(90.0))
+        s.order_squint(s.GratingTarget(DEG(90.0)), 0, xband.lam)
 
 
 def test_flagship_first_order(xband):
     t = s.GratingTarget(DEG(20.0), 0.05)
-    theta = s.high_order_squint(t, 1, xband.lam)
+    theta = s.order_squint(t, 1, xband.lam)
     assert math.degrees(theta) == pytest.approx(-2.9353366784390325, abs=1e-10)
 
 
 def test_order_zero_reduces_to_zero_order(xband):
     t = s.GratingTarget(DEG(12.5), 0.04)
-    assert s.high_order_squint(t, 0, xband.lam) == -DEG(12.5)
+    assert s.order_squint(t, 0, xband.lam) == -DEG(12.5)
+
+
+@pytest.mark.parametrize("theta_az", [0.0, -0.0, DEG(20.0), DEG(-3.5)])
+def test_zero_order_is_the_same_with_or_without_a_period(xband, theta_az):
+    # m = 0 is -theta_az for every target, to the sign of a zero
+    want = s.order_squint(s.GratingTarget(theta_az), 0, xband.lam)
+    have = s.order_squint(s.GratingTarget(theta_az, 0.05), 0, xband.lam)
+    assert want == -theta_az and math.copysign(1.0, want) == math.copysign(1.0, -theta_az)
+    assert have == want and math.copysign(1.0, have) == math.copysign(1.0, want)
 
 
 def test_evanescent_order_raises(xband):
     # m=2 at broadside with d_x=0.03: arcsine argument 1.041 > 1
     t = s.GratingTarget(0.0, 0.03)
     with pytest.raises(EvanescentOrderError):
-        s.high_order_squint(t, 2, xband.lam)
+        s.order_squint(t, 2, xband.lam)
 
 
 def test_high_order_needs_period(xband):
-    with pytest.raises(ValueError):
-        s.high_order_squint(s.GratingTarget(0.0), 1, xband.lam)
+    with pytest.raises(ValueError, match="periodic"):
+        s.order_squint(s.GratingTarget(0.0), 1, xband.lam)
 
 
 def test_continuous_target_has_only_zero_order(xband):
@@ -71,12 +80,17 @@ def test_wide_order_range_tries_only_propagating_orders(xband, monkeypatch):
     t = s.GratingTarget(DEG(2.0), 0.05)
     want = s.orders_in_window(t, xband, (-10, 10))
     tried = []
-    real = dispersion.high_order_squint
-    monkeypatch.setattr(dispersion, "high_order_squint",
+    real = dispersion.order_squint
+    monkeypatch.setattr(dispersion, "order_squint",
                         lambda t, m, lam: tried.append(m) or real(t, m, lam))
     assert s.orders_in_window(t, xband, (-10**4, 10**4)) == want
     # |m| <= 3 propagate; one more order each side is the margin
     assert tried == list(range(-4, 5))
+
+    # a continuous target has only its zero order to try
+    tried.clear()
+    sols = s.orders_in_window(s.GratingTarget(DEG(2.0)), xband, (-10**12, 10**12))
+    assert [d.m for d in sols] == [0] and tried == [0]
 
     # a period so long that the order bound overflows keeps the range as given
     sols = s.orders_in_window(s.GratingTarget(0.0, 1e308), xband, (-2, 2))
@@ -156,8 +170,8 @@ def test_grating_period_validation(d_x):
 @given(st.floats(-1.2, 1.2))
 def test_inversion_recovers_orientation(theta_az):
     p = s.RadarParams(9.6e9, 7600.0, 0.1, 0.1)
-    f_d = s.doppler_from_squint(p, s.zero_order_squint(theta_az))
-    assert s.invert_orientation_from_doppler(p, f_d) == pytest.approx(
+    f_d = s.doppler_from_squint(p, s.order_squint(s.GratingTarget(theta_az), 0, p.lam))
+    assert -s.squint_from_doppler(p, f_d) == pytest.approx(
         theta_az, abs=1e-12
     )
 
@@ -200,6 +214,14 @@ def test_chart_rejects_bad_inputs(xband):
         s.chart_data(xband, 0.0, [1], GRID)
     with pytest.raises(ValueError):
         s.chart_data(xband, 0.05, [1], [math.pi / 2])
+
+
+@pytest.mark.parametrize("d_x", [math.nan, math.inf])
+def test_chart_rejects_a_non_finite_period(xband, d_x):
+    # a NaN period would write NaN region rows, an infinite one regions of
+    # zero width
+    with pytest.raises(ValueError, match="positive and finite"):
+        s.chart_data(xband, d_x, [1], [0.0])
 
 
 def test_chart_csv_layout(xband):

@@ -67,7 +67,8 @@ def test_doppler_of_broadside_is_zero(xband):
 
 
 def test_doppler_of_one_degree_line(xband):
-    f = s.doppler_from_squint(xband, s.zero_order_squint(math.radians(1.0)))
+    line = s.GratingTarget(math.radians(1.0))
+    f = s.doppler_from_squint(xband, s.order_squint(line, 0, xband.lam))
     assert f == pytest.approx(-8494.727200003177, abs=1e-9)
 
 

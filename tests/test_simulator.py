@@ -613,7 +613,7 @@ class TestDirichletOracle:
         K = math.tan(t.theta_az) * 2.0 * xband.V / s.C
         f = np.linspace(-38000.0, 38000.0, 2048, endpoint=False)
         freqs = oracles.dirichlet_peaks_oracle(64, 0.05 / 7600.0, K, xband, f)
-        want = s.doppler_from_squint(xband, s.high_order_squint(t, 1, xband.lam))
+        want = s.doppler_from_squint(xband, s.order_squint(t, 1, xband.lam))
         assert freqs.shape == (1,)
         assert abs(freqs[0] - want) <= bin_hz
 

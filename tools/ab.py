@@ -16,13 +16,16 @@ one after the other: the parent first on even i, the change first on odd i.
 The last stdout line of each run is its result.  FILE gets one JSON record:
 the machine facts the bench printed and the host, a method note, every pair
 per workload, and per metric each side's median and quartiles over the
-pairs with how many pairs each side won, and the invocations attempted and
-failed on each side.
+pairs with how many pairs each side won, the invocations attempted and
+failed on each side, and each side's size: the lines of its src/sarcsi/*.py
+(as `cat src/sarcsi/*.py | wc -l` counts them) and the names in its
+package's `__all__`, read with `ast` without importing the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import platform
 import statistics
@@ -62,6 +65,17 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
     facts = next((json.loads(line[len("# facts "):]) for line in lines
                   if line.startswith("# facts ")), {})
     return json.loads(lines[-1]), facts
+
+
+def size(tree: Path) -> dict:
+    """src_lines and all_names of tree's package."""
+    pkg = tree / "src" / "sarcsi"
+    init = ast.parse((pkg / "__init__.py").read_text())
+    names = next(ast.literal_eval(node.value) for node in init.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    return {"src_lines": sum(p.read_bytes().count(b"\n") for p in pkg.glob("*.py")),
+            "all_names": len(names)}
 
 
 def spread(xs: list[float]) -> dict:
@@ -110,6 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             unpack(revs[side], top, trees[side])
+        sizes = {side: size(trees[side]) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
@@ -135,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     out = {
         "facts": facts,
         "host": {"machine": platform.machine(), "python": platform.python_version()},
+        "size": sizes,
         "notes": {
             "method": (
                 f"tools/ab.py: for pair i (0-{args.pairs - 1}) both trees ran `python3 "

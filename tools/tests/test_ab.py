@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sarcsi
+
 ROOT = Path(__file__).resolve().parents[2]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -34,9 +36,14 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     record = json.loads(out.read_text())
-    assert set(record) == {"facts", "host", "notes", "workloads"}
+    assert set(record) == {"facts", "host", "notes", "size", "workloads"}
     assert record["facts"]["nproc"] >= 1 and "method" in record["notes"]
     assert record["notes"]["revisions"]["parent"] == record["notes"]["revisions"]["change"]
+    # ROADMAP aim 2's measures, against `wc -l` and the imported package
+    lines = int(subprocess.run(["sh", "-c", "cat src/sarcsi/*.py | wc -l"], cwd=ROOT,
+                               check=True, capture_output=True, text=True).stdout)
+    for side in ("parent", "change"):
+        assert record["size"][side] == {"src_lines": lines, "all_names": len(sarcsi.__all__)}
     assert list(record["workloads"]) == ["tiny"]
     tiny = record["workloads"]["tiny"]
     assert [(p["seed"], p["first"]) for p in tiny["pairs"]] == [(1, "parent")]
