@@ -1,15 +1,33 @@
 """What the host gives the package: the one thread pool, ordered maps over
-the CPUs in the affinity mask that synthesis, focusing and composition use,
-and the physical-memory check that scene building, synthesis and the
-colour stages make before they allocate."""
+the CPUs in the affinity mask that synthesis, focusing and composition use;
+the BLAS pinned to one thread while the direct sum's worker threads build
+blocks for its matrix products; and the physical-memory check that scene
+building, synthesis and the colour stages make before they allocate."""
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from contextvars import copy_context
+from functools import cache
 from itertools import islice
+
+import numpy as np
+
+# (getter, setter) names of the thread count in the OpenBLAS builds numpy
+# ships or links: its wheels' prefixed ILP64 copy first.
+_BLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_pin_lock = threading.Lock()
+_pin_depth = 0    # blocks inside one_blas_thread
+_pin_saved = 0    # the thread count the first of them found
 
 
 def check_memory(need: int, what: str) -> None:
@@ -19,6 +37,46 @@ def check_memory(need: int, what: str) -> None:
     if need > have:
         raise ValueError(f"out of memory: {what} needs {need} bytes, "
                          f"more than the {have} bytes of physical memory")
+
+
+@cache
+def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The getter and setter of the BLAS thread count in numpy's own BLAS, or
+    None where no known symbol resolves (MKL, Accelerate, another prefix)."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for get, set_ in _BLAS_THREADS:
+        if hasattr(lib, get) and hasattr(lib, set_):
+            getter, setter = getattr(lib, get), getattr(lib, set_)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block on one BLAS thread, for every thread of the process, and
+    restore the count found on entry when the block exits, by an exception
+    too.  Nested and concurrent blocks share one pin: the first to enter sets
+    it, the last to leave restores it.  Without a known BLAS it does nothing."""
+    api = _blas_threads()
+    if api is None:
+        yield
+        return
+    global _pin_depth, _pin_saved
+    get, set_ = api
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
 
 
 def workers(n_items: int) -> int:

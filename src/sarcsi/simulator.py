@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from ._threads import check_memory, threaded_map, workers
+from ._threads import check_memory, one_blas_thread, threaded_map, workers
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
 from .scene import DEFAULT_GRID, Scene, check_grid_size
@@ -215,7 +215,8 @@ def _direct_sum(
     order (a single chunk's Re and Im halves are multiplied straight into them).
     Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on
     the block shape and the BLAS alone, whose rounding may follow a
-    product's row count and the BLAS thread count.
+    product's row count; synth_spectrum runs it under one_blas_thread, so
+    with a BLAS that knows it, not the BLAS thread count.
 
     A pair is nr + 2 complex values, so G row k fits in the memory of its own
     pair: the element-wise combine, per row tile on worker threads, copies a
@@ -314,8 +315,8 @@ def synth_spectrum(
     - direct sum otherwise: per block of at most BLOCK_PHASES phases (up to
       ROW_TILE azimuth rows by a chunk of samples), one real matrix product
       over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
-      identity extends to all nr; worker threads build the blocks, and each
-      row tile's products are added in chunk order.  G is written over the
+      identity extends to all nr, on one BLAS thread; worker threads build
+      the blocks, and each row tile's products are added in chunk order.  G is written over the
       partial sums, so data is an (na, nr) view with a row pitch of nr + 2.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
@@ -328,7 +329,8 @@ def synth_spectrum(
         f_r = _freq_axis(nr, p.B_r)
         carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
         if steps is None:
-            data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
+            with one_blas_thread():   # the workers' blocks need the CPUs
+                data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
         else:
             data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
     return SpectrumGrid(data, p)

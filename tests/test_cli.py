@@ -34,6 +34,14 @@ def run_process(*argv, preexec_fn=None):
     return proc.returncode, proc.stderr
 
 
+def products(prefix):
+    """simulate's three products at prefix, with prefix's name in the report
+    replaced by "run", so runs at different prefixes compare."""
+    return [prefix.with_name(prefix.name + suffix).read_bytes()
+            .replace(prefix.name.encode(), b"run")
+            for suffix in ("_rgb.ppm", "_azspec.csv", "_report.json")]
+
+
 def scene_file(tmp_path, targets, rho_r=1.0, na=256, nr=8):
     cfg = {
         "radar": {"fc_hz": 9.6e9, "v_mps": 7600.0, "rho_a_m": 0.1,
@@ -263,8 +271,7 @@ class TestSimulate:
             prefix = tmp_path / name / "run"
             assert run_process("simulate", "--scene", str(scene), "--out-prefix",
                                str(prefix), *flags) == (0, "")
-            blobs.append([prefix.with_name(prefix.name + suffix).read_bytes()
-                          for suffix in ("_rgb.ppm", "_azspec.csv", "_report.json")])
+            blobs.append(products(prefix))
         assert blobs[0] == blobs[1]
 
     def test_each_target_is_checked_once(self, capsys, tmp_path):
@@ -341,8 +348,8 @@ class TestSimulate:
     def test_products_do_not_depend_on_the_cpu_count(self, tmp_path):
         # the synthesis blocks, the range-IFFT row tiles and the band tiles
         # run on one thread per CPU; pinned to one CPU they run inline, and
-        # every product must come out byte-identical.  The BLAS keeps one
-        # thread in both runs, as its own thread count may change the sums
+        # every product must come out byte-identical.  Both runs keep the
+        # default environment: the direct sum pins the BLAS to one thread
         scene = scene_file(tmp_path, README_TARGETS, rho_r=0.1, na=2048, nr=256)
         cfg = s.parse_scene_config(str(scene))
         assert s.merge_scenes(s.build_scenes(cfg)).n > 2 * sim._block_shape(cfg.na, 10**6)[1]
@@ -355,12 +362,35 @@ class TestSimulate:
             proc = subprocess.run(
                 [sys.executable, *launch, "simulate", "--scene", str(scene),
                  "--out-prefix", str(prefix), "--norm", "clip_p999"],
-                capture_output=True, text=True, timeout=120,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+                capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            blobs.append([prefix.with_name(prefix.name + suffix).read_bytes()
-                          .replace(prefix.name.encode(), b"run")
-                          for suffix in ("_rgb.ppm", "_azspec.csv", "_report.json")])
+            blobs.append(products(prefix))
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs an affinity mask of at least 2 CPUs")
+    def test_products_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS starts one thread per CPU unless OPENBLAS_NUM_THREADS says
+        # otherwise, and a GEMM's rounding may follow its thread count; the
+        # direct sum runs on one BLAS thread either way.  On this scene (a
+        # jittered README scene) the azimuth power differed in one bin
+        # before it did
+        targets = [dict(t) for t in README_TARGETS]
+        targets[0]["theta_az_deg"] = 2.8
+        targets[1]["theta_az_deg"] = 20.1
+        targets[2].update(tan_lo_deg=-4.2, tan_hi_deg=3.8)
+        targets[4]["theta_h_deg"] = 11.2
+        scene = scene_file(tmp_path, targets, rho_r=0.1, na=2048, nr=256)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        blobs = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            prefix = tmp_path / f"run{len(blobs)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "sarcsi", "simulate", "--scene", str(scene),
+                 "--out-prefix", str(prefix), "--norm", "clip_p999"],
+                capture_output=True, text=True, timeout=120, env={**env, **threads})
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(products(prefix))
         assert blobs[0] == blobs[1]
 
 

@@ -582,6 +582,80 @@ def test_one_chunk_starts_no_thread(xband):
     assert relative_error(g, oracles.direct_sum(sc, xband, 2048, 64)) <= 1e-12
 
 
+@pytest.fixture
+def blas_count():
+    """The BLAS thread-count getter, the count set to 2 for the test and the
+    count found restored after it; skips without a known BLAS."""
+    api = _threads._blas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no known thread-count symbol")
+    get, set_ = api
+    found = get()
+    set_(2)
+    yield get
+    set_(found)
+
+
+def test_direct_sum_runs_on_one_blas_thread(xband, blas_count):
+    # the blocks are built while the GEMMs run, so the sum pins the BLAS to
+    # one thread and gives back the count it found
+    build = sim._direct_block
+    seen = set()
+
+    def spy(*args):
+        seen.add(blas_count())
+        return build(*args)
+
+    with cpus(2), only_path("direct"), mock.patch.object(sim, "_direct_block", side_effect=spy):
+        s.synth_spectrum(spread_scene(1031), xband, na=4096, nr=8)
+    assert seen == {1}
+    assert blas_count() == 2
+
+
+def test_failing_sum_restores_the_blas_thread_count(xband, blas_count):
+    with cpus(2), mock.patch.object(sim, "_direct_block",
+                                    side_effect=RuntimeError("block failed")):
+        with pytest.raises(RuntimeError, match="block failed"):
+            s.synth_spectrum(spread_scene(1031), xband, na=4096, nr=8)
+    assert blas_count() == 2
+
+
+def test_concurrent_pins_keep_one_thread_until_the_last_leaves(blas_count):
+    # eight threads on at most a few CPUs enter and leave the pin with a
+    # short switch interval: a lost update of the shared depth would restore
+    # the count while another thread is inside, or leave it at 1
+    inside_counts = set()
+
+    def churn():
+        for _ in range(200):
+            with _threads.one_blas_thread():
+                inside_counts.add(blas_count())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, daemon=True) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert inside_counts == {1}
+    assert blas_count() == 2
+
+
+def test_sum_without_a_known_blas(xband):
+    # MKL, Accelerate or another prefix: the count is left alone, and the
+    # sum is the same sum
+    sc = spread_scene(1031)
+    with mock.patch.object(_threads, "_blas_threads", return_value=None), \
+            only_path("direct"):
+        g = s.synth_spectrum(sc, xband, na=4096, nr=8).data
+    assert relative_error(g, oracles.direct_sum(sc, xband, 4096, 8)) <= ERROR_BUDGET
+
+
 def test_closed_form_memory_is_independent_of_n(arr_params):
     # 60 m line, 7686 scatterers; summed term by term it would need 4 MiB
     # phase blocks even in chunks, the closed form only a few na x nr arrays

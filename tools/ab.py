@@ -13,7 +13,9 @@ both trees' own, unmodified
     python3 bench/run.py --workload W --seed i+1 --seconds S --trace 0
 
 one after the other: the parent first on even i, the change first on odd i.
-The last stdout line of each run is its result.  FILE gets one JSON record:
+The last stdout line of each run is its result, with the end-to-end metrics;
+the run's `.bench_work/W/record.json` in that tree adds `proc.cpu_s`, the
+median CPU seconds of its invocations.  FILE gets one JSON record:
 the machine facts the bench printed and the host, a method note, every pair
 per workload, and per metric each side's median and quartiles over the
 pairs with how many pairs each side won, the invocations attempted and
@@ -35,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CPU = "proc.cpu_s"    # from each run's record: its result line has end-to-end metrics only
 
 
 def git(*args: str) -> str:
@@ -53,7 +56,8 @@ def unpack(rev: str, top: str, dest: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One run of tree's bench/run.py: its result line and its machine facts."""
+    """One run of tree's bench/run.py: its result line, with CPU's value from
+    the run's record added to its metrics, and its machine facts."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -64,7 +68,10 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
                          f"{proc.stderr[-2000:]}")
     facts = next((json.loads(line[len("# facts "):]) for line in lines
                   if line.startswith("# facts ")), {})
-    return json.loads(lines[-1]), facts
+    result = json.loads(lines[-1])
+    record = json.loads((tree / ".bench_work" / workload / "record.json").read_text())
+    result["metrics"][CPU] = record["metrics"][CPU]
+    return result, facts
 
 
 def size(tree: Path) -> dict:
@@ -156,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"tools/ab.py: for pair i (0-{args.pairs - 1}) both trees ran `python3 "
                 f"bench/run.py --workload W --seed i+1 --seconds {args.seconds:g} --trace 0` "
                 "from their own `git archive` of the revision; the parent ran first on even "
-                "i. Medians, quartiles (statistics.quantiles, n=4) and wins are over the "
+                f"i. {CPU} is read from each run's .bench_work/W/record.json. Medians, quartiles (statistics.quantiles, n=4) and wins are over the "
                 "pairs; a tie counts for neither side."),
             "revisions": revs,
         },

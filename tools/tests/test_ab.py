@@ -48,7 +48,8 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
     tiny = record["workloads"]["tiny"]
     assert [(p["seed"], p["first"]) for p in tiny["pairs"]] == [(1, "parent")]
     end_to_end = {m["name"] for m in SPEC["end_to_end"]}
-    assert set(tiny["metrics"]) == end_to_end
+    assert set(tiny["metrics"]) == end_to_end | {"proc.cpu_s"}
+    assert tiny["metrics"]["proc.cpu_s"]["better"] == "lower"
     for name, m in tiny["metrics"].items():
         assert m["pairs"] == 1 and m["parent_wins"] + m["change_wins"] <= 1
         for side in ("parent", "change"):
