@@ -18,16 +18,9 @@ from itertools import islice
 
 import numpy as np
 
-# (getter, setter) names of the thread count in the OpenBLAS builds numpy
-# ships or links: its wheels' prefixed ILP64 copy first.
-_BLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 _pin_lock = threading.Lock()
 _pin_depth = 0    # blocks inside one_blas_thread
-_pin_saved = 0    # the thread count the first of them found
+_pin_saved = 0    # the BLAS thread count the first of them found
 
 
 def check_memory(need: int, what: str) -> None:
@@ -40,30 +33,32 @@ def check_memory(need: int, what: str) -> None:
 
 
 @cache
-def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The getter and setter of the BLAS thread count in numpy's own BLAS, or
-    None where no known symbol resolves (MKL, Accelerate, another prefix)."""
+def _blas_threads() -> tuple[Callable, Callable] | None:
+    """The getter and setter of the thread count of numpy's OpenBLAS (its
+    wheels' prefixed ILP64 copy first), or None where none resolves (MKL,
+    Accelerate, another prefix)."""
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    for get, set_ in _BLAS_THREADS:
-        if hasattr(lib, get) and hasattr(lib, set_):
-            getter, setter = getattr(lib, get), getattr(lib, set_)
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return getter, setter
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get and set_:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Run the block on one BLAS thread, for every thread of the process, and
-    restore the count found on entry when the block exits, by an exception
-    too.  Nested and concurrent blocks share one pin: the first to enter sets
+    """Hold the BLAS at one thread, for the whole process, while the block
+    runs, and restore the count found on entry as it exits, by an exception
+    too.  Nested and concurrent blocks share the pin: the first to enter sets
     it, the last to leave restores it.  Without a known BLAS it does nothing."""
+    global _pin_depth, _pin_saved
     api = _blas_threads()
     if api is None:
         yield
         return
-    global _pin_depth, _pin_saved
     get, set_ = api
     with _pin_lock:
         if _pin_depth == 0:

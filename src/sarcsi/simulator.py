@@ -215,8 +215,8 @@ def _direct_sum(
     order (a single chunk's Re and Im halves are multiplied straight into them).
     Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on
     the block shape and the BLAS alone, whose rounding may follow a
-    product's row count; synth_spectrum runs it under one_blas_thread, so
-    with a BLAS that knows it, not the BLAS thread count.
+    product's row count and, where one_blas_thread cannot pin it, the BLAS
+    thread count.
 
     A pair is nr + 2 complex values, so G row k fits in the memory of its own
     pair: the element-wise combine, per row tile on worker threads, copies a
@@ -316,8 +316,9 @@ def synth_spectrum(
       ROW_TILE azimuth rows by a chunk of samples), one real matrix product
       over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
       identity extends to all nr, on one BLAS thread; worker threads build
-      the blocks, and each row tile's products are added in chunk order.  G is written over the
-      partial sums, so data is an (na, nr) view with a row pitch of nr + 2.
+      the blocks, and each row tile's products are added in chunk order.
+      G is written over the partial sums, so data is an (na, nr) view with
+      a row pitch of nr + 2.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
     scene and the grid are checked by check_synthesis first.

@@ -372,9 +372,8 @@ class TestSimulate:
     def test_products_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # OpenBLAS starts one thread per CPU unless OPENBLAS_NUM_THREADS says
         # otherwise, and a GEMM's rounding may follow its thread count; the
-        # direct sum runs on one BLAS thread either way.  On this scene (a
-        # jittered README scene) the azimuth power differed in one bin
-        # before it did
+        # direct sum runs on one BLAS thread either way.  Without that pin,
+        # this jittered README scene's azimuth power differs in one bin
         targets = [dict(t) for t in README_TARGETS]
         targets[0]["theta_az_deg"] = 2.8
         targets[1]["theta_az_deg"] = 20.1

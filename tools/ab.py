@@ -163,8 +163,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"tools/ab.py: for pair i (0-{args.pairs - 1}) both trees ran `python3 "
                 f"bench/run.py --workload W --seed i+1 --seconds {args.seconds:g} --trace 0` "
                 "from their own `git archive` of the revision; the parent ran first on even "
-                f"i. {CPU} is read from each run's .bench_work/W/record.json. Medians, quartiles (statistics.quantiles, n=4) and wins are over the "
-                "pairs; a tie counts for neither side."),
+                f"i. {CPU} is read from each run's .bench_work/W/record.json. Medians, "
+                "quartiles (statistics.quantiles, n=4) and wins are over the pairs; a tie "
+                "counts for neither side."),
             "revisions": revs,
         },
         "workloads": record,
