@@ -1,7 +1,7 @@
-"""What the host gives the package: the one thread pool, ordered maps over
-the CPUs in the affinity mask that synthesis, focusing and composition use;
-the BLAS pinned to one thread while the direct sum's worker threads build
-blocks for its matrix products; and the physical-memory check that scene
+"""What the host gives the package: ordered maps over the CPUs in the
+affinity mask, each on a thread pool of its own, for synthesis, focusing and
+composition; the BLAS pinned to one thread while the direct sum's worker
+threads run its matrix products; and the physical-memory check that scene
 building, synthesis and the colour stages make before they allocate."""
 
 from __future__ import annotations

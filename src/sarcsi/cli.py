@@ -132,9 +132,16 @@ def _scene_config(args: argparse.Namespace) -> SceneConfig:
     return dataclasses.replace(cfg, radar=radar, na=na, nr=nr)
 
 
+def _write(path: Path, data: bytes) -> None:
+    try:    # a full disk or an unwritable path exits 2, without a traceback
+        path.write_bytes(data)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(Path(out), text.encode())
     else:
         sys.stdout.write(text)
 
@@ -218,8 +225,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ppm_path = prefix.with_name(prefix.name + "_rgb.ppm")
     csv_path = prefix.with_name(prefix.name + "_azspec.csv")
     json_path = prefix.with_name(prefix.name + "_report.json")
-    ppm_path.write_bytes(encode_ppm(rgb))
-    csv_path.write_text(azimuth_spectrum_csv(f_a, power))
+    _write(ppm_path, encode_ppm(rgb))
+    _write(csv_path, azimuth_spectrum_csv(f_a, power).encode())
 
     # Parseval: a band image's energy is the power of the rows in that band.
     band = cfg.radar.band_index(f_a)
@@ -243,7 +250,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "targets": [t["label"] for t in cfg.targets],
         "total_energy": float(power.sum()),
     }
-    json_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(json_path, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
     sys.stdout.write(f"wrote {ppm_path} {csv_path} {json_path}\n")
     return 0
 

@@ -355,7 +355,7 @@ def parse_scene_config(path: str | Path) -> SceneConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     try:
         obj = json.loads(text)
@@ -363,6 +363,8 @@ def parse_scene_config(path: str | Path) -> SceneConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise ConfigError(f"{path}: JSON nested too deeply") from e
     return scene_config_from_dict(obj)
 
 

@@ -13,20 +13,20 @@ Focusing the spectrum into an image is csi's part.
 synth_spectrum evaluates that sum exactly in one of two ways, picked from the
 samples themselves.  A uniformly sampled collinear run of equal amplitudes
 (a line, an array, a 3-D segment) is a geometric series in n, summed in
-closed form as its array factor; every other cloud term by term, in blocks
-of azimuth rows by scatterers, as real matrix products over the range columns
-l <= nr/2 that also give their conjugate partners nr - l; the direct sum
-writes G over its own partial sums, so its spectrum is a view with a row
-pitch of nr + 2.  Either path stays within max|dG| / max|G| <= 1e-10 of the
-plain direct sum, which the tests keep as the reference, in tests/oracles.py
-with the peak oracles and the ideal point response.
+closed form as its array factor; every other cloud term by term, a job per
+tile of azimuth rows going through the scatterers in chunks, as real matrix
+products over the range columns l <= nr/2 that also give their conjugate
+partners nr - l; each job writes its G rows over its own partial sums, so
+the spectrum is a view with a row pitch of nr + 2.  Either path stays
+within max|dG| / max|G| <= 1e-10 of the plain direct sum, which the tests
+keep as the reference, in tests/oracles.py with the peak oracles and the
+ideal point response.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -167,32 +167,29 @@ def _direct_block(
     return w
 
 
-def _range_factor(f_r: np.ndarray, v: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """The float64 (n, 2h) view of amp exp(+j2pi v f_r[:h]), h = nr/2 + 1: with
-    a block w, w @ r viewed complex (2 na, h) is T over S."""
-    cycles = np.multiply.outer(v, f_r[: f_r.size // 2 + 1])
-    cycles -= np.rint(cycles)
+def _range_factor(f_r: np.ndarray, v: np.ndarray, amp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The float64 (n, 2h) view of amp exp(+j2pi v f_r[:h]), h = nr/2 + 1, built
+    in place in the complex (n or more, h) out (Re is scratch first): with a
+    block w, w @ r viewed complex (2 na, h) is T over S."""
+    r = out[: v.size]
+    cycles = r.imag
+    np.multiply.outer(v, f_r[: f_r.size // 2 + 1], out=cycles)
+    cycles -= np.rint(cycles, out=r.real)
     cycles *= 2 * np.pi
-    r = np.empty(cycles.shape, complex)
     np.cos(cycles, out=r.real)
-    np.sin(cycles, out=r.imag)
+    np.sin(cycles, out=cycles)
     r *= amp[:, None]
     return r.view(float)
 
 
 def _block_shape(na: int, n: int) -> tuple[int, int]:
-    """(rows, samples) of the direct sum's blocks for na rows and n samples;
-    a block never has more samples than the scene."""
+    """(rows, samples) of the direct sum's blocks for na rows and n samples: a
+    block never has more samples than the scene, nor a sum of several blocks
+    fewer than two row tiles, which two threads share whatever the CPUs."""
     if na * n <= BLOCK_PHASES:
         return na, max(n, 1)          # one full-height block, built inline
-    rows = min(na, ROW_TILE)
+    rows = min(na // 2, ROW_TILE)
     return rows, min(BLOCK_PHASES // rows, n)
-
-
-def _ring(jobs: int) -> int:
-    """Blocks the direct sum holds at once: one per worker that threaded_map
-    runs ahead (two inline, the last still held), never more than jobs."""
-    return min(jobs, workers(jobs) + 1)
 
 
 def _direct_sum(
@@ -208,57 +205,52 @@ def _direct_sum(
     T and S sum a_n cos(2pi phi_kn) and -a_n sin(2pi phi_kn) times
     exp(+j2pi f_r[l] v_n), phi = f_a u + carrier v.  As f_r[nr - l] = -f_r[l],
     G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
-    0 < l < h - 1.  Worker threads build only the blocks of _block_shape, a
-    row tile by a sample chunk each, chunk after chunk, in _ring slots; this
-    thread builds a chunk's range factor at its first tile and adds each
-    block's (2 rows, 2h) product into its tile's zeroed partial sums in block
-    order (a single chunk's Re and Im halves are multiplied straight into them).
-    Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on
-    the block shape and the BLAS alone, whose rounding may follow a
-    product's row count and, where one_blas_thread cannot pin it, the BLAS
-    thread count.
+    0 < l < h - 1.  A job per row tile of _block_shape, on worker threads,
+    builds each sample chunk's block and range factor in turn and adds their
+    T-row and S-row (rows, 2h) products into its tile's zeroed partial sums
+    (a single chunk's are multiplied straight into them).  Row 2k of the sums
+    holds T_k and row 2k + 1 S_k.  So the sum depends on the block shape and
+    the BLAS alone, whose rounding may follow a product's row count and,
+    where one_blas_thread cannot pin it, the BLAS thread count.
 
     A pair is nr + 2 complex values, so G row k fits in the memory of its own
-    pair: the element-wise combine, per row tile on worker threads, copies a
-    group of pairs to a small buffer and writes their G rows over them.
-    Returns G as an (na, nr) view whose rows have a pitch of nr + 2.
+    pair: the job's element-wise combine then copies a group of its pairs to
+    a small buffer and writes their G rows over them.  Returns G as an
+    (na, nr) view whose rows have a pitch of nr + 2.
     """
     na, nr = f_a.size, f_r.size
     h = nr // 2 + 1
     rows, step = _block_shape(na, u.size)
-    jobs = list(product(range(0, max(u.size, 1), step), range(0, na, rows)))
-    # Block k is built in slot k % len(slots), whose last block was added before
-    # block k starts: builder timing cannot change the memory touched.
-    slots = [np.empty(2 * rows * step) for _ in range(_ring(len(jobs)))]
-
-    def block(k: int) -> np.ndarray:
-        lo, a = jobs[k]
-        sl = slice(lo, lo + step)
-        return _direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
-                             slots[k % len(slots)])
-
+    chunks, tiles = range(0, max(u.size, 1), step), range(0, na, rows)
+    group = _combine_group(nr, rows)  # rows whose T, S and G parts stay in cache
+    # Tile k works in slot k % n: threaded_map starts it only once tile k - n
+    # has returned, so builder timing cannot change the memory touched.
+    n = workers(len(tiles))
+    blocks = np.empty((n, 2 * rows * step))
+    factors = np.empty((n, step, h), complex)
+    prods = np.empty((n, rows, 2 * h)) if step < u.size else None
+    staged = np.empty((n, group, 2 * h), complex)
     ts = np.zeros((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
-    prod = np.empty((2 * rows, 2 * h)) if step < u.size else None
-    for (lo, a), w in zip(jobs, threaded_map(block, range(len(jobs)))):
-        if a == 0:                    # a chunk's first row tile: its range factor
-            r = _range_factor(f_r, v[lo : lo + step], amp[lo : lo + step])
-        tile = ts[2 * a : 2 * (a + rows)].reshape(rows, 2, -1)
-        if prod is None:              # one chunk (an empty scene still gets one empty block)
-            np.matmul(w.reshape(2, rows, -1), r, out=tile.swapaxes(0, 1))
-        else:                         # T rows over S rows, added to their pairs
-            tile += np.matmul(w, r, out=prod).reshape(2, rows, -1).swapaxes(0, 1)
-    del w, r, prod, tile
-    slots.clear()
     pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
     g = pairs[:, :nr]
-    group = _combine_group(nr, rows)  # rows whose T, S and G parts stay in cache
     mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
 
-    def combine(a0: int) -> None:
-        staged = np.empty((group, 2 * h), complex)
+    def tile(k: int) -> None:
+        a0 = tiles[k]
+        sums = ts[2 * a0 : 2 * (a0 + rows)].reshape(rows, 2, -1).swapaxes(0, 1)
+        for lo in chunks:
+            sl = slice(lo, lo + step)
+            w = _direct_block(f_a[a0 : a0 + rows], carrier[a0 : a0 + rows], u[sl], v[sl],
+                              blocks[k % n]).reshape(2, rows, -1)
+            r = _range_factor(f_r, v[sl], amp[sl], factors[k % n])
+            if prods is None:         # one chunk (an empty scene still gets one empty block)
+                np.matmul(w, r, out=sums)
+            else:                     # T rows, then S rows, added to their sums
+                for half, total in zip(w, sums):
+                    total += np.matmul(half, r, out=prods[k % n])
         for a in range(a0, a0 + rows, group):
             b = min(a + group, a0 + rows)
-            pair = staged[: b - a]
+            pair = staged[k % n, : b - a]
             pair[...] = pairs[a:b]    # G rows a..b overwrite these pairs
             t, s = pair[:, :h], pair[:, h:]
             tr, ti, sr, si = t.real, t.imag, s.real, s.imag
@@ -268,7 +260,7 @@ def _direct_sum(
             np.subtract(tr[:, mirror], si[:, mirror], out=gr[:, h:])
             np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
 
-    deque(threaded_map(combine, range(0, na, rows)), maxlen=0)
+    deque(threaded_map(tile, range(len(tiles))), maxlen=0)
     return g
 
 
@@ -286,19 +278,17 @@ def spectrum_bytes(na: int, nr: int) -> int:
 
 def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     """Bytes synthesis holds at its peak: the closed form's three float64
-    (na, nr) temporaries and a mask, or the direct sum's spectrum_bytes, with
-    the combine's staging buffers or, if larger, the _ring blocks, a range
-    factor as the next is built, and any product."""
+    (na, nr) temporaries and a mask, or the direct sum's spectrum_bytes and,
+    per worker, a block, a range factor, a combine staging buffer and, with
+    several chunks, a product."""
     if not direct:
         return 25 * na * nr
     rows, step = _block_shape(na, n)
-    jobs = na // rows * -(-max(n, 1) // step)
     h = nr // 2 + 1
-    blocks = _ring(jobs) * 16 * rows * step + 40 * step * h
+    slot = 16 * rows * step + 16 * step * h + 32 * _combine_group(nr, rows) * h
     if step < n:
-        blocks += 32 * rows * h
-    staged = workers(na // rows) * 32 * _combine_group(nr, rows) * h
-    return spectrum_bytes(na, nr) + max(blocks, staged)
+        slot += 16 * rows * h
+    return spectrum_bytes(na, nr) + workers(na // rows) * slot
 
 
 def synth_spectrum(
@@ -313,12 +303,12 @@ def synth_spectrum(
       sampled line, array or 3-D segment): the geometric series costs
       O(na * nr) whatever the scatterer count;
     - direct sum otherwise: per block of at most BLOCK_PHASES phases (up to
-      ROW_TILE azimuth rows by a chunk of samples), one real matrix product
+      ROW_TILE azimuth rows by a chunk of samples), real matrix products
       over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
-      identity extends to all nr, on one BLAS thread; worker threads build
-      the blocks, and each row tile's products are added in chunk order.
-      G is written over the partial sums, so data is an (na, nr) view with
-      a row pitch of nr + 2.
+      identity extends to all nr, on one BLAS thread; one job per row tile,
+      on worker threads, builds its blocks and adds their products in chunk
+      order, then writes its G rows over its partial sums, so data is an
+      (na, nr) view with a row pitch of nr + 2.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
     scene and the grid are checked by check_synthesis first.
@@ -330,7 +320,7 @@ def synth_spectrum(
         f_r = _freq_axis(nr, p.B_r)
         carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
         if steps is None:
-            with one_blas_thread():   # the workers' blocks need the CPUs
+            with one_blas_thread():   # each worker runs its own tiles' GEMMs
                 data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
         else:
             data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)

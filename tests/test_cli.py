@@ -534,6 +534,23 @@ class TestRejectedInput:
         assert code == 2
         assert err.startswith("error: output") and "Traceback" not in err
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_full_disk_on_out_flag(self):
+        # the write itself fails (ENOSPC): one error line naming the path
+        code, err = run_process("predict", "--theta-az", "2", "--out", "/dev/full")
+        assert code == 2
+        assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not Path("/proc/self").is_dir(), reason="no /proc/self")
+    def test_unwritable_simulate_products(self, tmp_path):
+        # /proc/self passes the directory check, but no file can be made in it
+        scene = scene_file(tmp_path, [LINE2])
+        code, err = run_process("simulate", "--scene", str(scene), "--out-prefix",
+                                "/proc/self/x")
+        assert code == 2
+        assert err.startswith("error: cannot write /proc/self/x_rgb.ppm: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_analyze_checks_out_dir_before_synthesis(self, tmp_path, capsys):
         scene = scene_file(tmp_path, [LINE2])
         with mock.patch("sarcsi.analysis.synth_spectrum",

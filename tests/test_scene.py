@@ -188,6 +188,21 @@ def test_missing_file(tmp_path):
         s.parse_scene_config(tmp_path / "absent.json")
 
 
+def test_deeply_nested_config_names_the_file(tmp_path):
+    # json.loads recurses per level and would raise RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ConfigError, match=f"^{path}: JSON nested too deeply$"):
+        s.parse_scene_config(path)
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ConfigError, match=f"^cannot read {path}: 'utf-8' codec can't decode"):
+        s.parse_scene_config(path)
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [

@@ -381,28 +381,33 @@ def test_azimuth_power_is_bit_identical_on_a_padded_view(xband, shape):
     assert np.array_equal(f_a, s.SpectrumGrid(data.copy(), xband).f_a)
 
 
+def tile_stages(tiles_seen):
+    """A threaded_map spy that records (items, threads) per call in tiles_seen."""
+    tmap = sim.threaded_map
+
+    def spy(fn, items):
+        threads = set()
+        tiles_seen.append((len(items), threads))
+        return tmap(lambda x: threads.add(threading.get_ident()) or fn(x), items)
+
+    return mock.patch.object(sim, "threaded_map", side_effect=spy)
+
+
 def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
     # at 4096 x 512, 300 scatterers are two sample chunks by four row tiles
-    # of ROW_TILE rows, and the combine runs per row tile; on four worker
-    # threads it must write exactly what one thread writes
+    # of ROW_TILE rows, and the one stage runs a job per row tile, which
+    # ends with its combine; on four worker threads it must write exactly
+    # what one thread writes
     na, nr = 4096, 512
     sc = edge_scene(xband, na, nr, 300, signed=True)
-    tmap = sim.threaded_map
     got = []
     for n_cpus in (1, 4):
-        stages = []                   # (items, threads) per threaded_map call
-
-        def spy(fn, items):
-            threads = set()
-            stages.append((len(items), threads))
-            return tmap(lambda x: threads.add(threading.get_ident()) or fn(x), items)
-
-        with cpus(n_cpus), only_path("direct"), \
-                mock.patch.object(sim, "threaded_map", side_effect=spy):
+        stages = []
+        with cpus(n_cpus), only_path("direct"), tile_stages(stages):
             got.append(s.synth_spectrum(sc, xband, na=na, nr=nr).data)
-        (blocks, _), (tiles, combine_threads) = stages
-        assert tiles == na // sim.ROW_TILE == 4 and blocks == 2 * tiles
-        assert (len(combine_threads) > 1) == (n_cpus > 1)
+        [(tiles, threads)] = stages
+        assert tiles == na // sim.ROW_TILE == 4
+        assert (len(threads) > 1) == (n_cpus > 1)
     assert np.array_equal(got[0], got[1])
     assert relative_error(got[0], oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
 
@@ -410,8 +415,8 @@ def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
 def test_direct_block_allocates_only_its_operands(xband):
     # a full block of a 2048 x 256 sum, one row tile by one sample chunk: the
     # phases, their whole cycles and the carrier product are all built inside
-    # the returned (2 rows, step) view of its flat slot; only the small range
-    # factor has a temporary of its own
+    # the returned (2 rows, step) view of its flat slot, and the range
+    # factor's cycles inside its own complex slot
     na, nr = 2048, 256
     rows, step = sim._block_shape(na, 4 * na)
     assert rows * step == sim.BLOCK_PHASES and rows < na
@@ -420,16 +425,18 @@ def test_direct_block_allocates_only_its_operands(xband):
     f_r = sim._freq_axis(nr, xband.B_r)
     carrier = xband.f_c * np.cos(s.squint_from_doppler(xband, f_a))
     u, v = sc.x / xband.V, 2 * sc.y / s.C
+    block, factor = np.empty(2 * rows * step), np.empty((step, nr // 2 + 1), complex)
     tracemalloc.start()
     try:
-        w = sim._direct_block(f_a, carrier, u, v, np.empty(2 * rows * step))
-        r = sim._range_factor(f_r, v, sc.amp)
+        w = sim._direct_block(f_a, carrier, u, v, block)
+        r = sim._range_factor(f_r, v, sc.amp, factor)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert w.dtype == r.dtype == np.float64
     assert w.shape == (2 * rows, step) and r.shape == (step, 2 * (nr // 2 + 1))
-    assert peak <= 1.1 * (w.nbytes + r.nbytes)
+    assert np.shares_memory(w, block) and np.shares_memory(r, factor)
+    assert peak <= 0.1 * (w.nbytes + r.nbytes)
 
 
 def test_overflowing_sum_warns_on_no_thread(xband):
@@ -487,8 +494,8 @@ def test_chunked_sum_spans_chunks(xband):
 def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
     # twenty blocks, four row tiles by five sample chunks, finish out of
     # order under random delays, on one thread or on four; the sum must
-    # still be the serial sum of each tile's (2 rows, 2h) products in chunk
-    # order
+    # still be the serial sum of each tile's T-row and S-row (rows, 2h)
+    # products in chunk order
     na, nr, n = 4096, 8, 1031
     sc = spread_scene(n)
     f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
@@ -497,14 +504,14 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
     u, v = sc.x / xband.V, 2 * sc.y / s.C
     rows, step = sim._block_shape(na, n)
     assert na // rows == 4 and -(-n // step) == 5
-    tiles = {}
+    tiles = dict.fromkeys(range(0, na, rows), 0.0)
     for lo in range(0, n, step):
         sl = slice(lo, lo + step)
-        r = sim._range_factor(f_r, v[sl], sc.amp[sl])
-        for a in range(0, na, rows):
-            p = sim._direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
-                                  np.empty(2 * rows * step)) @ r
-            tiles[a] = p if lo == 0 else tiles[a] + p
+        r = sim._range_factor(f_r, v[sl], sc.amp[sl], np.empty((step, nr // 2 + 1), complex))
+        for a in tiles:
+            w = sim._direct_block(f_a[a : a + rows], carrier[a : a + rows], u[sl], v[sl],
+                                  np.empty(2 * rows * step))
+            tiles[a] = tiles[a] + np.concatenate([w[:rows] @ r, w[rows:] @ r])
     tb = np.concatenate([tiles[a][:rows] for a in tiles] + [tiles[a][rows:] for a in tiles])
     want = half_axis_combine(tb.view(complex), na, nr)
 
@@ -525,33 +532,48 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
-def test_threaded_blocks_reuse_a_fixed_ring(xband, n_cpus):
-    # twenty blocks, five sample chunks by four row tiles, in that order:
-    # block k is built in buffer k mod (workers + 1), so how far the builders
-    # run ahead cannot change the memory touched; inline, blocks alternate
-    # between two buffers, as the previous block is still held
+def test_tiles_build_their_blocks_in_fixed_slots(xband, n_cpus):
+    # four row tiles by five sample chunks: tile k builds all its blocks in
+    # slot k mod workers of one buffer the caller allocated, so how far the
+    # jobs run ahead cannot change the memory touched
     na, n = 4096, 1031
     sc = spread_scene(n)
-    u = sc.x / xband.V
     f_a = sim._freq_axis(na, xband.B_a, xband.f_dc)
     rows, step = sim._block_shape(na, n)
     build = sim._direct_block
     outs = {}
 
     def spy(*args):
-        chunk = int(np.flatnonzero(u == args[2][0])[0]) // step
         tile = int(np.flatnonzero(f_a == args[0][0])[0]) // rows
-        outs[chunk * (na // rows) + tile] = args[4]
+        outs.setdefault(tile, []).append(args[4])
         return build(*args)
 
     with cpus(n_cpus), only_path("direct"), \
             mock.patch.object(sim, "_direct_block", side_effect=spy):
         g = s.synth_spectrum(sc, xband, na=na, nr=8).data
-    assert sorted(outs) == list(range(20))
-    ring = [outs[k] for k in range(n_cpus + 1)]
-    assert len({id(out) for out in ring}) == n_cpus + 1
-    assert all(outs[k] is ring[k % (n_cpus + 1)] for k in outs)
+    assert sorted(outs) == list(range(na // rows)) == [0, 1, 2, 3]
+    slots = outs[0][0].base
+    assert slots.shape == (n_cpus, 2 * rows * step)
+    for k, built in outs.items():
+        assert len(built) == -(-n // step) == 5
+        assert all(out.base is slots for out in built)
+        assert {out.ctypes.data for out in built} == {slots[k % n_cpus].ctypes.data}
     assert relative_error(g, oracles.direct_sum(sc, xband, na, 8)) <= 1e-12
+
+
+def test_a_1024_row_sum_runs_as_two_tiles(xband):
+    # a multi-chunk sum is cut into at least two row tiles, so a 1024-row
+    # grid is two jobs of 512 rows that two CPUs share
+    na, nr, n = 1024, 256, 1031
+    rows, step = sim._block_shape(na, n)
+    assert (rows, step) == (na // 2, sim.BLOCK_PHASES // (na // 2)) and step < n
+    sc = edge_scene(xband, na, nr, n, signed=True)
+    stages = []
+    with cpus(2), only_path("direct"), tile_stages(stages):
+        g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+    [(tiles, threads)] = stages
+    assert tiles == 2 and len(threads) == 2
+    assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
 
 
 def test_chunk_failure_propagates(xband, run_bounded):
@@ -743,20 +765,21 @@ class TestZeroOrderOracle:
                                      support_cells=8)
 
 
-@pytest.mark.parametrize("case", ["direct", "closed", "array64", "array193"])
+@pytest.mark.parametrize("case", ["direct", "direct1024", "closed", "array64", "array193"])
 def test_synthesis_holds_what_the_preflight_counts(xband, case):
-    # a 2048 x 256 scene on two CPUs.  The curve's direct sum holds T and S
-    # with the ring of workers + 1 operand blocks, a range factor and the
-    # next one as it is built, and one product, and no second
-    # T-and-S-sized product buffer; G is written over T and S, so it is a
-    # view of their buffer with a row pitch of nr + 2.  A 64-element array
-    # is one full-height block, so its ring is that one block; a 193-element
-    # array is one chunk of 193 samples over two row tiles, two blocks and
-    # no product.  The line's closed form holds a few float64 grids.  Each
-    # peak is what the memory preflight checks against physical memory
-    na, nr = 2048, 256
+    # a 2048 x 256 scene on two CPUs (the curve at 1024 x 256 too).  The
+    # curve's direct sum holds T and S and, per worker, one slot each of a
+    # block, a range factor, a half-height product and a combine staging
+    # buffer, and no second T-and-S-sized buffer; G is written over T and
+    # S, so it is a view of their buffer with a row pitch of nr + 2.  A
+    # 64-element array is one full-height block on one thread; a
+    # 193-element array is one chunk of 193 samples over two row tiles, two
+    # blocks and no product.  The line's closed form holds a few float64
+    # grids.  Each peak is what the memory preflight checks against
+    # physical memory
+    na, nr = (1024 if case == "direct1024" else 2048), 256
     direct = case != "closed"
-    if case == "direct":
+    if case.startswith("direct"):
         target = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0, "tan_hi_deg": 2.0,
                   "spacing_m": 0.002}
     elif case == "closed":
@@ -776,10 +799,10 @@ def test_synthesis_holds_what_the_preflight_counts(xband, case):
             tracemalloc.stop()
         counted = sim.synthesis_bytes(na, nr, sc.n, direct)
     assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
-    if case == "direct":
-        assert na // rows == 2 and sc.n > 4 * step
-        ts, ring, product = 32 * na * h, 3 * 16 * step * (rows + h), 32 * rows * h
-        assert peak <= ts + ring + product + (1 << 20)
+    if case.startswith("direct"):
+        assert na // rows == 2 and sc.n > 2 * step    # two tiles, several chunks
+        ts, slots = 32 * na * h, 2 * 16 * (rows * step + step * h + rows * h)
+        assert peak <= ts + slots + (1 << 20)
         assert g.base.nbytes == ts and g.strides == (16 * (nr + 2), 16)
     elif direct:                      # one block, or two row tiles of one chunk
         assert (na // rows, -(-sc.n // step)) == {"array64": (1, 1), "array193": (2, 1)}[case]

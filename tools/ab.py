@@ -18,8 +18,10 @@ the run's `.bench_work/W/record.json` in that tree adds `proc.cpu_s`, the
 median CPU seconds of its invocations.  FILE gets one JSON record:
 the machine facts the bench printed and the host, a method note, every pair
 per workload, and per metric each side's median and quartiles over the
-pairs with how many pairs each side won, the invocations attempted and
-failed on each side, and each side's size: the lines of its src/sarcsi/*.py
+pairs with how many pairs each side won and, for an end-to-end metric, the
+change's median relative to the parent's (`change_vs_parent`) and whether
+that is within the metric's relative `bound` in BENCHMARK.json
+(`within_bound`), the invocations attempted and failed on each side, and each side's size: the lines of its src/sarcsi/*.py
 (as `cat src/sarcsi/*.py | wc -l` counts them) and the names in its
 package's `__all__`, read with `ast` without importing the package.
 """
@@ -91,9 +93,11 @@ def spread(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric of the pairs: each side's spread and the pairs it won (a
-    tie counts for neither side)."""
+    tie counts for neither side) and, where the metric has a bound, the
+    change's relative move of the median and whether it is no worse than
+    the bound."""
     metrics = {}
     for name in sorted(pairs[0]["parent"]):
         kind = better.get(name, "lower")
@@ -109,6 +113,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             **{side: spread([p[side][name] for p in pairs]) for side in SIDES},
             **{f"{side}_wins": wins[side] for side in SIDES},
         }
+        if name in bounds:
+            m = metrics[name]
+            rel = m["change"]["median"] / m["parent"]["median"] - 1
+            m["change_vs_parent"] = rel
+            m["within_bound"] = -sign * rel <= bounds[name]
     return metrics
 
 
@@ -134,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         sizes = {side: size(trees[side]) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         workloads = args.workloads or [w["name"] for w in spec["workloads"]]
         facts: dict = {}
         record: dict = {}
@@ -152,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"ab: {workload} pair {i + 1}/{args.pairs} wall_s "
                       + " ".join(f"{s} {pair[s].get('wall_s')}" for s in SIDES), file=sys.stderr)
                 pairs.append(pair)
-            record[workload] = {"pairs": pairs, "metrics": summarize(pairs, better), **counts}
+            record[workload] = {"pairs": pairs, "metrics": summarize(pairs, better, bounds), **counts}
 
     out = {
         "facts": facts,

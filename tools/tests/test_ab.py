@@ -54,6 +54,13 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
         assert m["pairs"] == 1 and m["parent_wins"] + m["change_wins"] <= 1
         for side in ("parent", "change"):
             assert m[side]["median"] == tiny["pairs"][0][side][name]
+    # each end-to-end metric's move against its bound; proc.cpu_s has no bound
+    for spec in SPEC["end_to_end"]:
+        m = tiny["metrics"][spec["name"]]
+        rel = m["change"]["median"] / m["parent"]["median"] - 1
+        assert m["change_vs_parent"] == rel
+        assert m["within_bound"] == (rel <= spec["bound"])
+    assert "within_bound" not in tiny["metrics"]["proc.cpu_s"]
     for side in ("parent", "change"):
         assert tiny["attempted"][side] >= 1 and tiny["failed"][side] == 0
     assert not list(tmp_path.glob("repo/.bench_work"))
