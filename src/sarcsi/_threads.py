@@ -1,8 +1,10 @@
 """What the host gives the package: ordered maps over the CPUs in the
 affinity mask, each on a thread pool of its own, for synthesis, focusing and
-composition; the BLAS pinned to one thread while the direct sum's worker
-threads run its matrix products; and the physical-memory check that scene
-building, synthesis and the colour stages make before they allocate."""
+composition; numpy's OpenBLAS, resolved once: its thread count, pinned to
+one while the direct sum's worker threads run its matrix products, and its
+dgemm, which adds each product into the sum in place; and the
+physical-memory check that scene building, synthesis and the colour stages
+make before they allocate."""
 
 from __future__ import annotations
 
@@ -33,19 +35,50 @@ def check_memory(need: int, what: str) -> None:
 
 
 @cache
-def _blas_threads() -> tuple[Callable, Callable] | None:
-    """The getter and setter of the thread count of numpy's OpenBLAS (its
-    wheels' prefixed ILP64 copy first), or None where none resolves (MKL,
-    Accelerate, another prefix)."""
+def _blas() -> tuple[Callable, Callable, Callable | None] | None:
+    """The thread-count getter and setter and the cblas_dgemm of numpy's
+    OpenBLAS (its wheels' prefixed ILP64 copy first: a 64_ suffix means int64
+    sizes), the dgemm None where it does not resolve; or None where no getter
+    and setter resolve (MKL, Accelerate, another prefix)."""
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+    for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
         if get and set_:
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            gemm = getattr(lib, f"{prefix}cblas_dgemm{suffix}", None)
+            if gemm:
+                i = ctypes.c_int64 if suffix else ctypes.c_int
+                f, p = ctypes.c_double, ctypes.c_void_p
+                gemm.argtypes = [ctypes.c_int] * 3 + [i] * 3 + [f, p, i, p, i, f, p, i]
+                gemm.restype = None
+            return get, set_, gemm
     return None
+
+
+def blas_gemm() -> Callable[[np.ndarray, np.ndarray, np.ndarray, float], None] | None:
+    """gemm(a, b, c, beta), c := a @ b + beta c in numpy's OpenBLAS dgemm,
+    which runs without the GIL, for float64 row-major matrices (m, k),
+    (k, n) and (m, n) of unit last stride (ValueError otherwise); or None
+    where no dgemm resolves.  With beta = 0, c is only written."""
+    api = _blas()
+    dgemm = api and api[2]
+    if not dgemm:
+        return None
+
+    def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, beta: float) -> None:
+        (m, k), n = a.shape, b.shape[1]
+        if not (a.dtype == b.dtype == c.dtype == np.float64 and b.shape[0] == k
+                and c.shape == (m, n) and c.flags.writeable
+                and all(x.strides[0] % 8 == 0 and x.strides[0] >= 8 * x.shape[1]
+                        and (x.strides[1] == 8 or not x.size) for x in (a, b, c))):
+            raise ValueError("gemm takes float64 (m, k), (k, n) and (m, n) rows of unit stride")
+        # 101: row-major, 111: no transpose.  An empty array's strides may be 0.
+        dgemm(101, 111, 111, m, n, k, 1.0, a.ctypes.data, max(1, a.strides[0] // 8),
+              b.ctypes.data, max(1, b.strides[0] // 8), beta, c.ctypes.data,
+              max(1, c.strides[0] // 8))
+    return gemm
 
 
 @contextmanager
@@ -55,11 +88,11 @@ def one_blas_thread() -> Iterator[None]:
     too.  Nested and concurrent blocks share the pin: the first to enter sets
     it, the last to leave restores it.  Without a known BLAS it does nothing."""
     global _pin_depth, _pin_saved
-    api = _blas_threads()
+    api = _blas()
     if api is None:
         yield
         return
-    get, set_ = api
+    get, set_, _ = api
     with _pin_lock:
         if _pin_depth == 0:
             _pin_saved = get()

@@ -16,11 +16,11 @@ samples themselves.  A uniformly sampled collinear run of equal amplitudes
 closed form as its array factor; every other cloud term by term, a job per
 tile of azimuth rows going through the scatterers in chunks, as real matrix
 products over the range columns l <= nr/2 that also give their conjugate
-partners nr - l; each job writes its G rows over its own partial sums, so
-the spectrum is a view with a row pitch of nr + 2.  Either path stays
-within max|dG| / max|G| <= 1e-10 of the plain direct sum, which the tests
-keep as the reference, in tests/oracles.py with the peak oracles and the
-ideal point response.
+partners nr - l, which the BLAS's dgemm adds into the tile's partial sums in
+place; each job writes its G rows over those sums, so the spectrum is a view
+with a row pitch of nr + 2.  Either path stays within max|dG| / max|G| <=
+1e-10 of the plain direct sum, which the tests keep as the reference, in
+tests/oracles.py with the peak oracles and the ideal point response.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import check_memory, one_blas_thread, threaded_map, workers
+from ._threads import blas_gemm, check_memory, one_blas_thread, threaded_map, workers
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
 from .scene import DEFAULT_GRID, Scene, check_grid_size
@@ -206,12 +206,16 @@ def _direct_sum(
     exp(+j2pi f_r[l] v_n), phi = f_a u + carrier v.  As f_r[nr - l] = -f_r[l],
     G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
     0 < l < h - 1.  A job per row tile of _block_shape, on worker threads,
-    builds each sample chunk's block and range factor in turn and adds their
-    T-row and S-row (rows, 2h) products into its tile's zeroed partial sums
-    (a single chunk's are multiplied straight into them).  Row 2k of the sums
-    holds T_k and row 2k + 1 S_k.  So the sum depends on the block shape and
-    the BLAS alone, whose rounding may follow a product's row count and,
-    where one_blas_thread cannot pin it, the BLAS thread count.
+    builds each sample chunk's block and range factor in turn and has
+    blas_gemm write their T-row and S-row (rows, 2h) products into its
+    tile's partial sums, which start uninitialised: the first chunk's with
+    beta = 0, each later chunk's added with beta = 1.  Where no dgemm
+    resolves, numpy's matmul writes the first chunk's products into the sums
+    and each later chunk's into a product slot, then added to them.  Row 2k
+    of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on the
+    block shape and the BLAS alone, whose rounding may follow a product's
+    row count and, where one_blas_thread cannot pin it, the BLAS thread
+    count.
 
     A pair is nr + 2 complex values, so G row k fits in the memory of its own
     pair: the job's element-wise combine then copies a group of its pairs to
@@ -228,9 +232,10 @@ def _direct_sum(
     n = workers(len(tiles))
     blocks = np.empty((n, 2 * rows * step))
     factors = np.empty((n, step, h), complex)
-    prods = np.empty((n, rows, 2 * h)) if step < u.size else None
+    gemm = blas_gemm()                # None: numpy's matmul, then an add
+    prods = np.empty((n, rows, 2 * h)) if gemm is None and step < u.size else None
     staged = np.empty((n, group, 2 * h), complex)
-    ts = np.zeros((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
+    ts = np.empty((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
     pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
     g = pairs[:, :nr]
     mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
@@ -243,11 +248,13 @@ def _direct_sum(
             w = _direct_block(f_a[a0 : a0 + rows], carrier[a0 : a0 + rows], u[sl], v[sl],
                               blocks[k % n]).reshape(2, rows, -1)
             r = _range_factor(f_r, v[sl], amp[sl], factors[k % n])
-            if prods is None:         # one chunk (an empty scene still gets one empty block)
-                np.matmul(w, r, out=sums)
-            else:                     # T rows, then S rows, added to their sums
-                for half, total in zip(w, sums):
+            for half, total in zip(w, sums):    # T rows, then S rows
+                if gemm:              # the first chunk (an empty scene's too) sets them
+                    gemm(half, r, total, 1.0 if lo else 0.0)
+                elif lo:
                     total += np.matmul(half, r, out=prods[k % n])
+                else:
+                    np.matmul(half, r, out=total)
         for a in range(a0, a0 + rows, group):
             b = min(a + group, a0 + rows)
             pair = staged[k % n, : b - a]
@@ -277,18 +284,24 @@ def spectrum_bytes(na: int, nr: int) -> int:
 
 
 def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
-    """Bytes synthesis holds at its peak: the closed form's three float64
-    (na, nr) temporaries and a mask, or the direct sum's spectrum_bytes and,
-    per worker, a block, a range factor, a combine staging buffer and, with
-    several chunks, a product."""
+    """Bytes synthesis holds at its peak: the sample times and axes; the
+    closed form's three float64 (na, nr) temporaries, a mask and complex
+    row and column factors, or the direct sum's spectrum_bytes and, per
+    worker, a block, a range factor, a combine staging buffer and, where no
+    dgemm adds products in place and the sum has several chunks, a product;
+    and numpy's ufunc buffers, once for the closed form and per worker for
+    the direct sum.  A ufunc buffers up to three float64 operands of
+    np.getbufsize() elements, 24 bytes an element; 32 leave room for the
+    iterator's and the workers' own objects."""
+    times, ufunc = 8 * (2 * n + 2 * na + nr), 32 * np.getbufsize()
     if not direct:
-        return 25 * na * nr
+        return 25 * na * nr + 16 * (na + nr) + times + ufunc
     rows, step = _block_shape(na, n)
     h = nr // 2 + 1
-    slot = 16 * rows * step + 16 * step * h + 32 * _combine_group(nr, rows) * h
-    if step < n:
+    slot = 16 * rows * step + 16 * step * h + 32 * _combine_group(nr, rows) * h + ufunc
+    if step < n and blas_gemm() is None:
         slot += 16 * rows * h
-    return spectrum_bytes(na, nr) + workers(na // rows) * slot
+    return spectrum_bytes(na, nr) + times + workers(na // rows) * slot
 
 
 def synth_spectrum(
@@ -306,9 +319,10 @@ def synth_spectrum(
       ROW_TILE azimuth rows by a chunk of samples), real matrix products
       over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
       identity extends to all nr, on one BLAS thread; one job per row tile,
-      on worker threads, builds its blocks and adds their products in chunk
-      order, then writes its G rows over its partial sums, so data is an
-      (na, nr) view with a row pitch of nr + 2.
+      on worker threads, builds its blocks and has the BLAS's dgemm add
+      their products into its partial sums in chunk order, then writes its
+      G rows over those sums, so data is an (na, nr) view with a row pitch
+      of nr + 2.
 
     Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
     scene and the grid are checked by check_synthesis first.

@@ -452,11 +452,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("line, code, err", [
         ({"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}, 2,
-         "error: out of memory: synthesizing a 2048x256 spectrum needs 13107200 bytes"),
+         "error: out of memory: synthesizing a 2048x256 spectrum needs 13482032 bytes"),
         ({"kind": "line", "theta_az_deg": 0.0, "length_m": 300.0}, 4, "error: scene extent"),
     ], ids=["memory", "extent"])
     def test_every_synthesis_checked_before_the_first(self, capsys, tmp_path, line, code, err):
-        # the 64-element array's direct sum (12.9 MB) fits in the physical
+        # the 64-element array's direct sum (11.2 MB) fits in the physical
         # memory mocked here, one page under the 20 m line's closed form; the
         # 300 m line exceeds the grid's azimuth extent.  Either line is
         # refused before the array ahead of it is summed
@@ -633,12 +633,13 @@ class TestRejectedInput:
     def test_synthesis_beyond_physical_memory(self, capsys, tmp_path, command, targets, direct):
         # on two CPUs, the physical memory mocked here is one page short of
         # what synthesis holds: the direct sum's T over S with the blocks in
-        # flight (about 26 MiB), the closed form's three float64 grids and a
-        # mask (25 bytes per point).  The README scene's colour stages (about
-        # 18 MiB), which simulate checks first, fit.  One error line naming
-        # the grid and both byte counts, before anything grid-sized is
-        # allocated
-        na, nr = 2048, 256
+        # flight (about 15 MiB at 1024 x 256), the closed form's three
+        # float64 grids and a mask (25 bytes per point).  The README scene's
+        # colour stages (about 12 MiB), which simulate checks first, fit: on
+        # this grid they count less than its synthesis, which no longer
+        # holds a product per worker.  One error line naming the grid and
+        # both byte counts, before anything grid-sized is allocated
+        na, nr = (1024, 256) if direct else (2048, 256)
         scene = scene_file(tmp_path, targets, rho_r=0.1, na=na, nr=nr)
         n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
         out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"

@@ -608,10 +608,10 @@ def test_one_chunk_starts_no_thread(xband):
 def blas_count():
     """The BLAS thread-count getter, the count set to 2 for the test and the
     count found restored after it; skips without a known BLAS."""
-    api = _threads._blas_threads()
+    api = _threads._blas()
     if api is None:
         pytest.skip("numpy's BLAS exports no known thread-count symbol")
-    get, set_ = api
+    get, set_, _ = api
     found = get()
     set_(2)
     yield get
@@ -672,10 +672,81 @@ def test_sum_without_a_known_blas(xband):
     # MKL, Accelerate or another prefix: the count is left alone, and the
     # sum is the same sum
     sc = spread_scene(1031)
-    with mock.patch.object(_threads, "_blas_threads", return_value=None), \
+    with mock.patch.object(_threads, "_blas", return_value=None), \
             only_path("direct"):
         g = s.synth_spectrum(sc, xband, na=4096, nr=8).data
     assert relative_error(g, oracles.direct_sum(sc, xband, 4096, 8)) <= ERROR_BUDGET
+
+
+def test_blas_gemm_sets_or_adds_and_checks_its_matrices():
+    # c := a @ b + beta c into rows of any pitch; beta = 0 never reads c.
+    # Another dtype, disagreeing shapes or a non-unit last stride is refused
+    # before anything is written
+    gemm = _threads.blas_gemm()
+    if gemm is None:
+        pytest.skip("numpy's BLAS exports no known dgemm")
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+    c = rng.standard_normal((10, 4))[::2]
+    want = np.matmul(a, b) + c
+    gemm(a, b, c, 1.0)
+    assert np.allclose(c, want, rtol=1e-14, atol=1e-14)
+    c[...] = np.nan
+    gemm(a, b, c, 0.0)
+    assert np.array_equal(c, np.matmul(a, b))
+    for args in ((a.astype(np.float32), b, c), (a, b[:2], c), (a, b, c[:4]),
+                 (a, b, np.empty((5, 8))[:, ::2]), (np.asfortranarray(a), b, c)):
+        before = c.copy()
+        with pytest.raises(ValueError, match="gemm"):
+            gemm(*args, 1.0)
+        assert np.array_equal(c, before)
+
+
+def nan_empty():
+    """Context in which np.empty fills its arrays with NaN, so a sum that
+    reads its uninitialised T and S before it writes them shows it."""
+    return mock.patch.object(np, "empty",
+                             lambda shape, dtype=float: np.full(shape, np.nan, dtype))
+
+
+@pytest.mark.parametrize("na, nr", [(8, 8), (2048, 256)])
+def test_empty_scene_synthesizes_zeros(xband, na, nr):
+    # no scatterers: one empty block, whose first GEMM (K = 0, beta = 0)
+    # writes T and S; the spectrum is all zeros
+    sc = s.Scene(x=np.empty(0), y=np.empty(0), amp=np.empty(0))
+    with nan_empty(), only_path("direct"):
+        g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+    assert g.shape == (na, nr)
+    assert not g.any()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_sum_without_a_dgemm(xband, n_cpus):
+    # where no dgemm resolves (Accelerate, MKL, another prefix), numpy's
+    # matmul writes each later chunk's products to a slot that is then added
+    # to the sums: the same bits, within what the preflight counts for it
+    sc, na, nr = spread_scene(1031), 2048, 64
+    assert sim._block_shape(na, sc.n)[1] < sc.n      # several chunks
+    api = _threads._blas()
+    if api is None or api[2] is None:
+        pytest.skip("numpy's BLAS exports no known dgemm")
+    rows, _ = sim._block_shape(na, sc.n)
+    with cpus(n_cpus), only_path("direct"), nan_empty():
+        want = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+        products = sim.synthesis_bytes(na, nr, sc.n, True)
+        with mock.patch.object(_threads, "_blas", return_value=(*api[:2], None)):
+            s.synth_spectrum(sc, xband, na=na, nr=nr)        # warms up the imports
+            tracemalloc.start()
+            try:
+                got = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            counted = sim.synthesis_bytes(na, nr, sc.n, True)
+            products = counted - products   # a float64 (rows, nr + 2) product per worker
+    assert got.tobytes() == want.tobytes()
+    assert peak <= counted
+    assert products == min(n_cpus, na // rows) * 8 * rows * (nr + 2)
 
 
 def test_closed_form_memory_is_independent_of_n(arr_params):
@@ -765,48 +836,56 @@ class TestZeroOrderOracle:
                                      support_cells=8)
 
 
-@pytest.mark.parametrize("case", ["direct", "direct1024", "closed", "array64", "array193"])
+ARC = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0, "tan_hi_deg": 2.0, "spacing_m": 0.002}
+PREFLIGHT_CASES = {    # id: (target, na, nr)
+    "direct": (ARC, 2048, 256),
+    "direct1024": (ARC, 1024, 256),
+    "direct_nr64": (ARC, 2048, 64),
+    "closed": ({"kind": "line", "theta_az_deg": 1.0, "length_m": 20.0, "spacing_m": 0.002},
+               2048, 256),
+    "array64": ({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}, 2048, 256),
+    "array64_nr64": ({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 64}, 2048, 64),
+    "array193": ({"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": 193}, 2048, 256),
+}
+
+
+@pytest.mark.parametrize("case", list(PREFLIGHT_CASES))
 def test_synthesis_holds_what_the_preflight_counts(xband, case):
-    # a 2048 x 256 scene on two CPUs (the curve at 1024 x 256 too).  The
-    # curve's direct sum holds T and S and, per worker, one slot each of a
-    # block, a range factor, a half-height product and a combine staging
-    # buffer, and no second T-and-S-sized buffer; G is written over T and
-    # S, so it is a view of their buffer with a row pitch of nr + 2.  A
-    # 64-element array is one full-height block on one thread; a
-    # 193-element array is one chunk of 193 samples over two row tiles, two
-    # blocks and no product.  The line's closed form holds a few float64
-    # grids.  Each peak is what the memory preflight checks against
-    # physical memory
-    na, nr = (1024 if case == "direct1024" else 2048), 256
+    # scenes on one and two CPUs.  The curve's direct sum holds T and S and,
+    # per worker, one slot each of a block, a range factor and a combine
+    # staging buffer, numpy's ufunc buffers and, as the dgemm adds each
+    # chunk's products in place, no product and no second T-and-S-sized
+    # buffer; G is written over T and S, so it is a view of their buffer
+    # with a row pitch of nr + 2.  A 64-element array is one full-height
+    # block on one thread; a 193-element array is one chunk of 193 samples
+    # over two row tiles, two blocks.  The line's closed form holds a few
+    # float64 grids.  Each peak is at most what the memory preflight checks
+    # against physical memory
+    target, na, nr = PREFLIGHT_CASES[case]
     direct = case != "closed"
-    if case.startswith("direct"):
-        target = {"kind": "arc", "radius_m": 40.0, "tan_lo_deg": -2.0, "tan_hi_deg": 2.0,
-                  "spacing_m": 0.002}
-    elif case == "closed":
-        target = {"kind": "line", "theta_az_deg": 1.0, "length_m": 20.0, "spacing_m": 0.002}
-    else:
-        target = {"kind": "array", "theta_az_deg": 20.0, "dx_m": 0.05, "n": int(case[5:])}
     sc = s.generate_scene(target, xband.lam)
     rows, step = sim._block_shape(na, sc.n)
     h = nr // 2 + 1
-    with cpus(2), only_path("direct" if direct else "closed"):
-        s.synth_spectrum(sc, xband, na=na, nr=nr)      # warms up the imports
-        tracemalloc.start()
-        try:
-            g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        counted = sim.synthesis_bytes(na, nr, sc.n, direct)
-    assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
-    if case.startswith("direct"):
-        assert na // rows == 2 and sc.n > 2 * step    # two tiles, several chunks
-        ts, slots = 32 * na * h, 2 * 16 * (rows * step + step * h + rows * h)
-        assert peak <= ts + slots + (1 << 20)
-        assert g.base.nbytes == ts and g.strides == (16 * (nr + 2), 16)
-    elif direct:                      # one block, or two row tiles of one chunk
-        assert (na // rows, -(-sc.n // step)) == {"array64": (1, 1), "array193": (2, 1)}[case]
-    assert counted - (1 << 20) <= peak <= counted + (1 << 20)
+    want = oracles.direct_sum(sc, xband, na, nr)
+    for n_cpus in (1, 2):
+        with cpus(n_cpus), only_path("direct" if direct else "closed"):
+            s.synth_spectrum(sc, xband, na=na, nr=nr)      # warms up the imports
+            tracemalloc.start()
+            try:
+                g = s.synth_spectrum(sc, xband, na=na, nr=nr).data
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            counted = sim.synthesis_bytes(na, nr, sc.n, direct)
+        assert relative_error(g, want) <= 1e-12
+        if case.startswith("direct"):
+            assert na // rows == 2 and sc.n > 2 * step    # two tiles, several chunks
+            ts, slots = 32 * na * h, 2 * 16 * (rows * step + step * h)
+            assert peak <= ts + slots + (1 << 20)
+            assert g.base.nbytes == ts and g.strides == (16 * (nr + 2), 16)
+        elif direct:                  # one block, or two row tiles of one chunk
+            assert (na // rows, -(-sc.n // step)) == ((2, 1) if case == "array193" else (1, 1))
+        assert counted - (1 << 20) <= peak <= counted
 
 
 def axes_maxima(p, na, nr):
