@@ -726,14 +726,14 @@ def test_sum_without_a_dgemm(xband, n_cpus):
     # matmul writes each later chunk's products to a slot that is then added
     # to the sums: the same bits, within what the preflight counts for it
     sc, na, nr = spread_scene(1031), 2048, 64
-    assert sim._block_shape(na, sc.n)[1] < sc.n      # several chunks
+    rows, step = sim._block_shape(na, sc.n)
+    assert step < sc.n                # several chunks
     api = _threads._blas()
     if api is None or api[2] is None:
         pytest.skip("numpy's BLAS exports no known dgemm")
-    rows, _ = sim._block_shape(na, sc.n)
     with cpus(n_cpus), only_path("direct"), nan_empty():
         want = s.synth_spectrum(sc, xband, na=na, nr=nr).data
-        products = sim.synthesis_bytes(na, nr, sc.n, True)
+        with_dgemm = sim.synthesis_bytes(na, nr, sc.n, True)
         with mock.patch.object(_threads, "_blas", return_value=(*api[:2], None)):
             s.synth_spectrum(sc, xband, na=na, nr=nr)        # warms up the imports
             tracemalloc.start()
@@ -743,10 +743,10 @@ def test_sum_without_a_dgemm(xband, n_cpus):
             finally:
                 tracemalloc.stop()
             counted = sim.synthesis_bytes(na, nr, sc.n, True)
-            products = counted - products   # a float64 (rows, nr + 2) product per worker
     assert got.tobytes() == want.tobytes()
     assert peak <= counted
-    assert products == min(n_cpus, na // rows) * 8 * rows * (nr + 2)
+    # one float64 (rows, nr + 2) product per worker
+    assert counted - with_dgemm == min(n_cpus, na // rows) * 8 * rows * (nr + 2)
 
 
 def test_closed_form_memory_is_independent_of_n(arr_params):
