@@ -2,9 +2,9 @@
 affinity mask, each on a thread pool of its own, for synthesis, focusing and
 composition; numpy's OpenBLAS, resolved once: its thread count, pinned to
 one while the direct sum's worker threads run its matrix products, and its
-dgemm, which adds each product into the sum in place; and the
-physical-memory check that scene building, synthesis and the colour stages
-make before they allocate."""
+dgemm, which adds each product into the sum in place (numpy's matmul where
+it does not resolve); and the physical-memory check that scene building,
+synthesis and the colour stages make before they allocate."""
 
 from __future__ import annotations
 
@@ -57,15 +57,16 @@ def _blas() -> tuple[Callable, Callable, Callable | None] | None:
     return None
 
 
-def blas_gemm() -> Callable[[np.ndarray, np.ndarray, np.ndarray, float], None] | None:
-    """gemm(a, b, c, beta), c := a @ b + beta c in numpy's OpenBLAS dgemm,
-    which runs without the GIL, for float64 row-major matrices (m, k),
-    (k, n) and (m, n) of unit last stride (ValueError otherwise); or None
-    where no dgemm resolves.  With beta = 0, c is only written."""
+def blas_gemm() -> Callable[[np.ndarray, np.ndarray, np.ndarray, float], None]:
+    """gemm(a, b, c, beta), c := a @ b + beta c for beta 0 or 1 and (m, k),
+    (k, n) and (m, n) matrices (ValueError otherwise); with beta = 0, c is
+    only written.  It is numpy's OpenBLAS dgemm, which runs without the GIL,
+    on float64 rows of unit last stride (ValueError otherwise), or
+    matmul_gemm where no dgemm resolves."""
     api = _blas()
     dgemm = api and api[2]
     if not dgemm:
-        return None
+        return matmul_gemm
 
     def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, beta: float) -> None:
         (m, k), n = a.shape, b.shape[1]
@@ -79,6 +80,16 @@ def blas_gemm() -> Callable[[np.ndarray, np.ndarray, np.ndarray, float], None] |
               b.ctypes.data, max(1, b.strides[0] // 8), beta, c.ctypes.data,
               max(1, c.strides[0] // 8))
     return gemm
+
+
+def matmul_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, beta: float) -> None:
+    """blas_gemm's gemm where no dgemm resolves: numpy's matmul writes a @ b
+    into c with beta = 0, and with beta = 1 into a product it allocates and
+    adds to c.  Its out= refuses the shapes that c += a @ b would broadcast."""
+    if beta:
+        c += np.matmul(a, b, out=np.empty_like(c))
+    else:
+        np.matmul(a, b, out=c)
 
 
 @contextmanager

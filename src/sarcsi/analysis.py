@@ -180,11 +180,12 @@ def estimate_orientation_map(
     with each band centred between its RadarParams.band_edges, at f_dc and
     f_dc -/+ B_a/3.  Pixels whose total energy is at or below noise_floor
     times the strongest pixel are masked out.
-    Returns (theta_az [rad] with NaN where masked, mask).
+    Returns (theta_az [rad] with NaN where masked, mask).  The grids must be
+    real and of one shape, else ValueError.
     """
-    if not (r.shape == g.shape == b.shape):
-        raise ValueError("band grids must have equal shapes")
-    e = np.stack([np.abs(r) ** 2, np.abs(g) ** 2, np.abs(b) ** 2])
+    if not (r.shape == g.shape == b.shape) or any(map(np.iscomplexobj, (r, g, b))):
+        raise ValueError("band grids must be real magnitudes of one shape")
+    e = np.stack([r**2, g**2, b**2])
     total = e.sum(axis=0)
     mask = total > noise_floor * total.max() if total.size else total.astype(bool)
     edges = p.band_edges

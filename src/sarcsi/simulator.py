@@ -10,17 +10,10 @@ The f_a axis carries absolute Doppler (it contains f_dc), so the per-column
 range carrier f_c cos(theta_k) is exact, not a small-angle approximation.
 Focusing the spectrum into an image is csi's part.
 
-synth_spectrum evaluates that sum exactly in one of two ways, picked from the
-samples themselves.  A uniformly sampled collinear run of equal amplitudes
-(a line, an array, a 3-D segment) is a geometric series in n, summed in
-closed form as its array factor; every other cloud term by term, a job per
-tile of azimuth rows going through the scatterers in chunks, as real matrix
-products over the range columns l <= nr/2 that also give their conjugate
-partners nr - l, which the BLAS's dgemm adds into the tile's partial sums in
-place; each job writes its G rows over those sums, so the spectrum is a view
-with a row pitch of nr + 2.  Either path stays within max|dG| / max|G| <=
-1e-10 of the plain direct sum, which the tests keep as the reference, in
-tests/oracles.py with the peak oracles and the ideal point response.
+synth_spectrum evaluates that sum within max|dG| / max|G| <= 1e-10 of the
+plain direct sum, which the tests keep as the reference, in tests/oracles.py
+with the peak oracles and the ideal point response: by _closed_form where
+_uniform_steps qualifies the samples, else term by term in _direct_sum.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import blas_gemm, check_memory, one_blas_thread, threaded_map, workers
+from ._threads import blas_gemm, check_memory, matmul_gemm, one_blas_thread, threaded_map, workers
 from .errors import AliasingError
 from .params import C, RadarParams, squint_from_doppler
 from .scene import DEFAULT_GRID, Scene, check_grid_size
@@ -86,10 +79,10 @@ def _uniform_steps(
     """Per-sample steps (du, dv) when the scene qualifies for the closed form.
 
     It qualifies with at least CLOSED_FORM_MIN_N samples of one amplitude
-    whose u and v both follow arithmetic progressions: the worst phase
-    departure from the progression through the end samples, bounded with the
-    largest grid frequencies fu_max and fv_max that multiply u and v, must
-    stay within UNIFORM_TOL_CYCLES.
+    whose u and v both follow arithmetic progressions (a sampled line, array
+    or 3-D segment): the worst phase departure from the progression through
+    the end samples, bounded with the largest grid frequencies fu_max and
+    fv_max that multiply u and v, must stay within UNIFORM_TOL_CYCLES.
     """
     n = u.size
     if n < CLOSED_FORM_MIN_N or not np.all(amp == amp[0]):
@@ -205,17 +198,15 @@ def _direct_sum(
     T and S sum a_n cos(2pi phi_kn) and -a_n sin(2pi phi_kn) times
     exp(+j2pi f_r[l] v_n), phi = f_a u + carrier v.  As f_r[nr - l] = -f_r[l],
     G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
-    0 < l < h - 1.  A job per row tile of _block_shape, on worker threads,
-    builds each sample chunk's block and range factor in turn and has
-    blas_gemm write their T-row and S-row (rows, 2h) products into its
-    tile's partial sums, which start uninitialised: the first chunk's with
-    beta = 0, each later chunk's added with beta = 1.  Where no dgemm
-    resolves, numpy's matmul writes the first chunk's products into the sums
-    and each later chunk's into a product slot, then added to them.  Row 2k
-    of the sums holds T_k and row 2k + 1 S_k.  So the sum depends on the
-    block shape and the BLAS alone, whose rounding may follow a product's
-    row count and, where one_blas_thread cannot pin it, the BLAS thread
-    count.
+    0 < l < h - 1.  A job per row tile of _block_shape, on worker threads and
+    one BLAS thread, builds each sample chunk's block and range factor in
+    turn and has blas_gemm write their T-row and S-row (rows, 2h) products
+    into its tile's partial sums, which start uninitialised: the first
+    chunk's (an empty scene's too) with beta = 0, each later chunk's added
+    with beta = 1.  Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the
+    sum depends on the block shape and the BLAS alone, whose rounding may
+    follow a product's row count and, where one_blas_thread cannot pin it,
+    the BLAS thread count.
 
     A pair is nr + 2 complex values, so G row k fits in the memory of its own
     pair: the job's element-wise combine then copies a group of its pairs to
@@ -232,8 +223,7 @@ def _direct_sum(
     n = workers(len(tiles))
     blocks = np.empty((n, 2 * rows * step))
     factors = np.empty((n, step, h), complex)
-    gemm = blas_gemm()                # None: numpy's matmul, then an add
-    prods = np.empty((n, rows, 2 * h)) if gemm is None and step < u.size else None
+    gemm = blas_gemm()
     staged = np.empty((n, group, 2 * h), complex)
     ts = np.empty((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
     pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
@@ -249,12 +239,7 @@ def _direct_sum(
                               blocks[k % n]).reshape(2, rows, -1)
             r = _range_factor(f_r, v[sl], amp[sl], factors[k % n])
             for half, total in zip(w, sums):    # T rows, then S rows
-                if gemm:              # the first chunk (an empty scene's too) sets them
-                    gemm(half, r, total, 1.0 if lo else 0.0)
-                elif lo:
-                    total += np.matmul(half, r, out=prods[k % n])
-                else:
-                    np.matmul(half, r, out=total)
+                gemm(half, r, total, 1.0 if lo else 0.0)
         for a in range(a0, a0 + rows, group):
             b = min(a + group, a0 + rows)
             pair = staged[k % n, : b - a]
@@ -267,7 +252,8 @@ def _direct_sum(
             np.subtract(tr[:, mirror], si[:, mirror], out=gr[:, h:])
             np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
 
-    deque(threaded_map(tile, range(len(tiles))), maxlen=0)
+    with one_blas_thread():           # each worker runs its own tiles' GEMMs
+        deque(threaded_map(tile, range(len(tiles))), maxlen=0)
     return g
 
 
@@ -287,8 +273,8 @@ def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     """Bytes synthesis holds at its peak: the sample times and axes; the
     closed form's three float64 (na, nr) temporaries, a mask and complex
     row and column factors, or the direct sum's spectrum_bytes and, per
-    worker, a block, a range factor, a combine staging buffer and, where no
-    dgemm adds products in place and the sum has several chunks, a product;
+    worker, a block, a range factor, a combine staging buffer and, where
+    matmul_gemm runs a sum of several chunks, the product it allocates;
     and numpy's ufunc buffers, once for the closed form and per worker for
     the direct sum.  A ufunc buffers up to three float64 operands of
     np.getbufsize() elements, 24 bytes an element; 32 leave room for the
@@ -299,7 +285,7 @@ def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
     rows, step = _block_shape(na, n)
     h = nr // 2 + 1
     slot = 16 * rows * step + 16 * step * h + 32 * _combine_group(nr, rows) * h + ufunc
-    if step < n and blas_gemm() is None:
+    if step < n and blas_gemm() is matmul_gemm:
         slot += 16 * rows * h
     return spectrum_bytes(na, nr) + times + workers(na // rows) * slot
 
@@ -307,26 +293,13 @@ def synthesis_bytes(na: int, nr: int, n: int, direct: bool) -> int:
 def synth_spectrum(
     scene: Scene, p: RadarParams, na: int = DEFAULT_GRID["na"], nr: int = DEFAULT_GRID["nr"]
 ) -> SpectrumGrid:
-    """Coherently sum every scatterer's phase ramp on the full spectral grid.
+    """Coherently sum every scatterer's phase ramp on the full spectral grid,
 
-    Two exact evaluations of the same sum, chosen from the samples alone:
+    G[k, l] = sum_n a_n exp(-j2pi (f_a[k] u_n + (f_c cos(theta_k) + f_r[l]) v_n)),
 
-    - closed form, when the scene has at least CLOSED_FORM_MIN_N scatterers
-      of one amplitude on an arithmetic progression in both x and y (a
-      sampled line, array or 3-D segment): the geometric series costs
-      O(na * nr) whatever the scatterer count;
-    - direct sum otherwise: per block of at most BLOCK_PHASES phases (up to
-      ROW_TILE azimuth rows by a chunk of samples), real matrix products
-      over the nr/2 + 1 columns l <= nr/2, which the conjugate-partner
-      identity extends to all nr, on one BLAS thread; one job per row tile,
-      on worker threads, builds its blocks and has the BLAS's dgemm add
-      their products into its partial sums in chunk order, then writes its
-      G rows over those sums, so data is an (na, nr) view with a row pitch
-      of nr + 2.
-
-    Both agree with the plain direct sum to max|dG| / max|G| <= 1e-10.  The
-    scene and the grid are checked by check_synthesis first.
-    """
+    within max|dG| / max|G| <= 1e-10 of the plain direct sum: by _closed_form
+    where _uniform_steps qualifies the samples, else by _direct_sum.  The
+    scene and the grid are checked by check_synthesis first."""
     u, v, steps = check_synthesis(scene, p, na, nr)
     # An overflowing sum is azimuth_power_spectrum's to reject; it does not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,8 +307,7 @@ def synth_spectrum(
         f_r = _freq_axis(nr, p.B_r)
         carrier = p.f_c * np.cos(squint_from_doppler(p, f_a))
         if steps is None:
-            with one_blas_thread():   # each worker runs its own tiles' GEMMs
-                data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
+            data = _direct_sum(f_a, f_r, carrier, u, v, scene.amp)
         else:
             data = _closed_form(f_a, f_r, carrier, u, v, scene.amp[0], *steps)
     return SpectrumGrid(data, p)

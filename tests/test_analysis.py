@@ -129,6 +129,25 @@ class TestOrientationMap:
             s.estimate_orientation_map(np.ones((2, 2)), np.ones((2, 3)),
                                        np.ones((2, 2)), xband)
 
+    def test_complex_grids_are_refused(self, xband):
+        # a complex grid would give complex energies, so it is not taken
+        # for its magnitude
+        m = np.ones((2, 2))
+        for grids in ((m + 1j, m, m), (m, m, m.astype(complex))):
+            with pytest.raises(ValueError, match="real"):
+                s.estimate_orientation_map(*grids, xband)
+
+    def test_energies_are_the_squares_of_the_magnitudes(self, xband):
+        # x**2 is |x|**2 to the bit for real x: signed grids give the same
+        # bits as their absolute values, subnormal and large values too
+        rng = np.random.default_rng(3)
+        grids = rng.standard_normal((3, 16, 16)) * np.logspace(-160, 140, 16)
+        grids[:, 0, :4] = [5e-324, -2.2e-308, 1e140, -1e140]
+        got = s.estimate_orientation_map(*grids, xband)
+        want = s.estimate_orientation_map(*np.abs(grids), xband)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[1].any() and not got[1].all()
+
     def test_all_dark_is_fully_masked(self, xband):
         z = np.zeros((3, 3))
         theta, mask = s.estimate_orientation_map(z, z, z, xband)

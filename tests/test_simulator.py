@@ -678,13 +678,18 @@ def test_sum_without_a_known_blas(xband):
     assert relative_error(g, oracles.direct_sum(sc, xband, 4096, 8)) <= ERROR_BUDGET
 
 
-def test_blas_gemm_sets_or_adds_and_checks_its_matrices():
+@pytest.mark.parametrize("dgemm", [True, False], ids=["binding", "matmul"])
+def test_blas_gemm_sets_or_adds_and_checks_its_matrices(dgemm):
     # c := a @ b + beta c into rows of any pitch; beta = 0 never reads c.
-    # Another dtype, disagreeing shapes or a non-unit last stride is refused
-    # before anything is written
-    gemm = _threads.blas_gemm()
-    if gemm is None:
+    # Disagreeing shapes are refused before anything is written, and by the
+    # binding also another dtype or a non-unit last stride.  Where no dgemm
+    # resolves, blas_gemm is numpy's matmul
+    api = _threads._blas()
+    if dgemm and (api is None or api[2] is None):
         pytest.skip("numpy's BLAS exports no known dgemm")
+    with mock.patch.object(_threads, "_blas", return_value=api if dgemm else None):
+        gemm = _threads.blas_gemm()
+    assert (gemm is _threads.matmul_gemm) != dgemm
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
     c = rng.standard_normal((10, 4))[::2]
@@ -694,12 +699,16 @@ def test_blas_gemm_sets_or_adds_and_checks_its_matrices():
     c[...] = np.nan
     gemm(a, b, c, 0.0)
     assert np.array_equal(c, np.matmul(a, b))
-    for args in ((a.astype(np.float32), b, c), (a, b[:2], c), (a, b, c[:4]),
-                 (a, b, np.empty((5, 8))[:, ::2]), (np.asfortranarray(a), b, c)):
-        before = c.copy()
-        with pytest.raises(ValueError, match="gemm"):
-            gemm(*args, 1.0)
-        assert np.array_equal(c, before)
+    refused = [(a, b[:2], c), (a, b, c[:4]), (a[:1], b, c), (a, b[:, :1], c)]
+    if dgemm:
+        refused += [(a.astype(np.float32), b, c), (a, b, np.empty((5, 8))[:, ::2]),
+                    (np.asfortranarray(a), b, c)]
+    for args in refused:
+        for beta in (0.0, 1.0):
+            before = c.copy()
+            with pytest.raises(ValueError, match="gemm" if dgemm else "matmul"):
+                gemm(*args, beta)
+            assert np.array_equal(c, before)
 
 
 def nan_empty():
@@ -723,8 +732,8 @@ def test_empty_scene_synthesizes_zeros(xband, na, nr):
 @pytest.mark.parametrize("n_cpus", [1, 4])
 def test_sum_without_a_dgemm(xband, n_cpus):
     # where no dgemm resolves (Accelerate, MKL, another prefix), numpy's
-    # matmul writes each later chunk's products to a slot that is then added
-    # to the sums: the same bits, within what the preflight counts for it
+    # matmul allocates each later chunk's products and adds them to the
+    # sums: the same bits, within what the preflight counts for it
     sc, na, nr = spread_scene(1031), 2048, 64
     rows, step = sim._block_shape(na, sc.n)
     assert step < sc.n                # several chunks

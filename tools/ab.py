@@ -21,21 +21,26 @@ per workload, and per metric each side's median and quartiles over the
 pairs with how many pairs each side won and, for an end-to-end metric, the
 change's median relative to the parent's (`change_vs_parent`) and whether
 that is within the metric's relative `bound` in BENCHMARK.json
-(`within_bound`), the invocations attempted and failed on each side, and each side's size: the lines of its src/sarcsi/*.py
-(as `cat src/sarcsi/*.py | wc -l` counts them) and the names in its
-package's `__all__`, read with `ast` without importing the package.
+(`within_bound`), the invocations attempted and failed on each side, and
+each side's size: the lines of its src/sarcsi/*.py (as `cat
+src/sarcsi/*.py | wc -l` counts them), those of them that are code (neither
+blank, nor a docstring's, nor a comment alone) and the names in its
+package's `__all__`, read with `ast` and `tokenize` without importing the
+package.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -76,14 +81,35 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
     return result, facts
 
 
+def code_lines(source: str) -> int:
+    """Lines of source that hold a token other than a comment, not counting
+    the lines of a module's, class's or function's docstring."""
+    prose = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = node.body[0] if node.body else None
+            if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) \
+                    and isinstance(doc.value.value, str):
+                prose.update(range(doc.lineno, doc.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - prose)
+
+
 def size(tree: Path) -> dict:
-    """src_lines and all_names of tree's package."""
+    """src_lines, code_lines and all_names of tree's package."""
     pkg = tree / "src" / "sarcsi"
     init = ast.parse((pkg / "__init__.py").read_text())
     names = next(ast.literal_eval(node.value) for node in init.body
                  if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "__all__" for t in node.targets))
-    return {"src_lines": sum(p.read_bytes().count(b"\n") for p in pkg.glob("*.py")),
+    files = sorted(pkg.glob("*.py"))
+    return {"src_lines": sum(p.read_bytes().count(b"\n") for p in files),
+            "code_lines": sum(code_lines(p.read_text()) for p in files),
             "all_names": len(names)}
 
 

@@ -5,16 +5,34 @@ package, bench and BENCHMARK.json to a throwaway repository and compares its
 HEAD with itself.  No timing bounds.
 """
 
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import sarcsi
 
 ROOT = Path(__file__).resolve().parents[2]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def code_lines_by_tokens(source: str) -> int:
+    """Lines holding a token other than a comment, by tokenize alone: a
+    string that stands alone between statement boundaries is a docstring."""
+    skip = {tokenize.COMMENT, tokenize.NL}
+    toks = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+            if t.type not in skip]
+    layout = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+    code = set()
+    for i, t in enumerate(toks):
+        alone = (t.type == tokenize.STRING and (i == 0 or toks[i - 1].type in layout)
+                 and toks[i + 1].type == tokenize.NEWLINE)
+        if not alone and t.type not in layout | {tokenize.ENDMARKER}:
+            code.update(range(t.start[0], t.end[0] + 1))
+    return len(code)
 
 
 def test_one_pair_of_tiny_head_against_head(tmp_path):
@@ -39,11 +57,15 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
     assert set(record) == {"facts", "host", "notes", "size", "workloads"}
     assert record["facts"]["nproc"] >= 1 and "method" in record["notes"]
     assert record["notes"]["revisions"]["parent"] == record["notes"]["revisions"]["change"]
-    # ROADMAP aim 2's measures, against `wc -l` and the imported package
+    # ROADMAP aim 2's measures, against `wc -l`, a tokenize-only count and the
+    # imported package
     lines = int(subprocess.run(["sh", "-c", "cat src/sarcsi/*.py | wc -l"], cwd=ROOT,
                                check=True, capture_output=True, text=True).stdout)
+    code = sum(code_lines_by_tokens(p.read_text()) for p in (ROOT / "src" / "sarcsi").glob("*.py"))
+    assert code < lines
     for side in ("parent", "change"):
-        assert record["size"][side] == {"src_lines": lines, "all_names": len(sarcsi.__all__)}
+        assert record["size"][side] == {"src_lines": lines, "code_lines": code,
+                                        "all_names": len(sarcsi.__all__)}
     assert list(record["workloads"]) == ["tiny"]
     tiny = record["workloads"]["tiny"]
     assert [(p["seed"], p["first"]) for p in tiny["pairs"]] == [(1, "parent")]
