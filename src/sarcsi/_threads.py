@@ -1,22 +1,20 @@
 """What the host gives the package: ordered maps over the CPUs in the
-affinity mask, each on a thread pool of its own, for synthesis, focusing and
-composition; numpy's OpenBLAS, resolved once: its thread count, pinned to
-one while the direct sum's worker threads run its matrix products, and its
-dgemm, which adds each product into the sum in place (numpy's matmul where
-it does not resolve); and the physical-memory check that scene building,
-synthesis and the colour stages make before they allocate."""
+affinity mask for synthesis, focusing and composition; numpy's OpenBLAS,
+resolved once: its thread count, pinned to one while the direct sum's worker
+threads run its matrix products, and its dgemm, which adds each product into
+the sum in place (numpy's matmul where it does not resolve); and the
+physical-memory check that scene building, synthesis and the colour stages
+make before they allocate."""
 
 from __future__ import annotations
 
 import ctypes
 import os
 import threading
-from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import copy_context
 from functools import cache
-from itertools import islice
 
 import numpy as np
 
@@ -119,33 +117,44 @@ def one_blas_thread() -> Iterator[None]:
 
 
 def workers(n_items: int) -> int:
-    """Threads threaded_map runs n_items calls on; below 2 it runs them inline."""
+    """Threads threaded_map runs n_items calls on, the caller among them: one
+    per CPU in the affinity mask, at most one per item, at least one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, n_items)
+    return min(cpus or 1, max(1, n_items))
 
 
-def threaded_map(fn: Callable, items: Sequence) -> Iterator:
-    """Yield fn(item) for every item of a sequence, in input order.
+def threaded_map(fn: Callable, items: Sequence) -> list:
+    """[fn(item, slot) for every item], in input order.
 
-    The calls run on one thread per CPU in the affinity mask (numpy releases
-    the GIL in its FFTs and ufuncs), at most one per worker ahead of the
-    caller, so memory stays bounded, each in the caller's context (numpy's
-    error state).  A call's exception is re-raised here, cancelling the calls
-    not yet started.  One item or one CPU runs inline.
+    With n = workers(len(items)), call k runs on thread k % n, with slot
+    k % n, after call k - n: a slot is one thread's alone.  Thread 0 is the
+    caller; the others (numpy releases the GIL in its FFTs, ufuncs and dgemm)
+    each run in a copy of the caller's context (numpy's error state).  Once a
+    call raises or a thread fails to start, no thread starts another call;
+    every started thread is joined and that exception re-raised.
     """
     n = workers(len(items))
-    if n < 2:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # ~15 ms, so not at import
+    out, failed, threads = [None] * len(items), [], []
 
-    todo = iter(items)
-    pool = ThreadPoolExecutor(n)
+    def run(slot: int) -> None:
+        try:
+            for k in range(slot, len(items), n):
+                if failed:
+                    return
+                out[k] = fn(items[k], slot)
+        except BaseException as e:
+            failed.append(e)
+
     try:
-        window = deque(pool.submit(copy_context().run, fn, x) for x in islice(todo, n))
-        while window:
-            head = [window.popleft().result()]    # popped at the yield: no reference kept
-            window.extend(pool.submit(copy_context().run, fn, x) for x in islice(todo, 1))
-            yield head.pop()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for slot in range(1, n):
+            thread = threading.Thread(target=copy_context().run, args=(run, slot))
+            thread.start()
+            threads.append(thread)
+    except BaseException as e:    # a thread that would not start: it stops the others
+        failed.append(e)
+    run(0)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed.pop(0)    # not kept in failed, a cycle through its traceback
+    return out

@@ -12,7 +12,6 @@ spectrum rows.  The composition builds no magnitude stack and selects its
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import pairwise
 
 import numpy as np
@@ -80,21 +79,16 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     na, nr = data.shape
     bins = _bins(na)
     tiles = range(0, nr, bins)
-    n = workers(len(tiles))
     check_memory(colour_bytes(na, nr), f"splitting and composing a {na}x{nr} spectrum")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
-    deque(threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE)),
-          maxlen=0)
+    threaded_map(lambda lo, _: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE))
     blue = np.empty((nr, na))
-    # One buffer for every worker's scratch, freed as one block when the split
-    # returns; job k may take slot k % n, as job k - n has finished before
-    # threaded_map starts job k.
-    slots = np.empty((n, 3, bins, na), data.dtype)
+    # One buffer for every thread's scratch, freed as one block as the split returns.
+    slots = np.empty((workers(len(tiles)), 3, bins, na), data.dtype)
 
-    def focus(k: int) -> None:
-        lo = tiles[k]
+    def focus(lo: int, slot: int) -> None:
         cols = slice(lo, lo + bins)
-        scratch = slots[k % n, :, : min(bins, nr - lo)]
+        scratch = slots[slot, :, : min(bins, nr - lo)]
         scratch[...] = 0
         for band, (a, b) in zip(scratch, pairwise(cuts)):
             band[:, a:b] = data[a:b, cols].T
@@ -105,7 +99,7 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         np.abs(green, out=pair.imag)  # then back to the bins, transposed
         data[:, cols] = pair.T
 
-    deque(threaded_map(focus, range(len(tiles))), maxlen=0)
+    threaded_map(focus, tiles)
     return data.real.T, data.imag.T, blue
 
 
@@ -166,23 +160,23 @@ def compose_rgb(
                 np.abs(grid[lo : lo + TILE, k : k + BLOCK], out=m)
             yield k, block
 
-    def maxima(lo: int) -> np.ndarray:
+    def maxima(lo: int, _) -> np.ndarray:
         return np.concatenate([m.max(axis=1) for _, m in magnitudes(lo, blocks)], axis=1)
 
-    top = np.stack(list(threaded_map(maxima, tiles)))    # (tile, channel, column)
+    top = np.stack(threaded_map(maxima, tiles))    # (tile, channel, column)
     if not np.isfinite(top).all():    # NaN and inf survive the maxima
         raise ValueError("channel grids must be finite")
     if norm == "linear":
         ref = float(top.max())
     else:
         def above(t: float) -> np.ndarray:
-            def select(lo: int) -> np.ndarray:    # from the columns whose maximum is > t
+            def select(lo: int, _) -> np.ndarray:    # from the columns whose maximum is > t
                 tops = top[lo // TILE] > t
                 cols = [np.abs(grid[lo : lo + TILE, tops[c]])
                         for c, grid in enumerate((r, g, b))]
                 return np.concatenate([v[v > t] for v in cols])
 
-            return np.concatenate(list(threaded_map(select, tiles)))
+            return np.concatenate(threaded_map(select, tiles))
 
         ref = _p999(3 * r.size, top.reshape(-1), above)
     pixels = np.zeros((height, width, 3), np.uint8)
@@ -190,7 +184,7 @@ def compose_rgb(
     def level(x: float) -> float:    # what quantize makes of x, before the cast
         return (min(x / ref, 1.0) if ref > 0 else float(x > 0)) * 255 + 0.5
 
-    def quantize(lo: int) -> None:
+    def quantize(lo: int, _) -> None:
         # Each step is monotone, so a block whose largest magnitude quantizes
         # to 0 is all 0, as the pixels start: such dark blocks are not read.
         tops = top[lo // TILE]
@@ -208,7 +202,7 @@ def compose_rgb(
             for c, m in enumerate(block):
                 pixels[lo : lo + TILE, k : k + BLOCK, c] = m
 
-    list(threaded_map(quantize, tiles))
+    threaded_map(quantize, tiles)
     return pixels
 
 

@@ -18,7 +18,6 @@ _uniform_steps qualifies the samples, else term by term in _direct_sum.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,8 +217,6 @@ def _direct_sum(
     rows, step = _block_shape(na, u.size)
     chunks, tiles = range(0, max(u.size, 1), step), range(0, na, rows)
     group = _combine_group(nr, rows)  # rows whose T, S and G parts stay in cache
-    # Tile k works in slot k % n: threaded_map starts it only once tile k - n
-    # has returned, so builder timing cannot change the memory touched.
     n = workers(len(tiles))
     blocks = np.empty((n, 2 * rows * step))
     factors = np.empty((n, step, h), complex)
@@ -230,19 +227,18 @@ def _direct_sum(
     g = pairs[:, :nr]
     mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
 
-    def tile(k: int) -> None:
-        a0 = tiles[k]
+    def tile(a0: int, slot: int) -> None:
         sums = ts[2 * a0 : 2 * (a0 + rows)].reshape(rows, 2, -1).swapaxes(0, 1)
         for lo in chunks:
             sl = slice(lo, lo + step)
             w = _direct_block(f_a[a0 : a0 + rows], carrier[a0 : a0 + rows], u[sl], v[sl],
-                              blocks[k % n]).reshape(2, rows, -1)
-            r = _range_factor(f_r, v[sl], amp[sl], factors[k % n])
+                              blocks[slot]).reshape(2, rows, -1)
+            r = _range_factor(f_r, v[sl], amp[sl], factors[slot])
             for half, total in zip(w, sums):    # T rows, then S rows
                 gemm(half, r, total, 1.0 if lo else 0.0)
         for a in range(a0, a0 + rows, group):
             b = min(a + group, a0 + rows)
-            pair = staged[k % n, : b - a]
+            pair = staged[slot, : b - a]
             pair[...] = pairs[a:b]    # G rows a..b overwrite these pairs
             t, s = pair[:, :h], pair[:, h:]
             tr, ti, sr, si = t.real, t.imag, s.real, s.imag
@@ -253,7 +249,7 @@ def _direct_sum(
             np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
 
     with one_blas_thread():           # each worker runs its own tiles' GEMMs
-        deque(threaded_map(tile, range(len(tiles))), maxlen=0)
+        threaded_map(tile, tiles)
     return g
 
 

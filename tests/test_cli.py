@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -347,7 +348,7 @@ class TestSimulate:
                         reason="needs an affinity mask of at least 2 CPUs")
     def test_products_do_not_depend_on_the_cpu_count(self, tmp_path):
         # the synthesis blocks, the range-IFFT row tiles and the band tiles
-        # run on one thread per CPU; pinned to one CPU they run inline, and
+        # run on one thread per CPU; pinned to one CPU all run on the caller's, and
         # every product must come out byte-identical.  Both runs keep the
         # default environment: the direct sum pins the BLAS to one thread
         scene = scene_file(tmp_path, README_TARGETS, rho_r=0.1, na=2048, nr=256)
@@ -670,6 +671,29 @@ class TestRejectedInput:
                                  "--out-prefix", str(tmp_path / "x"))
         assert (code, out, err) == (2, "", "error: out of memory: allocation failed\n")
 
+    def test_memory_error_on_a_worker_thread_is_one_line(self, capsys, tmp_path):
+        # on two CPUs the 256 spectrum rows are four range-IFFT tiles, and the
+        # second runs on the worker thread, where it runs out of memory: the
+        # split re-raises that in the caller, which exits 2 with one line,
+        # writes no product and leaves no thread running
+        scene = scene_file(tmp_path, [LINE2])
+        caller = threading.get_ident()
+        centred_ifft = csi._centred_ifft
+
+        def failing(x, axis):
+            if threading.get_ident() != caller:
+                raise MemoryError("a range tile")
+            return centred_ifft(x, axis)
+
+        before = threading.active_count()
+        with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True), \
+                mock.patch.object(csi, "_centred_ifft", side_effect=failing):
+            code, out, err = run(capsys, "simulate", "--scene", str(scene),
+                                 "--out-prefix", str(tmp_path / "x"))
+        assert (code, out, err) == (2, "", "error: out of memory: a range tile\n")
+        assert not list(tmp_path.glob("x*"))
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize(
         "amp, length_m, rho_r, na",
@@ -951,13 +975,23 @@ def test_module_entry_point():
     import sarcsi.__main__  # noqa: F401  (importable; exercised in CI runs)
 
 
-def test_cli_import_leaves_out_concurrent_futures():
-    # the thread pool module is imported where a pool is made: at module
-    # level it would add about 15 ms to every start of the CLI
-    code = "import sys, sarcsi.cli; sys.exit('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+def test_cli_import_leaves_out_concurrent_futures(tmp_path):
+    # the threaded stages start plain threads: importing the thread pool
+    # module would add about 15 ms to a run.  Neither the import nor a
+    # simulate and an analyze run, whose stages take several tiles, load it
+    scene = scene_file(tmp_path, [LINE2])
+    code = (
+        "import sys, sarcsi.cli\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "codes = [sarcsi.cli.main(['simulate', '--scene', sys.argv[1], '--out-prefix', sys.argv[2]]),\n"
+        "         sarcsi.cli.main(['analyze', '--scene', sys.argv[1], '--out', sys.argv[3]])]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert 'concurrent.futures' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(scene), str(tmp_path / "x"),
+                           str(tmp_path / "x_analysis.json")],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "x_rgb.ppm").is_file() and (tmp_path / "x_analysis.json").is_file()
 
 
 def traced_functions():

@@ -619,8 +619,8 @@ def test_compose_skips_only_blocks_that_quantize_to_zero(norm, lit):
 @pytest.mark.parametrize("norm", csi.NORM_MODES)
 def test_compose_same_pixels_on_one_or_two_cpus(xband, norm):
     # 200 raster rows are four tiles, the last one partial; the tiles run on
-    # worker threads with two CPUs and inline with one.  The grids are laid
-    # out as split_subbands returns them
+    # the caller's thread and, with two CPUs, on one more.  The grids are
+    # laid out as split_subbands returns them
     bands = list(np.random.default_rng(3).random((3, 200, 96)))
     seen = {}
     for n_cpus in (1, 2):
@@ -634,7 +634,7 @@ def test_compose_same_pixels_on_one_or_two_cpus(xband, norm):
         with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True), \
                 mock.patch.object(csi.np, "abs", side_effect=spy):
             seen[n_cpus] = s.compose_rgb(*bands, norm=norm)
-        assert (threading.get_ident() in threads) == (n_cpus == 1)
+        assert threading.get_ident() in threads and len(threads) == n_cpus
     assert np.array_equal(seen[1], seen[2])
     want = oracles.compose_rgb_reference(*bands, norm=norm)
     assert np.array_equal(seen[1], want)

@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -388,7 +387,7 @@ def tile_stages(tiles_seen):
     def spy(fn, items):
         threads = set()
         tiles_seen.append((len(items), threads))
-        return tmap(lambda x: threads.add(threading.get_ident()) or fn(x), items)
+        return tmap(lambda x, slot: threads.add(threading.get_ident()) or fn(x, slot), items)
 
     return mock.patch.object(sim, "threaded_map", side_effect=spy)
 
@@ -460,22 +459,98 @@ def cpus(n):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
-def test_threaded_map_keeps_no_yielded_result(n_cpus):
-    # once the caller drops a result, the map holds no reference to it, so it
-    # is freed before the next one is asked for; a worker thread may still be
-    # letting go of its future for a moment after the handover
-    class Item:
-        pass
+def test_threaded_map_runs_call_k_in_slot_k_mod_n(n_cpus, run_bounded):
+    # ten calls of uneven length on n = n_cpus threads: call k gets slot
+    # k % n and runs on the thread that ran call k - n, after that call
+    # ended; the caller runs slot 0, the results come back in input order
+    # and no thread is left running
+    events = []    # ("start" | "end", k), in the order they happen
+    lock = threading.Lock()
+
+    def call(item, slot):
+        k = "abcdefghij".index(item)
+        with lock:
+            events.append(("start", k))
+        time.sleep(0.001 * (7 * k % 5))
+        with lock:
+            events.append(("end", k))
+        return item, slot, threading.current_thread()
+
+    def mapped():
+        before = threading.active_count()
+        got = _threads.threaded_map(call, "abcdefghij")
+        return got, threading.active_count() - before, threading.current_thread()
 
     with cpus(n_cpus):
-        results = _threads.threaded_map(lambda _: Item(), range(6))
-        for _ in range(6):
-            ref = weakref.ref(next(results))
-            deadline = time.monotonic() + 5.0
-            while ref() is not None and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert ref() is None
-        assert next(results, None) is None
+        finished, result = run_bounded(mapped)
+    assert finished
+    got, left, caller = result
+    assert left == 0
+    assert [item for item, _, _ in got] == list("abcdefghij")
+    assert [slot for _, slot, _ in got] == [k % n_cpus for k in range(10)]
+    assert got[0][2] is caller and len({thread for *_, thread in got}) == n_cpus
+    for k in range(n_cpus, 10):
+        assert got[k][2] is got[k - n_cpus][2]
+        assert events.index(("start", k)) > events.index(("end", k - n_cpus))
+
+
+def test_threaded_map_of_no_items_starts_no_thread():
+    with cpus(4), mock.patch("threading.Thread", side_effect=AssertionError("thread started")):
+        assert _threads.threaded_map(lambda item, slot: 1 / 0, []) == []
+
+
+def test_threaded_map_stops_at_a_worker_failure(run_bounded):
+    # on two threads, call 1 raises on the worker thread; call 0, on the
+    # caller's, may not start before it, or waits for that thread to end.
+    # No later call starts, the exception reaches the caller and no thread
+    # is left running
+    ran, worker, raising = [], [], threading.Event()
+
+    def call(k, slot):
+        ran.append(k)
+        if k == 1:
+            worker.append(threading.current_thread())
+            raising.set()
+            raise RuntimeError("call 1 failed")
+        if k == 0:
+            assert raising.wait(10)
+            worker[0].join(10)
+
+    def mapped():
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="call 1 failed"):
+            _threads.threaded_map(call, range(8))
+        return threading.active_count() - before
+
+    with cpus(2):
+        finished, left = run_bounded(mapped)
+    assert finished and left == 0
+    assert 1 in ran and set(ran) <= {0, 1}
+
+
+def test_threaded_map_joins_its_threads_when_one_fails_to_start(run_bounded):
+    # of three worker threads the second fails to start: the caller runs no
+    # call, the started thread runs only calls of its own slot and is joined,
+    # and the start's error is re-raised
+    start, starts = threading.Thread.start, itertools.count()
+    ran = []
+
+    def failing_start(thread):
+        if next(starts) == 1:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    def mapped():
+        before = threading.active_count()
+        with mock.patch.object(threading.Thread, "start", failing_start), \
+                pytest.raises(RuntimeError, match="can't start new thread"):
+            _threads.threaded_map(lambda k, slot: ran.append((k, slot)), range(10))
+        return threading.active_count() - before
+
+    with cpus(4):
+        finished, left = run_bounded(mapped)
+    assert finished and left == 0
+    assert all(slot == 1 for _, slot in ran)
 
 
 def test_chunked_sum_spans_chunks(xband):

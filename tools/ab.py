@@ -19,10 +19,12 @@ median CPU seconds of its invocations.  FILE gets one JSON record:
 the machine facts the bench printed and the host, a method note, every pair
 per workload, and per metric each side's median and quartiles over the
 pairs with how many pairs each side won and, for an end-to-end metric, the
-change's median relative to the parent's (`change_vs_parent`) and whether
-that is within the metric's relative `bound` in BENCHMARK.json
-(`within_bound`), the invocations attempted and failed on each side, and
-each side's size: the lines of its src/sarcsi/*.py (as `cat
+change's median relative to the parent's (`change_vs_parent`), whether that
+is within the metric's relative `bound` in BENCHMARK.json (`within_bound`)
+and whether the runs resolve that bound (`resolved`: neither side's quartile
+distance exceeds it, relative to the parent's median, or every change run
+beats every parent run), the invocations attempted and failed on each side,
+and each side's size: the lines of its src/sarcsi/*.py (as `cat
 src/sarcsi/*.py | wc -l` counts them), those of them that are code (neither
 blank, nor a docstring's, nor a comment alone) and the names in its
 package's `__all__`, read with `ast` and `tokenize` without importing the
@@ -122,8 +124,10 @@ def spread(xs: list[float]) -> dict:
 def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per metric of the pairs: each side's spread and the pairs it won (a
     tie counts for neither side) and, where the metric has a bound, the
-    change's relative move of the median and whether it is no worse than
-    the bound."""
+    change's relative move of the median, whether it is no worse than the
+    bound and whether the runs resolve the bound: not when either side's
+    quartile distance, relative to the parent's median, exceeds it, unless
+    every run of the change is better than every run of the parent."""
     metrics = {}
     for name in sorted(pairs[0]["parent"]):
         kind = better.get(name, "lower")
@@ -144,6 +148,11 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
             rel = m["change"]["median"] / m["parent"]["median"] - 1
             m["change_vs_parent"] = rel
             m["within_bound"] = -sign * rel <= bounds[name]
+            runs = {side: [sign * p[side][name] for p in pairs] for side in SIDES}
+            m["resolved"] = (min(runs["change"]) > max(runs["parent"])
+                             or all(m[side]["q3"] - m[side]["q1"]
+                                    <= bounds[name] * abs(m["parent"]["median"])
+                                    for side in SIDES))
     return metrics
 
 

@@ -5,6 +5,7 @@ package, bench and BENCHMARK.json to a throwaway repository and compares its
 HEAD with itself.  No timing bounds.
 """
 
+import importlib.util
 import io
 import json
 import shutil
@@ -13,10 +14,15 @@ import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import sarcsi
 
 ROOT = Path(__file__).resolve().parents[2]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+_spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
 
 
 def code_lines_by_tokens(source: str) -> int:
@@ -82,7 +88,27 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
         rel = m["change"]["median"] / m["parent"]["median"] - 1
         assert m["change_vs_parent"] == rel
         assert m["within_bound"] == (rel <= spec["bound"])
-    assert "within_bound" not in tiny["metrics"]["proc.cpu_s"]
+        assert m["resolved"]    # one pair: no spread
+    assert not {"within_bound", "resolved"} & set(tiny["metrics"]["proc.cpu_s"])
     for side in ("parent", "change"):
         assert tiny["attempted"][side] >= 1 and tiny["failed"][side] == 0
     assert not list(tmp_path.glob("repo/.bench_work"))
+
+
+@pytest.mark.parametrize("better, parent, change, resolved", [
+    # both sides' quartiles about 2.5% of the parent's median apart, within 5%
+    ("lower", [1.00, 1.01, 0.99, 1.00, 1.02, 0.98], [1.01, 1.00, 1.03, 0.99, 1.02, 1.01], True),
+    # the parent's quartiles are a third of its median apart: a 5% bound
+    # cannot be told
+    ("lower", [0.80, 1.20, 0.90, 1.10, 1.00, 1.30], [1.00, 1.01, 0.99, 1.00, 1.02, 0.98], False),
+    # as wide, but every change run beats every parent run
+    ("lower", [1.40, 1.20, 1.30, 1.10, 1.50, 1.25], [1.00, 0.70, 0.90, 0.80, 1.05, 0.75], True),
+    ("higher", [1.00, 0.70, 0.90, 0.80, 1.05, 0.75], [1.40, 1.20, 1.30, 1.10, 1.50, 1.25], True),
+    ("higher", [1.40, 1.20, 1.30, 1.10, 1.50, 1.25], [1.00, 0.70, 0.90, 0.80, 1.05, 0.75], False),
+], ids=["tight", "wide", "all_better", "all_better_higher", "all_worse_higher"])
+def test_summarize_resolves_a_bound_by_spread_or_by_every_run(better, parent, change, resolved):
+    pairs = [{"parent": {"m": a, "cpu": 1.0}, "change": {"m": b, "cpu": 1.0}}
+             for a, b in zip(parent, change)]
+    metrics = ab.summarize(pairs, {"m": better}, {"m": 0.05})
+    assert metrics["m"]["resolved"] is resolved
+    assert "resolved" not in metrics["cpu"]
