@@ -501,9 +501,9 @@ def test_threaded_map_of_no_items_starts_no_thread():
 
 def test_threaded_map_stops_at_a_worker_failure(run_bounded):
     # on two threads, call 1 raises on the worker thread; call 0, on the
-    # caller's, may not start before it, or waits for that thread to end.
-    # No later call starts, the exception reaches the caller and no thread
-    # is left running
+    # caller's, either never starts or waits for that thread to end.  No
+    # later call starts, the exception reaches the caller and no thread is
+    # left running
     ran, worker, raising = [], [], threading.Event()
 
     def call(k, slot):
