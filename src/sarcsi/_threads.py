@@ -1,10 +1,10 @@
 """What the host gives the package: ordered maps over the CPUs in the
-affinity mask for synthesis, focusing and composition; numpy's OpenBLAS,
-resolved once: its thread count, pinned to one while the direct sum's worker
-threads run its matrix products, and its dgemm, which adds each product into
-the sum in place (numpy's matmul where it does not resolve); and the
-physical-memory check that scene building, synthesis and the colour stages
-make before they allocate."""
+affinity mask, which own their threads' scratch, for synthesis, focusing and
+composition; numpy's OpenBLAS, resolved once: its thread count, pinned to one
+while the direct sum's worker threads run its matrix products, and its dgemm,
+which adds each product into the sum in place (numpy's matmul where it does
+not resolve); and the physical-memory check that scene building, synthesis
+and the colour stages make before they allocate."""
 
 from __future__ import annotations
 
@@ -123,25 +123,30 @@ def workers(n_items: int) -> int:
     return min(cpus or 1, max(1, n_items))
 
 
-def threaded_map(fn: Callable, items: Sequence) -> list:
-    """[fn(item, slot) for every item], in input order.
+def threaded_map(fn: Callable, items: Sequence, *scratch: tuple) -> list:
+    """[fn(item, *rows) for every item], in input order.
 
-    With n = workers(len(items)), call k runs on thread k % n, with slot
-    k % n, after call k - n: a slot is one thread's alone.  Thread 0 is the
-    caller; the others (numpy releases the GIL in its FFTs, ufuncs and dgemm)
-    each run in a copy of the caller's context (numpy's error state).  Once a
-    call raises or a thread fails to start, no thread starts another call;
-    every started thread is joined and that exception re-raised.
+    n = workers(len(items)) is read once, and one np.empty((n, *shape), dtype)
+    allocated per (shape, dtype) of scratch.  Call k runs on thread k % n,
+    after call k - n, with rows = row k % n of each: a row is one thread's
+    alone.  Thread 0 is the caller; the others (numpy releases the GIL in its
+    FFTs, ufuncs and dgemm) each run in a copy of the caller's context (numpy's
+    error state).  If a thread cannot start (RuntimeError), the caller runs its
+    calls and those of the threads after it, with their rows: same results.
+    Once a call raises or a thread fails to start otherwise, no thread starts
+    another call; every started thread is joined and that exception re-raised.
     """
     n = workers(len(items))
+    buffers = [np.empty((n, *shape), dtype) for shape, dtype in scratch]
     out, failed, threads = [None] * len(items), [], []
 
     def run(slot: int) -> None:
+        rows = [b[slot] for b in buffers]
         try:
             for k in range(slot, len(items), n):
                 if failed:
                     return
-                out[k] = fn(items[k], slot)
+                out[k] = fn(items[k], *rows)
         except BaseException as e:
             failed.append(e)
 
@@ -150,9 +155,12 @@ def threaded_map(fn: Callable, items: Sequence) -> list:
             thread = threading.Thread(target=copy_context().run, args=(run, slot))
             thread.start()
             threads.append(thread)
-    except BaseException as e:    # a thread that would not start: it stops the others
+    except RuntimeError:    # out of threads: the caller runs the rest
+        pass
+    except BaseException as e:    # any other failure to start stops the others
         failed.append(e)
-    run(0)
+    for slot in (0, *range(len(threads) + 1, n)):
+        run(slot)
     for thread in threads:
         thread.join()
     if failed:

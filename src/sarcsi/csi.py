@@ -63,10 +63,10 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     The spectrum is consumed, and red and green are left in its memory.  Its
     rows take the range IFFT in place, in row tiles: each row lies in one
     band, so one pass serves all three.  Then each range-tile job copies all
-    three bands' rows of its bins, transposed, into three zeroed (bins, na)
-    scratches, takes their azimuth IFFTs and writes |red| into
-    data.real and |green| into data.imag of the bins it has just read, which
-    no other job reads; |blue| goes to a raster of its own.  A tile has TILE
+    three bands' rows of its bins, transposed, into its thread's three zeroed
+    (bins, na) scratches from threaded_map, takes their azimuth IFFTs and
+    writes |red| into data.real and |green| into data.imag of the bins it has
+    just read, which no other job reads; |blue| goes to a raster of its own.  A tile has TILE
     bins, fewer when na > SCRATCH_POINTS / TILE, so a scratch holds at most
     SCRATCH_POINTS.  Both passes run on worker threads.  Returns (red, green,
     blue) float64 (nr, na) magnitude rasters: one row per range bin, one
@@ -81,14 +81,12 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     tiles = range(0, nr, bins)
     check_memory(colour_bytes(na, nr), f"splitting and composing a {na}x{nr} spectrum")
     cuts = np.searchsorted(g.params.band_index(g.f_a), range(4)).tolist()
-    threaded_map(lambda lo, _: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE))
+    threaded_map(lambda lo: _centred_ifft(data[lo : lo + TILE], 1), range(0, na, TILE))
     blue = np.empty((nr, na))
-    # One buffer for every thread's scratch, freed as one block as the split returns.
-    slots = np.empty((workers(len(tiles)), 3, bins, na), data.dtype)
 
-    def focus(lo: int, slot: int) -> None:
+    def focus(lo: int, scratch: np.ndarray) -> None:
         cols = slice(lo, lo + bins)
-        scratch = slots[slot, :, : min(bins, nr - lo)]
+        scratch = scratch[:, : min(bins, nr - lo)]
         scratch[...] = 0
         for band, (a, b) in zip(scratch, pairwise(cuts)):
             band[:, a:b] = data[a:b, cols].T
@@ -99,7 +97,7 @@ def split_subbands(g: SpectrumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         np.abs(green, out=pair.imag)  # then back to the bins, transposed
         data[:, cols] = pair.T
 
-    threaded_map(focus, tiles)
+    threaded_map(focus, tiles, ((3, bins, na), data.dtype))
     return data.real.T, data.imag.T, blue
 
 
@@ -160,7 +158,7 @@ def compose_rgb(
                 np.abs(grid[lo : lo + TILE, k : k + BLOCK], out=m)
             yield k, block
 
-    def maxima(lo: int, _) -> np.ndarray:
+    def maxima(lo: int) -> np.ndarray:
         return np.concatenate([m.max(axis=1) for _, m in magnitudes(lo, blocks)], axis=1)
 
     top = np.stack(threaded_map(maxima, tiles))    # (tile, channel, column)
@@ -170,7 +168,7 @@ def compose_rgb(
         ref = float(top.max())
     else:
         def above(t: float) -> np.ndarray:
-            def select(lo: int, _) -> np.ndarray:    # from the columns whose maximum is > t
+            def select(lo: int) -> np.ndarray:    # from the columns whose maximum is > t
                 tops = top[lo // TILE] > t
                 cols = [np.abs(grid[lo : lo + TILE, tops[c]])
                         for c, grid in enumerate((r, g, b))]
@@ -184,7 +182,7 @@ def compose_rgb(
     def level(x: float) -> float:    # what quantize makes of x, before the cast
         return (min(x / ref, 1.0) if ref > 0 else float(x > 0)) * 255 + 0.5
 
-    def quantize(lo: int, _) -> None:
+    def quantize(lo: int) -> None:
         # Each step is monotone, so a block whose largest magnitude quantizes
         # to 0 is all 0, as the pixels start: such dark blocks are not read.
         tops = top[lo // TILE]

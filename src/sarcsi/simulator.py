@@ -199,46 +199,42 @@ def _direct_sum(
     G[:, l] = conj(T - jS) for l < h and G[:, nr - l] = (T + jS)[:, l] for
     0 < l < h - 1.  A job per row tile of _block_shape, on worker threads and
     one BLAS thread, builds each sample chunk's block and range factor in
-    turn and has blas_gemm write their T-row and S-row (rows, 2h) products
-    into its tile's partial sums, which start uninitialised: the first
-    chunk's (an empty scene's too) with beta = 0, each later chunk's added
-    with beta = 1.  Row 2k of the sums holds T_k and row 2k + 1 S_k.  So the
-    sum depends on the block shape and the BLAS alone, whose rounding may
-    follow a product's row count and, where one_blas_thread cannot pin it,
-    the BLAS thread count.
+    turn, in its thread's scratch from threaded_map, and has blas_gemm write
+    their T-row and S-row (rows, 2h) products into its tile's partial sums,
+    which start uninitialised: the first chunk's (an empty scene's too) with
+    beta = 0, each later chunk's added with beta = 1.  Row 2k of the sums
+    holds T_k and row 2k + 1 S_k.  So the sum depends on the block shape and
+    the BLAS alone, whose rounding may follow a product's row count and,
+    where one_blas_thread cannot pin it, the BLAS thread count.
 
     A pair is nr + 2 complex values, so G row k fits in the memory of its own
     pair: the job's element-wise combine then copies a group of its pairs to
-    a small buffer and writes their G rows over them.  Returns G as an
-    (na, nr) view whose rows have a pitch of nr + 2.
+    its thread's staging scratch and writes their G rows over them.  Returns
+    G as an (na, nr) view whose rows have a pitch of nr + 2.
     """
     na, nr = f_a.size, f_r.size
     h = nr // 2 + 1
     rows, step = _block_shape(na, u.size)
     chunks, tiles = range(0, max(u.size, 1), step), range(0, na, rows)
     group = _combine_group(nr, rows)  # rows whose T, S and G parts stay in cache
-    n = workers(len(tiles))
-    blocks = np.empty((n, 2 * rows * step))
-    factors = np.empty((n, step, h), complex)
     gemm = blas_gemm()
-    staged = np.empty((n, group, 2 * h), complex)
     ts = np.empty((2 * na, 2 * h))    # row 2k: T_k, row 2k + 1: S_k
     pairs = ts.view(complex).reshape(na, 2 * h)    # row k: T_k, then S_k
     g = pairs[:, :nr]
     mirror = slice(h - 2, 0, -1)      # l = h - 2 .. 1 fill nr - l = h .. nr - 1
 
-    def tile(a0: int, slot: int) -> None:
+    def tile(a0: int, block: np.ndarray, factor: np.ndarray, staged: np.ndarray) -> None:
         sums = ts[2 * a0 : 2 * (a0 + rows)].reshape(rows, 2, -1).swapaxes(0, 1)
         for lo in chunks:
             sl = slice(lo, lo + step)
             w = _direct_block(f_a[a0 : a0 + rows], carrier[a0 : a0 + rows], u[sl], v[sl],
-                              blocks[slot]).reshape(2, rows, -1)
-            r = _range_factor(f_r, v[sl], amp[sl], factors[slot])
+                              block).reshape(2, rows, -1)
+            r = _range_factor(f_r, v[sl], amp[sl], factor)
             for half, total in zip(w, sums):    # T rows, then S rows
                 gemm(half, r, total, 1.0 if lo else 0.0)
         for a in range(a0, a0 + rows, group):
             b = min(a + group, a0 + rows)
-            pair = staged[slot, : b - a]
+            pair = staged[: b - a]
             pair[...] = pairs[a:b]    # G rows a..b overwrite these pairs
             t, s = pair[:, :h], pair[:, h:]
             tr, ti, sr, si = t.real, t.imag, s.real, s.imag
@@ -249,7 +245,8 @@ def _direct_sum(
             np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
 
     with one_blas_thread():           # each worker runs its own tiles' GEMMs
-        threaded_map(tile, tiles)
+        threaded_map(tile, tiles, ((2 * rows * step,), float), ((step, h), complex),
+                     ((group, 2 * h), complex))
     return g
 
 

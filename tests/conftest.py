@@ -2,6 +2,7 @@ import math
 import os
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -108,3 +109,13 @@ def run_bounded():
         return not worker.is_alive(), outcome.get("value")
 
     return _run
+
+
+@pytest.fixture(scope="session")
+def cpus():
+    """cpus(n): a context in which the process sees n CPUs in its affinity mask."""
+
+    def _cpus(n: int):
+        return mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True)
+
+    return _cpus

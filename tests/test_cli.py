@@ -393,6 +393,22 @@ class TestSimulate:
             blobs.append(products(prefix))
         assert blobs[0] == blobs[1]
 
+    def test_threads_that_cannot_start_change_no_byte(self, cpus, capsys, tmp_path):
+        # on two CPUs where no thread can start, as in a process out of
+        # threads, the caller runs the calls of all six maps (the direct sum,
+        # two split passes, three compose passes): simulate exits 0 and
+        # writes the bytes of a run whose threads start
+        scene = scene_file(tmp_path, README_TARGETS, rho_r=0.1, na=1024, nr=256)
+        argv = ("simulate", "--scene", str(scene), "--norm", "clip_p999", "--out-prefix")
+        no_thread = mock.patch.object(threading.Thread, "start",
+                                      side_effect=RuntimeError("can't start new thread"))
+        with cpus(2):
+            assert run(capsys, *argv, str(tmp_path / "threads"))[0] == 0
+            with no_thread as start:
+                code, _, err = run(capsys, *argv, str(tmp_path / "caller"))
+        assert (code, err) == (0, "") and start.call_count == 6
+        assert products(tmp_path / "caller") == products(tmp_path / "threads")
+
 
 class TestAnalyze:
     def test_line_and_array_pass(self, capsys, tmp_path):
@@ -631,7 +647,8 @@ class TestRejectedInput:
         ("simulate", README_TARGETS, True),
         ("analyze", [{"kind": "line", "theta_az_deg": 2.0, "length_m": 20.0}], False),
     ], ids=["simulate_direct_sum", "analyze_closed_form"])
-    def test_synthesis_beyond_physical_memory(self, capsys, tmp_path, command, targets, direct):
+    def test_synthesis_beyond_physical_memory(self, cpus, capsys, tmp_path, command, targets,
+                                              direct):
         # on two CPUs, the physical memory mocked here is one page short of
         # what synthesis holds: the direct sum's T over S with the blocks in
         # flight (about 15 MiB at 1024 x 256), the closed form's three
@@ -645,7 +662,7 @@ class TestRejectedInput:
         n = s.merge_scenes(s.build_scenes(s.parse_scene_config(str(scene)))).n
         out = (("--out-prefix", str(tmp_path / "x")) if command == "simulate"
                else ("--out", str(tmp_path / "x_analysis.json")))
-        with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True):
+        with cpus(2):
             need = sim.synthesis_bytes(na, nr, n, direct)
             have = (need - 1) // 4096 * 4096
             sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
@@ -671,7 +688,7 @@ class TestRejectedInput:
                                  "--out-prefix", str(tmp_path / "x"))
         assert (code, out, err) == (2, "", "error: out of memory: allocation failed\n")
 
-    def test_memory_error_on_a_worker_thread_is_one_line(self, capsys, tmp_path):
+    def test_memory_error_on_a_worker_thread_is_one_line(self, cpus, capsys, tmp_path):
         # on two CPUs the 256 spectrum rows are four range-IFFT tiles, and the
         # second runs on the worker thread, where it runs out of memory: the
         # split re-raises that in the caller, which exits 2 with one line,
@@ -686,8 +703,7 @@ class TestRejectedInput:
             return centred_ifft(x, axis)
 
         before = threading.active_count()
-        with mock.patch("os.sched_getaffinity", return_value={0, 1}, create=True), \
-                mock.patch.object(csi, "_centred_ifft", side_effect=failing):
+        with cpus(2), mock.patch.object(csi, "_centred_ifft", side_effect=failing):
             code, out, err = run(capsys, "simulate", "--scene", str(scene),
                                  "--out-prefix", str(tmp_path / "x"))
         assert (code, out, err) == (2, "", "error: out of memory: a range tile\n")
@@ -975,23 +991,40 @@ def test_module_entry_point():
     import sarcsi.__main__  # noqa: F401  (importable; exercised in CI runs)
 
 
+# numpy, the parts of it the package uses that numpy loads on first use, and
+# the standard-library modules src/sarcsi imports (locale: argparse's gettext
+# loads it as it parses).
+KNOWN_IMPORTS = ("numpy", "numpy.fft", "__future__", "argparse", "collections.abc",
+                 "contextlib", "contextvars", "ctypes", "dataclasses", "enum", "functools",
+                 "itertools", "json", "locale", "math", "os", "pathlib", "re", "sys",
+                 "threading", "typing")
+
+
 def test_cli_import_leaves_out_concurrent_futures(tmp_path):
-    # the threaded stages start plain threads: importing the thread pool
-    # module would add about 15 ms to a run.  Neither the import nor a
-    # simulate and an analyze run, whose stages take several tiles, load it
+    # each module a run loads adds to its start-up: past numpy and the
+    # standard-library modules the package imports, importing the CLI and a
+    # simulate and an analyze run, whose stages take several tiles, load only
+    # the package's own modules.  The threaded stages start plain threads, so
+    # the thread pool module (about 15 ms) is not among them
     scene = scene_file(tmp_path, [LINE2])
     code = (
-        "import sys, sarcsi.cli\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
+        "import importlib, sys\n"
+        "for name in sys.argv[4:]:\n"
+        "    importlib.import_module(name)\n"
+        "known = set(sys.modules)\n"
+        "import sarcsi.cli\n"
         "codes = [sarcsi.cli.main(['simulate', '--scene', sys.argv[1], '--out-prefix', sys.argv[2]]),\n"
         "         sarcsi.cli.main(['analyze', '--scene', sys.argv[1], '--out', sys.argv[3]])]\n"
         "assert codes == [0, 0], codes\n"
-        "assert 'concurrent.futures' not in sys.modules\n")
+        "print(' '.join(sorted(set(sys.modules) - known)))\n")
     proc = subprocess.run([sys.executable, "-c", code, str(scene), str(tmp_path / "x"),
-                           str(tmp_path / "x_analysis.json")],
+                           str(tmp_path / "x_analysis.json"), *KNOWN_IMPORTS],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "x_rgb.ppm").is_file() and (tmp_path / "x_analysis.json").is_file()
+    loaded = proc.stdout.splitlines()[-1].split()    # after simulate's "wrote" line
+    assert "sarcsi.cli" in loaded and "concurrent.futures" not in loaded
+    assert [m for m in loaded if m.partition(".")[0] != "sarcsi"] == []
 
 
 def traced_functions():

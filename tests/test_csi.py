@@ -307,8 +307,8 @@ def test_compose_matches_reference_bytes(norm):
 @given(st.integers(1, 70), st.integers(1, 70),
        st.sampled_from(["random", "tied", "zero", "one-hot"]), st.booleans(),
        st.sampled_from(csi.NORM_MODES), st.sampled_from([1, 2, 4]), st.integers(0, 2**32 - 1))
-def test_compose_matches_reference_property(height, width, values, is_complex, norm, n_cpus,
-                                            seed):
+def test_compose_matches_reference_property(cpus, height, width, values, is_complex, norm,
+                                            n_cpus, seed):
     # the tiled passes give the plain stack-and-percentile pixels bit for bit;
     # the height runs to two tiles, the last one partial
     rng = np.random.default_rng(seed)
@@ -323,7 +323,7 @@ def test_compose_matches_reference_property(height, width, values, is_complex, n
             mag.flat[rng.integers(mag.size)] = rng.random() + 0.5
     # a unit phase of 1, j, -1 or -j keeps tied magnitudes exactly tied
     grids = mag * np.array([1, 1j, -1, -1j])[rng.integers(0, 4, shape)] if is_complex else mag
-    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+    with cpus(n_cpus):
         got = s.compose_rgb(*grids, norm=norm)
     want = oracles.compose_rgb_reference(*grids, norm=norm)
     assert np.array_equal(got, want)
@@ -345,7 +345,7 @@ def test_tiny_scene_ppm_matches_reference(tmp_path, norm):
     assert s.encode_ppm(s.compose_rgb(*s.split_subbands(g), norm=norm)) == s.encode_ppm(want)
 
 
-def test_band_focus_failure_propagates(xband, run_bounded):
+def test_band_focus_failure_propagates(xband, run_bounded, cpus):
     # the second range tile's azimuth IFFT (32 bins of 2048 rows, two tiles)
     # raises on a worker thread: split_subbands re-raises it in the caller
     # instead of hanging on it
@@ -358,8 +358,7 @@ def test_band_focus_failure_propagates(xband, run_bounded):
             raise RuntimeError("band 2 failed")
         return centred_ifft(x, axis)
 
-    with mock.patch.object(csi, "_centred_ifft", side_effect=failing), \
-            mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
+    with mock.patch.object(csi, "_centred_ifft", side_effect=failing), cpus(2):
         finished, result = run_bounded(lambda: s.split_subbands(g))
     assert finished
     assert isinstance(result, RuntimeError) and str(result) == "band 2 failed"
@@ -403,7 +402,7 @@ def test_p999_is_numpy_percentile_exactly():
         assert np.array_equal(x, kept)          # selection works on copies
 
 
-def test_compose_p999_makes_no_full_copy(xband):
+def test_compose_p999_makes_no_full_copy(xband, cpus):
     # no magnitude stack and no np.percentile: besides the pixels, compose
     # holds a scratch block per worker, TILE rows by BLOCK columns of all
     # three channels, and the small group maxima
@@ -411,7 +410,7 @@ def test_compose_p999_makes_no_full_copy(xband):
     bands = s.split_subbands(random_grid(xband, na, nr))
     want = oracles.compose_rgb_reference(*bands, norm="clip_p999")
     with mock.patch.object(np, "percentile", side_effect=AssertionError("np.percentile")), \
-            mock.patch("os.sched_getaffinity", return_value=set(range(2)), create=True):
+            cpus(2):
         s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
         tracemalloc.start()
         try:
@@ -452,7 +451,7 @@ def test_range_major_images_are_bit_identical(xband, shape):
         assert np.array_equal(m, np.abs(w).T)
 
 
-def test_split_allocates_only_magnitudes_and_tiles(xband):
+def test_split_allocates_only_magnitudes_and_tiles(xband, cpus):
     # the spectrum's rows are transformed in place, each range tile's three
     # bands in three scratches of at most SCRATCH_POINTS, here (32, 2048)
     # each, and red and green go back into the spectrum: past the blue
@@ -461,7 +460,7 @@ def test_split_allocates_only_magnitudes_and_tiles(xband):
     # buffer of about 0.25 MiB)
     na, nr = 2048, 256
     for n_cpus in (1, 2, 4):
-        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+        with cpus(n_cpus):
             s.split_subbands(random_grid(xband, na, nr))     # warms up the imports
             g = random_grid(xband, na, nr)
             tracemalloc.start()
@@ -492,7 +491,7 @@ def traced(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
-def test_split_holds_what_its_check_counts(xband, n_cpus):
+def test_split_holds_what_its_check_counts(xband, n_cpus, cpus):
     # at 2048x256 the split is the colour stage that holds more: the spectrum
     # it consumes plus what the split traces stays within 1 MiB of
     # colour_bytes, from both sides, for a C-ordered spectrum and for one
@@ -501,7 +500,7 @@ def test_split_holds_what_its_check_counts(xband, n_cpus):
     # axis and the band index (8 na bytes each) are not counted
     na, nr = 2048, 256
     for pitch in (nr, nr + 2):
-        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+        with cpus(n_cpus):
             s.split_subbands(padded_grid(xband, na, nr, pitch))     # warms up the imports
             g = padded_grid(xband, na, nr, pitch)
             peak = traced(s.split_subbands, g)[1]
@@ -509,14 +508,14 @@ def test_split_holds_what_its_check_counts(xband, n_cpus):
         assert checked - (1 << 20) <= g.data.base.nbytes + peak <= checked + (1 << 20), pitch
 
 
-def test_compose_fits_in_what_the_split_checks(xband):
+def test_compose_fits_in_what_the_split_checks(xband, cpus):
     # composition runs on the split's rasters, red and green in the
     # spectrum's buffer; that buffer and blue plus what compose traces stay
     # within the colour_bytes the split checks, on 1 and 2 CPUs, so compose
     # needs no memory check of its own
     na, nr = 2048, 256
     for n_cpus in (1, 2):
-        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+        with cpus(n_cpus):
             g = random_grid(xband, na, nr)
             bands = s.split_subbands(g)
             s.compose_rgb(*bands, norm="clip_p999")     # warms up the imports
@@ -534,7 +533,7 @@ COLOUR_CASES = {    # grid, CPUs and the stage that holds more; 2048x256 is abov
 
 
 @pytest.mark.parametrize("case", COLOUR_CASES)
-def test_colour_stages_hold_what_colour_bytes_counts(xband, case):
+def test_colour_stages_hold_what_colour_bytes_counts(xband, case, cpus):
     # for a C-ordered spectrum and one whose rows are padded as the direct
     # sum pads them: the spectrum's buffer plus what the split traces, and
     # that buffer plus blue plus what compose traces, stay within
@@ -544,7 +543,7 @@ def test_colour_stages_hold_what_colour_bytes_counts(xband, case):
     # physical memory refuses the split before it touches the spectrum
     na, nr, n_cpus, larger = COLOUR_CASES[case]
     for pitch in (nr, nr + 2):
-        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True):
+        with cpus(n_cpus):
             checked = csi.colour_bytes(na, nr)
             g = padded_grid(xband, na, nr, pitch)
             before = g.data.copy()
@@ -587,7 +586,7 @@ def test_compose_does_not_depend_on_layout(xband, norm, scene):
 
 
 @pytest.mark.parametrize("norm, lit", [("linear", 2), ("clip_p999", 4)])
-def test_compose_skips_only_blocks_that_quantize_to_zero(norm, lit):
+def test_compose_skips_only_blocks_that_quantize_to_zero(norm, lit, cpus):
     # a 70 x 1100 raster is six blocks (two tiles by three blocks of BLOCK
     # columns, the last 76 wide): one bright value, a value that quantizes
     # to 1 and one that quantizes to 0 under "linear", and faint noise in
@@ -606,7 +605,7 @@ def test_compose_skips_only_blocks_that_quantize_to_zero(norm, lit):
             blocks.append(x.shape)
         return absolute(x, *args, **kwargs)
 
-    with mock.patch("os.sched_getaffinity", return_value={0}, create=True), \
+    with cpus(1), \
             mock.patch.object(csi.np, "abs", side_effect=spy):
         got = s.compose_rgb(*bands, norm=norm)
     want = oracles.compose_rgb_reference(*bands, norm=norm)
@@ -617,7 +616,7 @@ def test_compose_skips_only_blocks_that_quantize_to_zero(norm, lit):
 
 
 @pytest.mark.parametrize("norm", csi.NORM_MODES)
-def test_compose_same_pixels_on_one_or_two_cpus(xband, norm):
+def test_compose_same_pixels_on_one_or_two_cpus(xband, norm, cpus):
     # 200 raster rows are four tiles, the last one partial; the tiles run on
     # the caller's thread and, with two CPUs, on one more.  The grids are
     # laid out as split_subbands returns them
@@ -631,7 +630,7 @@ def test_compose_same_pixels_on_one_or_two_cpus(xband, norm):
             threads.add(threading.get_ident())
             return absolute(*args, **kwargs)
 
-        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus)), create=True), \
+        with cpus(n_cpus), \
                 mock.patch.object(csi.np, "abs", side_effect=spy):
             seen[n_cpus] = s.compose_rgb(*bands, norm=norm)
         assert threading.get_ident() in threads and len(threads) == n_cpus

@@ -348,7 +348,7 @@ def test_half_axis_sum_matches_reference(case):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
-def test_staged_combine_at_the_narrowest_range_axis(xband, n_cpus):
+def test_staged_combine_at_the_narrowest_range_axis(xband, n_cpus, cpus):
     # at nr = 8 the combine stages a whole row tile at a time (16384 / nr
     # rows, at most ROW_TILE) and each G row covers 8 of its pair's 10
     # values, so its mirrored half lands on the S values it is built from;
@@ -384,15 +384,16 @@ def tile_stages(tiles_seen):
     """A threaded_map spy that records (items, threads) per call in tiles_seen."""
     tmap = sim.threaded_map
 
-    def spy(fn, items):
+    def spy(fn, items, *scratch):
         threads = set()
         tiles_seen.append((len(items), threads))
-        return tmap(lambda x, slot: threads.add(threading.get_ident()) or fn(x, slot), items)
+        return tmap(lambda *args: threads.add(threading.get_ident()) or fn(*args), items,
+                    *scratch)
 
     return mock.patch.object(sim, "threaded_map", side_effect=spy)
 
 
-def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband):
+def test_combine_tiles_give_the_same_bits_on_one_or_four_cpus(xband, cpus):
     # at 4096 x 512, 300 scatterers are two sample chunks by four row tiles
     # of ROW_TILE rows, and the one stage runs a job per row tile, which
     # ends with its combine; on four worker threads it must write exactly
@@ -438,7 +439,7 @@ def test_direct_block_allocates_only_its_operands(xband):
     assert peak <= 0.1 * (w.nbytes + r.nbytes)
 
 
-def test_overflowing_sum_warns_on_no_thread(xband):
+def test_overflowing_sum_warns_on_no_thread(xband, cpus):
     # 300 scatterers at 1e307 overflow the sum, and inf - inf in the combine
     # is invalid.  Worker threads run under the caller's numpy error state,
     # so no RuntimeWarning (an error under this suite's filter) escapes;
@@ -453,32 +454,28 @@ def test_overflowing_sum_warns_on_no_thread(xband):
         s.azimuth_power_spectrum(g)
 
 
-def cpus(n):
-    """Context that makes the process see n CPUs in its affinity mask."""
-    return mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True)
-
-
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
-def test_threaded_map_runs_call_k_in_slot_k_mod_n(n_cpus, run_bounded):
-    # ten calls of uneven length on n = n_cpus threads: call k gets slot
-    # k % n and runs on the thread that ran call k - n, after that call
-    # ended; the caller runs slot 0, the results come back in input order
-    # and no thread is left running
+def test_threaded_map_runs_call_k_in_slot_k_mod_n(n_cpus, run_bounded, cpus):
+    # ten calls of uneven length on n = n_cpus threads: call k gets row k % n
+    # of each scratch the map allocated, (n, *shape) of its dtype, and runs
+    # on the thread that ran call k - n, after that call ended; the caller
+    # runs row 0, the results come back in input order and no thread is left
+    # running
     events = []    # ("start" | "end", k), in the order they happen
     lock = threading.Lock()
 
-    def call(item, slot):
+    def call(item, block, pair):
         k = "abcdefghij".index(item)
         with lock:
             events.append(("start", k))
         time.sleep(0.001 * (7 * k % 5))
         with lock:
             events.append(("end", k))
-        return item, slot, threading.current_thread()
+        return item, (block, pair), threading.current_thread()
 
     def mapped():
         before = threading.active_count()
-        got = _threads.threaded_map(call, "abcdefghij")
+        got = _threads.threaded_map(call, "abcdefghij", ((3,), float), ((2, 5), complex))
         return got, threading.active_count() - before, threading.current_thread()
 
     with cpus(n_cpus):
@@ -487,26 +484,31 @@ def test_threaded_map_runs_call_k_in_slot_k_mod_n(n_cpus, run_bounded):
     got, left, caller = result
     assert left == 0
     assert [item for item, _, _ in got] == list("abcdefghij")
-    assert [slot for _, slot, _ in got] == [k % n_cpus for k in range(10)]
+    scratch = [row.base for row in got[0][1]]
+    assert [(b.shape, b.dtype) for b in scratch] == [((n_cpus, 3), np.float64),
+                                                      ((n_cpus, 2, 5), np.complex128)]
+    for k, (_, rows, _) in enumerate(got):
+        assert all(row.base is b for row, b in zip(rows, scratch))
+        assert [row.ctypes.data for row in rows] == [b[k % n_cpus].ctypes.data for b in scratch]
     assert got[0][2] is caller and len({thread for *_, thread in got}) == n_cpus
     for k in range(n_cpus, 10):
         assert got[k][2] is got[k - n_cpus][2]
         assert events.index(("start", k)) > events.index(("end", k - n_cpus))
 
 
-def test_threaded_map_of_no_items_starts_no_thread():
+def test_threaded_map_of_no_items_starts_no_thread(cpus):
     with cpus(4), mock.patch("threading.Thread", side_effect=AssertionError("thread started")):
-        assert _threads.threaded_map(lambda item, slot: 1 / 0, []) == []
+        assert _threads.threaded_map(lambda item: 1 / 0, []) == []
 
 
-def test_threaded_map_stops_at_a_worker_failure(run_bounded):
+def test_threaded_map_stops_at_a_worker_failure(run_bounded, cpus):
     # on two threads, call 1 raises on the worker thread; call 0, on the
     # caller's, either never starts or waits for that thread to end.  No
     # later call starts, the exception reaches the caller and no thread is
     # left running
     ran, worker, raising = [], [], threading.Event()
 
-    def call(k, slot):
+    def call(k):
         ran.append(k)
         if k == 1:
             worker.append(threading.current_thread())
@@ -528,29 +530,60 @@ def test_threaded_map_stops_at_a_worker_failure(run_bounded):
     assert 1 in ran and set(ran) <= {0, 1}
 
 
-def test_threaded_map_joins_its_threads_when_one_fails_to_start(run_bounded):
-    # of three worker threads the second fails to start: the caller runs no
-    # call, the started thread runs only calls of its own slot and is joined,
-    # and the start's error is re-raised
+def failing_second_start(error):
+    """A patch under which the second thread start raises error."""
     start, starts = threading.Thread.start, itertools.count()
-    ran = []
 
     def failing_start(thread):
         if next(starts) == 1:
-            raise RuntimeError("can't start new thread")
+            raise error
         start(thread)
+
+    return mock.patch.object(threading.Thread, "start", failing_start)
+
+
+def test_threaded_map_runs_the_rows_of_a_thread_that_cannot_start(run_bounded, cpus):
+    # on four CPUs the second of three thread starts fails as a process out
+    # of threads fails: the caller runs rows 0, 2 and 3, each call on its own
+    # row, and the results are those of the map without the failure
+    def call(k, row):
+        row[...] = k    # each call overwrites its row, as the stages do
+        return k, int(row[0]), row.ctypes.data - row.base.ctypes.data, threading.get_ident()
 
     def mapped():
         before = threading.active_count()
-        with mock.patch.object(threading.Thread, "start", failing_start), \
-                pytest.raises(RuntimeError, match="can't start new thread"):
-            _threads.threaded_map(lambda k, slot: ran.append((k, slot)), range(10))
+        with failing_second_start(RuntimeError("can't start new thread")):
+            got = _threads.threaded_map(call, range(10), ((2,), np.int64))
+        return got, threading.active_count() - before, threading.get_ident()
+
+    with cpus(4):
+        finished, result = run_bounded(mapped)
+        want = _threads.threaded_map(call, range(10), ((2,), np.int64))
+    assert finished
+    got, left, caller = result
+    assert left == 0
+    assert [g[:3] for g in got] == [w[:3] for w in want] == [(k, k, 16 * (k % 4))
+                                                             for k in range(10)]
+    assert {g[3] for g in got if g[0] % 4 != 1} == {caller}
+    assert caller not in {g[3] for g in got if g[0] % 4 == 1}
+
+
+def test_threaded_map_reraises_an_interrupt_at_start_after_joining(run_bounded, cpus):
+    # of three worker threads the second fails to start with an interrupt:
+    # the caller runs no call, the started thread runs only calls of its own
+    # row and is joined, and the interrupt is re-raised
+    ran = []
+
+    def mapped():
+        before = threading.active_count()
+        with failing_second_start(KeyboardInterrupt()), pytest.raises(KeyboardInterrupt):
+            _threads.threaded_map(lambda k: ran.append(k), range(10))
         return threading.active_count() - before
 
     with cpus(4):
         finished, left = run_bounded(mapped)
     assert finished and left == 0
-    assert all(slot == 1 for _, slot in ran)
+    assert all(k % 4 == 1 for k in ran)
 
 
 def test_chunked_sum_spans_chunks(xband):
@@ -566,7 +599,7 @@ def test_chunked_sum_spans_chunks(xband):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
-def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
+def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus, cpus):
     # twenty blocks, four row tiles by five sample chunks, finish out of
     # order under random delays, on one thread or on four; the sum must
     # still be the serial sum of each tile's T-row and S-row (rows, 2h)
@@ -607,7 +640,7 @@ def test_chunked_sum_ignores_timing_and_cpu_count(xband, n_cpus):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
-def test_tiles_build_their_blocks_in_fixed_slots(xband, n_cpus):
+def test_tiles_build_their_blocks_in_fixed_slots(xband, n_cpus, cpus):
     # four row tiles by five sample chunks: tile k builds all its blocks in
     # slot k mod workers of one buffer the caller allocated, so how far the
     # jobs run ahead cannot change the memory touched
@@ -636,7 +669,35 @@ def test_tiles_build_their_blocks_in_fixed_slots(xband, n_cpus):
     assert relative_error(g, oracles.direct_sum(sc, xband, na, 8)) <= 1e-12
 
 
-def test_a_1024_row_sum_runs_as_two_tiles(xband):
+def growing_mask(after):
+    """A context in which the affinity mask reads {0} for its first after
+    reads and {0, 1} from then on: a mask that grows while a stage runs."""
+    reads = itertools.count()
+    return mock.patch("os.sched_getaffinity", create=True,
+                      side_effect=lambda _: {0} if next(reads) < after else {0, 1})
+
+
+def test_stages_count_their_threads_once(xband):
+    # the direct sum of four row tiles and the split of a 2048 x 128
+    # spectrum give the bits of an unmocked run whenever the mask grows: each
+    # map counts its threads once and sizes its scratch by that count.  When
+    # the stages sized their scratch by a read of their own, the split raised
+    # IndexError with the mask growing after four reads
+    rng = np.random.default_rng(5)
+    spectrum = rng.standard_normal((2048, 128)) + 1j * rng.standard_normal((2048, 128))
+    sc = spread_scene(1031)
+    with only_path("direct"):
+        want = [s.synth_spectrum(sc, xband, na=4096, nr=8).data,
+                *s.split_subbands(s.SpectrumGrid(spectrum.copy(), xband))]
+    for after in range(6):
+        with growing_mask(after), only_path("direct"):
+            got = [s.synth_spectrum(sc, xband, na=4096, nr=8).data]
+        with growing_mask(after):
+            got += s.split_subbands(s.SpectrumGrid(spectrum.copy(), xband))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), after
+
+
+def test_a_1024_row_sum_runs_as_two_tiles(xband, cpus):
     # a multi-chunk sum is cut into at least two row tiles, so a 1024-row
     # grid is two jobs of 512 rows that two CPUs share
     na, nr, n = 1024, 256, 1031
@@ -651,7 +712,7 @@ def test_a_1024_row_sum_runs_as_two_tiles(xband):
     assert relative_error(g, oracles.direct_sum(sc, xband, na, nr)) <= 1e-12
 
 
-def test_chunk_failure_propagates(xband, run_bounded):
+def test_chunk_failure_propagates(xband, run_bounded, cpus):
     # the third block's builder raises on a worker thread: synth_spectrum
     # re-raises that exception in the caller instead of hanging on it
     build = sim._direct_block
@@ -670,7 +731,7 @@ def test_chunk_failure_propagates(xband, run_bounded):
     assert isinstance(result, RuntimeError) and str(result) == "chunk 3 failed"
 
 
-def test_one_chunk_starts_no_thread(xband):
+def test_one_chunk_starts_no_thread(xband, cpus):
     # analyze's small direct sums fit in one chunk: they run inline
     sc = spread_scene(64)
     with cpus(4), only_path("direct"), \
@@ -693,7 +754,7 @@ def blas_count():
     set_(found)
 
 
-def test_direct_sum_runs_on_one_blas_thread(xband, blas_count):
+def test_direct_sum_runs_on_one_blas_thread(xband, blas_count, cpus):
     # the blocks are built while the GEMMs run, so the sum pins the BLAS to
     # one thread and gives back the count it found
     build = sim._direct_block
@@ -709,7 +770,7 @@ def test_direct_sum_runs_on_one_blas_thread(xband, blas_count):
     assert blas_count() == 2
 
 
-def test_failing_sum_restores_the_blas_thread_count(xband, blas_count):
+def test_failing_sum_restores_the_blas_thread_count(xband, blas_count, cpus):
     with cpus(2), mock.patch.object(sim, "_direct_block",
                                     side_effect=RuntimeError("block failed")):
         with pytest.raises(RuntimeError, match="block failed"):
@@ -805,7 +866,7 @@ def test_empty_scene_synthesizes_zeros(xband, na, nr):
 
 
 @pytest.mark.parametrize("n_cpus", [1, 4])
-def test_sum_without_a_dgemm(xband, n_cpus):
+def test_sum_without_a_dgemm(xband, n_cpus, cpus):
     # where no dgemm resolves (Accelerate, MKL, another prefix), numpy's
     # matmul allocates each later chunk's products and adds them to the
     # sums: the same bits, within what the preflight counts for it
@@ -934,7 +995,7 @@ PREFLIGHT_CASES = {    # id: (target, na, nr)
 
 
 @pytest.mark.parametrize("case", list(PREFLIGHT_CASES))
-def test_synthesis_holds_what_the_preflight_counts(xband, case):
+def test_synthesis_holds_what_the_preflight_counts(xband, case, cpus):
     # scenes on one and two CPUs.  The curve's direct sum holds T and S and,
     # per worker, one slot each of a block, a range factor and a combine
     # staging buffer, numpy's ufunc buffers and, as the dgemm adds each
