@@ -1,10 +1,10 @@
 """What the host gives the package: ordered maps over the CPUs in the
-affinity mask, which own their threads' scratch, for synthesis, focusing and
-composition; numpy's OpenBLAS, resolved once: its thread count, pinned to one
-while the direct sum's worker threads run its matrix products, and its dgemm,
-which adds each product into the sum in place (numpy's matmul where it does
-not resolve); and the physical-memory check that scene building, synthesis
-and the colour stages make before they allocate."""
+affinity mask, read once, which own their threads' scratch, for synthesis,
+focusing and composition; numpy's OpenBLAS, resolved once: its thread count,
+pinned to one while the direct sum's worker threads run its matrix products,
+and its dgemm, which adds each product into the sum in place (numpy's matmul
+where it does not resolve); and the physical-memory check that scene
+building, synthesis and the colour stages make before they allocate."""
 
 from __future__ import annotations
 
@@ -18,9 +18,7 @@ from functools import cache
 
 import numpy as np
 
-_pin_lock = threading.Lock()
-_pin_depth = 0    # blocks inside one_blas_thread
-_pin_saved = 0    # the BLAS thread count the first of them found
+_pin = threading.RLock()    # held by the block that pins the BLAS
 
 
 def check_memory(need: int, what: str) -> None:
@@ -92,35 +90,37 @@ def matmul_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, beta: float) -> Non
 
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Hold the BLAS at one thread, for the whole process, while the block
-    runs, and restore the count found on entry as it exits, by an exception
-    too.  Nested and concurrent blocks share the pin: the first to enter sets
-    it, the last to leave restores it.  Without a known BLAS it does nothing."""
-    global _pin_depth, _pin_saved
+    """Hold the BLAS at one thread, process-wide, while the block runs, and
+    restore the count it found as it exits, by an exception too.  One thread
+    holds the pin at a time, and a nested block restores the outer one's
+    count; a block on another thread waits, so a pinned block must not wait
+    for a thread that enters the pin.  Without a known BLAS it does nothing."""
     api = _blas()
     if api is None:
         yield
         return
     get, set_, _ = api
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get()
-            set_(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                set_(_pin_saved)
+    with _pin:
+        found = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(found)
+
+
+@cache
+def cpus() -> int:
+    """CPUs in the affinity mask at the first call, so the preflights and every
+    map agree; like OpenBLAS's own count, it does not follow a `taskset -p`."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def workers(n_items: int) -> int:
     """Threads threaded_map runs n_items calls on, the caller among them: one
-    per CPU in the affinity mask, at most one per item, at least one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, max(1, n_items))
+    per CPU (cpus()), at most one per item, at least one."""
+    return min(cpus(), max(1, n_items))
 
 
 def threaded_map(fn: Callable, items: Sequence, *scratch: tuple) -> list:

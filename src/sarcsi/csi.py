@@ -131,10 +131,10 @@ def compose_rgb(
     The channels share a single normalizer so their relative strengths, and
     therefore the perceived hue, survive quantization: the joint maximum
     (norm="linear") or numpy's linear-rule joint 99.9th percentile with
-    clipping (norm="clip_p999").  No magnitude stack is built: the passes
-    run over TILE-row tiles of the rasters on worker threads, and within a
-    tile over blocks of BLOCK columns, taking |.| of the three channels'
-    block into one scratch.  A raster that is a transposed view, as
+    clipping (norm="clip_p999").  No magnitude stack is built: the passes run
+    over TILE-row tiles of the rasters on worker threads, and within a tile
+    over blocks of BLOCK columns, taking |.| of the three channels' block
+    into its thread's scratch row.  A raster that is a transposed view, as
     split_subbands' red and green are, is so read BLOCK of its underlying
     rows at a time, TILE values of each, which stay in cache while they are
     transposed.  The first pass keeps the column maxima of every tile; for
@@ -150,18 +150,18 @@ def compose_rgb(
     height, width = r.shape
     tiles, blocks = range(0, height, TILE), range(0, width, BLOCK)
 
-    def magnitudes(lo: int, starts):    # (column, |.| of the channels' block) of tile lo
-        scratch = np.empty((3, min(TILE, height - lo), min(BLOCK, width)))
+    def magnitudes(lo: int, starts, scratch):    # (column, |.| of the block) of tile lo
         for k in starts:
-            block = scratch[:, :, : width - k]
+            block = scratch[:, : height - lo, : width - k]
             for grid, m in zip((r, g, b), block):
                 np.abs(grid[lo : lo + TILE, k : k + BLOCK], out=m)
             yield k, block
 
-    def maxima(lo: int) -> np.ndarray:
-        return np.concatenate([m.max(axis=1) for _, m in magnitudes(lo, blocks)], axis=1)
+    def maxima(lo: int, scratch: np.ndarray) -> np.ndarray:
+        return np.hstack([m.max(axis=1) for _, m in magnitudes(lo, blocks, scratch)])
 
-    top = np.stack(threaded_map(maxima, tiles))    # (tile, channel, column)
+    abs_block = ((3, TILE, min(BLOCK, width)), float)    # |.| of one block
+    top = np.stack(threaded_map(maxima, tiles, abs_block))    # (tile, channel, column)
     if not np.isfinite(top).all():    # NaN and inf survive the maxima
         raise ValueError("channel grids must be finite")
     if norm == "linear":
@@ -182,12 +182,12 @@ def compose_rgb(
     def level(x: float) -> float:    # what quantize makes of x, before the cast
         return (min(x / ref, 1.0) if ref > 0 else float(x > 0)) * 255 + 0.5
 
-    def quantize(lo: int) -> None:
+    def quantize(lo: int, scratch: np.ndarray) -> None:
         # Each step is monotone, so a block whose largest magnitude quantizes
         # to 0 is all 0, as the pixels start: such dark blocks are not read.
         tops = top[lo // TILE]
         lit = [k for k in blocks if level(float(tops[:, k : k + BLOCK].max())) >= 1]
-        for k, block in magnitudes(lo, lit):
+        for k, block in magnitudes(lo, lit, scratch):
             if ref > 0:
                 block /= ref
                 np.minimum(block, 1.0, out=block)
@@ -200,7 +200,7 @@ def compose_rgb(
             for c, m in enumerate(block):
                 pixels[lo : lo + TILE, k : k + BLOCK, c] = m
 
-    threaded_map(quantize, tiles)
+    threaded_map(quantize, tiles, abs_block)
     return pixels
 
 

@@ -244,7 +244,7 @@ def _direct_sum(
             np.subtract(tr[:, mirror], si[:, mirror], out=gr[:, h:])
             np.add(ti[:, mirror], sr[:, mirror], out=gi[:, h:])
 
-    with one_blas_thread():           # each worker runs its own tiles' GEMMs
+    with one_blas_thread():    # each worker runs its own tiles' GEMMs; none enters the pin
         threaded_map(tile, tiles, ((2 * rows * step,), float), ((step, h), complex),
                      ((group, 2 * h), complex))
     return g

@@ -1,12 +1,14 @@
 import math
 import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import sarcsi as s
+from sarcsi import _threads
 
 # Tests that run `python -m sarcsi` in a child process (C10, the CLI
 # regression tests) need this checkout's package there too; pyproject's
@@ -111,11 +113,27 @@ def run_bounded():
     return _run
 
 
+@pytest.fixture(autouse=True)
+def fresh_cpu_count():
+    """Each test reads the affinity mask afresh: _threads.cpus() keeps its
+    first read for the rest of the process."""
+    _threads.cpus.cache_clear()
+    yield
+    _threads.cpus.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def cpus():
-    """cpus(n): a context in which the process sees n CPUs in its affinity mask."""
+    """cpus(n): a context in which the process sees n CPUs in its affinity
+    mask, read afresh on entry and again after it."""
 
+    @contextmanager
     def _cpus(n: int):
-        return mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True)
+        _threads.cpus.cache_clear()
+        try:
+            with mock.patch("os.sched_getaffinity", return_value=set(range(n)), create=True):
+                yield
+        finally:
+            _threads.cpus.cache_clear()
 
     return _cpus

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from scipy.signal import find_peaks
 
 import oracles
 import sarcsi as s
-from sarcsi import _threads, simulator as sim
+from sarcsi import _threads, csi, simulator as sim
 from sarcsi.analysis import peak_indices
 from sarcsi.errors import AliasingError, DopplerRangeError
 from sarcsi.scene import scene_config_from_dict
@@ -669,20 +670,27 @@ def test_tiles_build_their_blocks_in_fixed_slots(xband, n_cpus, cpus):
     assert relative_error(g, oracles.direct_sum(sc, xband, na, 8)) <= 1e-12
 
 
+@contextmanager
 def growing_mask(after):
     """A context in which the affinity mask reads {0} for its first after
-    reads and {0, 1} from then on: a mask that grows while a stage runs."""
+    reads and {0, 1} from then on: a mask that grows while a stage runs.  The
+    CPU count is read afresh on entry and again after it."""
     reads = itertools.count()
-    return mock.patch("os.sched_getaffinity", create=True,
-                      side_effect=lambda _: {0} if next(reads) < after else {0, 1})
+    _threads.cpus.cache_clear()
+    try:
+        with mock.patch("os.sched_getaffinity", create=True,
+                        side_effect=lambda _: {0} if next(reads) < after else {0, 1}):
+            yield
+    finally:
+        _threads.cpus.cache_clear()
 
 
 def test_stages_count_their_threads_once(xband):
     # the direct sum of four row tiles and the split of a 2048 x 128
-    # spectrum give the bits of an unmocked run whenever the mask grows: each
-    # map counts its threads once and sizes its scratch by that count.  When
-    # the stages sized their scratch by a read of their own, the split raised
-    # IndexError with the mask growing after four reads
+    # spectrum give the bits of an unmocked run whenever the mask grows: the
+    # CPU count is read once per process, and each map sizes its scratch by
+    # it.  When the stages sized their scratch by a read of their own, the
+    # split raised IndexError with the mask growing after four reads
     rng = np.random.default_rng(5)
     spectrum = rng.standard_normal((2048, 128)) + 1j * rng.standard_normal((2048, 128))
     sc = spread_scene(1031)
@@ -695,6 +703,29 @@ def test_stages_count_their_threads_once(xband):
         with growing_mask(after):
             got += s.split_subbands(s.SpectrumGrid(spectrum.copy(), xband))
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), after
+
+
+def test_preflights_and_maps_count_the_same_threads(xband):
+    # the mask reads {0} once and {0, 1} after, over one direct sum of four
+    # row tiles, its split and its composition: every count of threads, the
+    # preflights' and the maps', is the one CPU of the first read.  When each
+    # read the mask for itself, synthesis_bytes checked one thread's scratch
+    # while the direct sum's map ran two
+    seen = []    # (items, threads) of each count
+    count = _threads.workers
+
+    def spy(n_items):
+        seen.append((n_items, count(n_items)))
+        return seen[-1][1]
+
+    with growing_mask(1), only_path("direct"), \
+            mock.patch.object(_threads, "workers", side_effect=spy), \
+            mock.patch.object(sim, "workers", side_effect=spy), \
+            mock.patch.object(csi, "workers", side_effect=spy):
+        g = s.synth_spectrum(spread_scene(1031), xband, na=4096, nr=8)
+        s.compose_rgb(*s.split_subbands(g))
+    assert [threads for _, threads in seen] == [1] * len(seen), seen
+    assert len(seen) == 8 and max(items for items, _ in seen) > 1
 
 
 def test_a_1024_row_sum_runs_as_two_tiles(xband, cpus):
@@ -778,10 +809,10 @@ def test_failing_sum_restores_the_blas_thread_count(xband, blas_count, cpus):
     assert blas_count() == 2
 
 
-def test_concurrent_pins_keep_one_thread_until_the_last_leaves(blas_count):
+def test_concurrent_pins_run_one_block_at_a_time(blas_count):
     # eight threads on at most a few CPUs enter and leave the pin with a
-    # short switch interval: a lost update of the shared depth would restore
-    # the count while another thread is inside, or leave it at 1
+    # short switch interval: a block that restored its count while another
+    # thread's block ran would show that count inside, or leave it at 1
     inside_counts = set()
 
     def churn():
@@ -801,6 +832,58 @@ def test_concurrent_pins_keep_one_thread_until_the_last_leaves(blas_count):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert inside_counts == {1}
+    assert blas_count() == 2
+
+
+def test_concurrent_sums_pin_one_at_a_time(xband, blas_count, cpus):
+    # two threads each start a direct sum of four row tiles on two CPUs: the
+    # second sum's pinned block starts after the first's has ended, though
+    # each waits long enough inside for the other to enter, and each gives
+    # the bits of the same sum run alone
+    scenes = [spread_scene(1031, seed) for seed in (3, 4)]
+    with cpus(2), only_path("direct"):
+        want = [s.synth_spectrum(sc, xband, na=4096, nr=8).data for sc in scenes]
+    events, lock, start = [], threading.Lock(), threading.Barrier(2)
+    tmap, got = sim.threaded_map, {}
+
+    def spy(*args):    # the direct sum's map, inside its pinned block
+        with lock:
+            events.append(("in", threading.get_ident()))
+        time.sleep(0.05)
+        try:
+            return tmap(*args)
+        finally:
+            with lock:
+                events.append(("out", threading.get_ident()))
+
+    def run(k):
+        start.wait(10)
+        got[k] = s.synth_spectrum(scenes[k], xband, na=4096, nr=8).data
+
+    with cpus(2), only_path("direct"), mock.patch.object(sim, "threaded_map", side_effect=spy):
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert [e for e, _ in events] == ["in", "out", "in", "out"]
+    assert events[0][1] == events[1][1] != events[2][1] == events[3][1]
+    assert all(np.array_equal(got[k], want[k]) for k in (0, 1))
+    assert blas_count() == 2
+
+
+def test_a_nested_pin_restores_the_outer_count(blas_count, run_bounded):
+    # on one thread a block inside a block reads one BLAS thread and leaves
+    # the count the outer block set; the outer restores the count it found
+    def nested():
+        with _threads.one_blas_thread():
+            with _threads.one_blas_thread():
+                inner = blas_count()
+            return inner, blas_count()
+
+    finished, result = run_bounded(nested, 10)
+    assert finished and result == (1, 1)
     assert blas_count() == 2
 
 

@@ -28,7 +28,12 @@ and each side's size: the lines of its src/sarcsi/*.py (as `cat
 src/sarcsi/*.py | wc -l` counts them), those of them that are code (neither
 blank, nor a docstring's, nor a comment alone) and the names in its
 package's `__all__`, read with `ast` and `tokenize` without importing the
-package.
+package.  Before the workloads, IMPORT_RUNS pairs of fresh interpreters run
+`python3 -c "import sarcsi.cli"` with each tree's `src` on PYTHONPATH, the
+parent first on even pairs, each timed from spawn to exit as the bench
+times `setup_s`: FILE's `import_s` holds every pair with the host's 1-minute
+load average when it started, and each side's median, quartiles and wins,
+so a `setup_s` that moves can be told apart from an import that did.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import argparse
 import ast
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -44,9 +50,11 @@ import sys
 import tempfile
 import tokenize
 from pathlib import Path
+from time import perf_counter
 
 SIDES = ("parent", "change")
 CPU = "proc.cpu_s"    # from each run's record: its result line has end-to-end metrics only
+IMPORT_RUNS = 20    # pairs of fresh `import sarcsi.cli` interpreters
 
 
 def git(*args: str) -> str:
@@ -81,6 +89,34 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, d
     record = json.loads((tree / ".bench_work" / workload / "record.json").read_text())
     result["metrics"][CPU] = record["metrics"][CPU]
     return result, facts
+
+
+def import_time(tree: Path) -> float:
+    """Seconds from spawn to exit of a fresh interpreter that imports
+    sarcsi.cli from tree's src."""
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src") + (os.pathsep + old if old else ""))
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, "-c", "import sarcsi.cli"], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = perf_counter() - t0
+    if proc.returncode:
+        raise SystemExit(f"ab: import sarcsi.cli from {tree.name} failed:\n{proc.stderr[-2000:]}")
+    return wall
+
+
+def imports(trees: dict[str, Path]) -> dict:
+    """import_s of IMPORT_RUNS alternating pairs: each pair's times and load
+    average, and each side's spread and wins."""
+    pairs = []
+    for i in range(IMPORT_RUNS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0], "load_1m": os.getloadavg()[0]}
+        for side in order:
+            pair[side] = import_time(trees[side])
+        pairs.append(pair)
+    times = [{side: {"import_s": p[side]} for side in SIDES} for p in pairs]
+    return {**summarize(times, {"import_s": "lower"}, {})["import_s"], "runs": pairs}
 
 
 def code_lines(source: str) -> int:
@@ -176,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             unpack(revs[side], top, trees[side])
         sizes = {side: size(trees[side]) for side in SIDES}
+        import_s = imports(trees)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
         bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -203,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         "facts": facts,
         "host": {"machine": platform.machine(), "python": platform.python_version()},
         "size": sizes,
+        "import_s": import_s,
         "notes": {
             "method": (
                 f"tools/ab.py: for pair i (0-{args.pairs - 1}) both trees ran `python3 "
@@ -210,7 +248,10 @@ def main(argv: list[str] | None = None) -> int:
                 "from their own `git archive` of the revision; the parent ran first on even "
                 f"i. {CPU} is read from each run's .bench_work/W/record.json. Medians, "
                 "quartiles (statistics.quantiles, n=4) and wins are over the pairs; a tie "
-                "counts for neither side."),
+                "counts for neither side. import_s: "
+                f"{IMPORT_RUNS} alternating pairs of fresh `import sarcsi.cli` "
+                "interpreters, timed from spawn to exit, with the 1-minute load average "
+                "at each pair."),
             "revisions": revs,
         },
         "workloads": record,

@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tokenize
@@ -60,7 +61,7 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     record = json.loads(out.read_text())
-    assert set(record) == {"facts", "host", "notes", "size", "workloads"}
+    assert set(record) == {"facts", "host", "import_s", "notes", "size", "workloads"}
     assert record["facts"]["nproc"] >= 1 and "method" in record["notes"]
     assert record["notes"]["revisions"]["parent"] == record["notes"]["revisions"]["change"]
     # ROADMAP aim 2's measures, against `wc -l`, a tokenize-only count and the
@@ -72,6 +73,18 @@ def test_one_pair_of_tiny_head_against_head(tmp_path):
     for side in ("parent", "change"):
         assert record["size"][side] == {"src_lines": lines, "code_lines": code,
                                         "all_names": len(sarcsi.__all__)}
+    # the alternating pairs of fresh `import sarcsi.cli` interpreters
+    imports = record["import_s"]
+    runs = imports["runs"]
+    assert imports["pairs"] == len(runs) == ab.IMPORT_RUNS and imports["better"] == "lower"
+    assert [r["first"] for r in runs] == ["parent", "change"] * (ab.IMPORT_RUNS // 2)
+    assert all(set(r) == {"first", "load_1m", "parent", "change"} for r in runs)
+    assert all(r["load_1m"] >= 0 and r["parent"] > 0 and r["change"] > 0 for r in runs)
+    for side in ("parent", "change"):
+        times = [r[side] for r in runs]
+        assert imports[side]["median"] == pytest.approx(statistics.median(times))
+        assert min(times) <= imports[side]["q1"] <= imports[side]["q3"] <= max(times)
+    assert imports["parent_wins"] + imports["change_wins"] <= ab.IMPORT_RUNS
     assert list(record["workloads"]) == ["tiny"]
     tiny = record["workloads"]["tiny"]
     assert [(p["seed"], p["first"]) for p in tiny["pairs"]] == [(1, "parent")]
