@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 2 bad flags or config, or out of memory, 3 no
 propagating solution (evanescent order or unrealizable Doppler), 4 scene
-exceeds the unambiguous grid extent.  Error messages go to stderr; data goes
-to stdout unless an output path is given.
+exceeds the unambiguous grid extent; `_EXIT_STATUS` is the one place these
+are set.  An output path the OS refuses (too long, for example) exits 2
+before any work, but a simulate prefix's own name only when it is written.
+Errors go to stderr, one line each; data goes to stdout unless an output
+path is given.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     ConfigError,
     DopplerRangeError,
     EvanescentOrderError,
+    SarcsiError,
 )
 from .params import RadarParams, doppler_from_squint, observable
 from .scene import (
@@ -61,6 +65,8 @@ DEFAULT_RADAR = RadarParams(f_c=9.6e9, V=7600.0, rho_a=0.1, rho_r=0.1)
 DEFAULT_DX = 0.05        # [m]
 
 _ORDERS_RE = re.compile(r"(-?\d+):(-?\d+)")
+# Exit status of each error type main() reports; every other error exits 2.
+_EXIT_STATUS = {EvanescentOrderError: 3, DopplerRangeError: 3, AliasingError: 4}
 
 
 def _parse_orders(text: str) -> tuple[int, int]:
@@ -354,17 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "out", None) and Path(args.out).is_dir():
             raise ConfigError(f"output path {args.out} is a directory")
         return args.func(args)
-    except (ConfigError, ValueError) as e:
-        # Library functions raise ValueError on bad arguments; from the
-        # command line those are usage errors.
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (EvanescentOrderError, DopplerRangeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except AliasingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except MemoryError as e:
-        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
-        return 2
+    except (SarcsiError, ValueError, OSError, MemoryError) as e:
+        # From the command line, a library's ValueError (a bad argument) and
+        # an OSError (a path the OS refuses) are usage errors.
+        text = str(e)
+        if isinstance(e, MemoryError):
+            text = f"out of memory: {text or 'allocation failed'}"
+        print(f"error: {text}", file=sys.stderr)
+        return _EXIT_STATUS.get(type(e), 2)

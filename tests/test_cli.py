@@ -577,6 +577,31 @@ class TestRejectedInput:
         assert code == 2 and out == ""
         assert "output directory" in err
 
+    @pytest.mark.parametrize("shape", ["name", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--theta-az", "2"),
+            ("predict3d", "--theta-h", "10", "--theta-v", "5", "--theta-inc", "40"),
+            ("chart",),
+            ("simulate", "--scene", "{scene}"),
+            ("analyze", "--scene", "{scene}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_over_long_output_path(self, capsys, tmp_path, argv, shape):
+        # a 300-character name is past the OS's limit, so the path cannot
+        # even be looked up (ENAMETOOLONG): one error line and no file.  The
+        # output check refuses it before any work, except a simulate
+        # prefix's own name, which fails when the first product is written
+        scene = scene_file(tmp_path, [LINE2])
+        out = tmp_path / ("n" * 300 if shape == "name" else "d" * 300 + "/x")
+        flag = "--out-prefix" if argv[0] == "simulate" else "--out"
+        code, stdout, err = run(capsys, *(a.format(scene=scene) for a in argv), flag, str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [scene]
+
     def test_bad_grid_size_flag(self, tmp_path):
         scene = scene_file(tmp_path, [LINE2])
         code, err = run_process("analyze", "--scene", str(scene), "--na", "100")

@@ -2,11 +2,12 @@
 
 Each subcommand runs in-process through main(), on flags drawn from a fixed
 pool of awkward values, and simulate and analyze also on configs mutated from
-a valid 64 x 16 one.  Physical memory is mocked at 64 MiB, so that large
-requests take the memory checks instead of allocating.  Whatever the input,
-the exit code is 0, 2, 3 or 4; stderr holds no traceback; a nonzero exit
-prints exactly one error line, plus the usage for a usage error, and writes
-nothing; exit 0 writes only finite numbers.
+a valid 64 x 16 one; any subcommand may also get an output path that cannot
+be used.  Physical memory is mocked at 64 MiB, so that large requests take
+the memory checks instead of allocating.  Whatever the input, the exit code
+is 0, 2, 3 or 4, and not 0 with an unusable output path; stderr holds no
+traceback; a nonzero exit prints exactly one error line, plus the usage for a
+usage error, and writes nothing; exit 0 writes only finite numbers.
 """
 
 import contextlib
@@ -50,6 +51,10 @@ TARGETS = [
 RADAR = {"fc_hz": 9.6e9, "v_mps": 7600.0, "rho_a_m": 0.1, "rho_r_m": 1.0}
 LINE_CONFIG = {"radar": RADAR, "grid": {"na": 64, "nr": 16}, "targets": TARGETS[:1]}
 LEAVES = st.sampled_from([*VALUES, "text", None, True, [], {}]).map(copy.deepcopy)
+# Output paths under the run's work directory that no run can write: a name
+# and a directory name past the OS's limit, and a missing directory.
+WORK = "{work}"
+BAD_OUTS = [f"{WORK}/{'n' * 300}", f"{WORK}/{'d' * 300}/x", f"{WORK}/missing/x"]
 
 
 @st.composite
@@ -62,6 +67,9 @@ def argvs(draw, command):
         argv.append(f"--orders={draw(ORDERS)}" if flag == "--orders" else flag)
         if flag != "--orders":
             argv.append(draw(FLAG_VALUES))
+    if draw(st.booleans()):
+        argv += ["--out-prefix" if command == "simulate" else "--out",
+                 draw(st.sampled_from(BAD_OUTS))]
     return argv
 
 
@@ -105,7 +113,8 @@ def assert_finite_json(text: str) -> None:
     json.loads(text, parse_constant=reject)
 
 
-def check_contract(argv: list[str], work: Path) -> None:
+def check_contract(argv: list[str], work: Path, refused: bool = False) -> None:
+    """Run argv; refused: its output path cannot be used, so it must fail."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with mock.patch("os.sysconf", side_effect=SYSCONF.__getitem__), \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -115,6 +124,7 @@ def check_contract(argv: list[str], work: Path) -> None:
             code = e.code
     err = stderr.getvalue()
     assert code in (0, 2, 3, 4), (argv, err)
+    assert code or not refused, argv
     assert "Traceback" not in err
     written = sorted(p.name for p in work.glob("x*"))
     if code:
@@ -147,15 +157,21 @@ def check_contract(argv: list[str], work: Path) -> None:
 @example(["predict", "--theta-az", "0", "--fc", "1e+308", "--v", "9223372036854775808"],
          LINE_CONFIG)
 @example(["analyze", "--v", "1e+308", "--rho-a", "1e+308"], LINE_CONFIG)
+# one of each unusable output path
+@example(["predict", "--theta-az", "2", "--out", BAD_OUTS[0]], LINE_CONFIG)
+@example(["simulate", "--out-prefix", BAD_OUTS[1]], LINE_CONFIG)
+@example(["analyze", "--out", BAD_OUTS[2]], LINE_CONFIG)
 def test_argv_keeps_the_exit_contract(argv, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        refused = any(WORK in a for a in argv)
+        argv = [a.replace(WORK, tmp) for a in argv]
         if argv[0] in ("simulate", "analyze"):
             (work / "scene.json").write_text(json.dumps(cfg))
             argv = [argv[0], "--scene", str(work / "scene.json"), *argv[1:]]
-            if argv[0] == "simulate":
+            if argv[0] == "simulate" and not refused:
                 argv += ["--out-prefix", str(work / "x")]
-        check_contract(argv, work)
+        check_contract(argv, work, refused)
 
 
 @settings(deadline=None, max_examples=150)

@@ -17,14 +17,22 @@ end).  Each tree's own `python -m sarcsi` then writes, by default, the
 The scenes and the analyze arguments come from the change's
 bench/workloads.py, which is only read.  The change also runs seed 1 of each
 simulate workload, under both norms, pinned to one CPU (os.sched_setaffinity
-in the child), and those files are compared with its unpinned ones.  Each
-differing file is printed; the exit status is 1 on any difference, else 0.
+in the child), and those files are compared with its unpinned ones.
+
+Each tree also runs FAILURES, a fixed table of failing invocations, one per
+exit path.  A failing run writes nothing, so both trees read the same scene
+files and name the same output paths; their exit statuses and stderr (with
+each tree's own path written as <tree>, for a traceback) are compared.
+
+Each differing file is printed as `differs: NAME`, each differing failure as
+`differs: failure NAME`; the exit status is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +46,33 @@ SEEDS = (1, 2, 3)
 NORMS = ("linear", "clip_p999")
 PIN = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
        "from sarcsi.cli import main; sys.exit(main(sys.argv[1:]))")
+
+RADAR = {"fc_hz": 9.6e9, "v_mps": 7600.0, "rho_a_m": 0.1, "rho_r_m": 1.0}
+LINE = {"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}
+
+
+def scene(targets: list[dict], **radar) -> dict:
+    """A 64 x 16 scene config of targets, with radar's fields replaced."""
+    return {"radar": dict(RADAR, **radar), "grid": {"na": 64, "nr": 16}, "targets": targets}
+
+
+# name -> (argv, scene config or None): "{scene}" is the case's scene file and
+# "{out}" an empty output directory.  The status each exits with is noted.
+SIMULATE = ["simulate", "--scene", "{scene}", "--out-prefix", "{out}/x"]
+FAILURES = {
+    "usage": (["predict"], None),    # 2, with the usage
+    "nan-flag": (["predict", "--theta-az", "nan"], None),    # 2
+    "unknown-kind": (SIMULATE, scene([{"kind": "spiral"}])),    # 2
+    "tiny-rho-a": (["predict", "--theta-az", "0", "--rho-a", "1e-300"], None),    # 2
+    "evanescent": (["predict", "--theta-az", "0", "--dx", "0.001", "--orders=1:1"], None),  # 3
+    "analyze-arc": (["analyze", "--scene", "{scene}"],    # 2
+                    scene([{"kind": "arc", "radius_m": 1.0, "tan_lo_deg": -4.0,
+                            "tan_hi_deg": 4.0}])),
+    "doppler": (SIMULATE, scene([LINE], fdc_hz=1e300)),    # 3
+    "aliasing": (SIMULATE, scene([dict(LINE, length_m=100.0)])),    # 4
+    "out-of-memory": ([*SIMULATE, "--na", "1099511627776"], scene([LINE])),    # 2
+    "long-out": (["predict", "--theta-az", "2", "--out", "{out}/" + "n" * 300], None),    # 2
+}
 
 
 def load_workloads(tree: Path):
@@ -78,6 +113,22 @@ def produce(tree: Path, workloads, plan: dict, dest: Path, launch: list[str]) ->
                              f"{proc.stderr[-2000:]}")
 
 
+def fail(tree: Path, scenes: Path, out: Path) -> dict[str, tuple[int, str]]:
+    """Exit status and stderr of tree's CLI on each of FAILURES, whose scenes
+    are written into scenes, with tree's path in stderr written as <tree>."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    result = {}
+    for name, (argv, cfg) in FAILURES.items():
+        path = scenes / f"failure-{name}.json"
+        if cfg:
+            path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sarcsi", *(a.format(scene=path, out=out) for a in argv)],
+            cwd=tree, env=env, capture_output=True, text=True)
+        result[name] = proc.returncode, proc.stderr.replace(str(tree), "<tree>")
+    return result
+
+
 def differing(a: Path, b: Path, names=None) -> list[str]:
     """The files, of names or else of those in either directory, whose bytes
     differ between a and b or that one of them lacks."""
@@ -113,10 +164,17 @@ def main(argv: list[str] | None = None) -> int:
             diff += [f"{n} (change on one CPU)"
                      for n in differing(tmp / "change-out", tmp / "one-cpu", names)]
         files = sum(1 for _ in (tmp / "change-out").iterdir())
+        (tmp / "failure-out").mkdir()
+        parent, change = (fail(trees[side], tmp / "scenes", tmp / "failure-out")
+                          for side in ab.SIDES)
+    failures = [name for name in FAILURES if parent[name] != change[name]]
     for name in diff:
         print(f"differs: {name}")
+    for name in failures:
+        print(f"differs: failure {name}")
     print(f"same_bytes: {len(diff)} of {files} files differ", file=sys.stderr)
-    return 1 if diff else 0
+    print(f"same_bytes: {len(failures)} of {len(FAILURES)} failures differ", file=sys.stderr)
+    return 1 if diff or failures else 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ def test_tiny_head_against_head_is_the_same(tmp_path):
     proc = same_bytes(tiny_repo(tmp_path), "HEAD", "HEAD")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == "same_bytes: 0 of 18 files differ\n"
+    assert proc.stderr == ("same_bytes: 0 of 18 files differ\n"
+                           "same_bytes: 0 of 10 failures differ\n")
 
 
 def test_one_flipped_byte_is_reported(tmp_path):
@@ -58,4 +59,21 @@ def test_one_flipped_byte_is_reported(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.splitlines() == [f"differs: tiny-{seed}-{norm}_rgb.ppm"
                                         for seed in (1, 2, 3) for norm in ("clip_p999", "linear")]
-    assert proc.stderr == "same_bytes: 6 of 18 files differ\n"
+    assert proc.stderr == ("same_bytes: 6 of 18 files differ\n"
+                           "same_bytes: 0 of 10 failures differ\n")
+
+
+def test_one_changed_exit_status_is_reported(tmp_path):
+    # the change exits 5 where the scene aliases: its one failure of that
+    # kind is printed, and no product differs
+    repo = tiny_repo(tmp_path)
+    cli = repo / "src" / "sarcsi" / "cli.py"
+    text = cli.read_text()
+    assert text.count("AliasingError: 4") == 1
+    cli.write_text(text.replace("AliasingError: 4", "AliasingError: 5"))
+    commit(repo)
+    proc = same_bytes(repo, "HEAD~", "HEAD")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "differs: failure aliasing\n"
+    assert proc.stderr == ("same_bytes: 0 of 18 files differ\n"
+                           "same_bytes: 1 of 10 failures differ\n")
