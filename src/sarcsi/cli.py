@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 bad flags or config, or out of memory, 3 no
 propagating solution (evanescent order or unrealizable Doppler), 4 scene
 exceeds the unambiguous grid extent; `_EXIT_STATUS` is the one place these
-are set.  An output path the OS refuses (too long, for example) exits 2
-before any work, but a simulate prefix's own name only when it is written.
-Errors go to stderr, one line each; data goes to stdout unless an output
-path is given.
+are set.  Every file a command writes, simulate's three products included,
+is checked before any work, and one the OS refuses (too long, for example)
+exits 2.  Errors go to stderr, one line each; data goes to stdout unless an
+output path is given.
 """
 
 from __future__ import annotations
@@ -138,21 +138,20 @@ def _scene_config(args: argparse.Namespace) -> SceneConfig:
     return dataclasses.replace(cfg, radar=radar, na=na, nr=nr)
 
 
-def _write(path: Path, data: bytes) -> None:
-    try:    # a full disk or an unwritable path exits 2, without a traceback
-        path.write_bytes(data)
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+def _outputs(args: argparse.Namespace) -> list[Path | None]:
+    """Where each product of args's command goes, in the order the command
+    returns them; None is stdout.  simulate writes <prefix>_rgb.ppm,
+    <prefix>_azspec.csv and <prefix>_report.json, then prints the line
+    naming them; every other command writes its one product to --out, or to
+    stdout when --out is not given."""
+    if args.command != "simulate":
+        return [Path(args.out) if args.out else None]
+    prefix = Path(args.out_prefix)
+    suffixes = ("_rgb.ppm", "_azspec.csv", "_report.json")
+    return [*(prefix.with_name(prefix.name + s) for s in suffixes), None]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write(Path(out), text.encode())
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> list[str | bytes]:
     p = _radar(args)
     target = GratingTarget(theta_az=math.radians(args.theta_az), d_x=args.dx)
     sols = orders_in_window(target, p, _parse_orders(args.orders))
@@ -166,11 +165,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             f"{s.m},{math.degrees(s.theta_sq)!r},{s.f_d!r},"
             f"{str(s.observable).lower()},{s.hue.value}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_predict3d(args: argparse.Namespace) -> int:
+def _cmd_predict3d(args: argparse.Namespace) -> list[str | bytes]:
     p = _radar(args)
     o = Orientation3D(
         theta_h=math.radians(args.theta_h),
@@ -183,11 +181,10 @@ def _cmd_predict3d(args: argparse.Namespace) -> int:
         f"{math.degrees(theta_sq)!r},{math.degrees(-theta_sq)!r},{f_d!r},"
         f"{str(observable(p, f_d)).lower()},{classify_hue(p, f_d).value}"
     )
-    _emit("theta_sq_deg,theta_az_deg,f_d_hz,observable,hue\n" + row + "\n", args.out)
-    return 0
+    return ["theta_sq_deg,theta_az_deg,f_d_hz,observable,hue\n" + row + "\n"]
 
 
-def _cmd_chart(args: argparse.Namespace) -> int:
+def _cmd_chart(args: argparse.Namespace) -> list[str | bytes]:
     p = _radar(args)
     lo, hi = _parse_orders(args.orders)
     if args.sq_step <= 0:
@@ -210,12 +207,10 @@ def _cmd_chart(args: argparse.Namespace) -> int:
     chart = chart_data(
         p, args.dx, list(range(lo, hi + 1)), [math.radians(v) for v in grid_deg]
     )
-    _emit(chart_to_csv(chart), args.out)
-    return 0
+    return [chart_to_csv(chart)]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    prefix = Path(args.out_prefix)
+def _cmd_simulate(args: argparse.Namespace) -> list[str | bytes]:
     cfg = _scene_config(args)
     scene = merge_scenes(build_scenes(cfg))
     check_memory(colour_bytes(cfg.na, cfg.nr),
@@ -228,12 +223,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rgb = compose_rgb(red, green, blue, norm=args.norm)
     del red, green, blue    # the magnitudes are not needed while the products are written
 
-    ppm_path = prefix.with_name(prefix.name + "_rgb.ppm")
-    csv_path = prefix.with_name(prefix.name + "_azspec.csv")
-    json_path = prefix.with_name(prefix.name + "_report.json")
-    _write(ppm_path, encode_ppm(rgb))
-    _write(csv_path, azimuth_spectrum_csv(f_a, power).encode())
-
+    ppm_path, csv_path, json_path, _ = _outputs(args)
     # Parseval: a band image's energy is the power of the rows in that band.
     band = cfg.radar.band_index(f_a)
     energies = {hue.value: float(power[band == b].sum()) for b, hue in enumerate(BAND_HUES)}
@@ -256,12 +246,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "targets": [t["label"] for t in cfg.targets],
         "total_energy": float(power.sum()),
     }
-    _write(json_path, (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
-    sys.stdout.write(f"wrote {ppm_path} {csv_path} {json_path}\n")
-    return 0
+    return [encode_ppm(rgb), azimuth_spectrum_csv(f_a, power),
+            json.dumps(report, sort_keys=True, indent=2) + "\n",
+            f"wrote {ppm_path} {csv_path} {json_path}\n"]
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> list[str | bytes]:
     cfg = _scene_config(args)
     m_range = _parse_orders(args.orders)
     if args.tol_bins <= 0:
@@ -288,8 +278,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     reports = [verify_scene_against_model(scene, cfg.radar, sols, tol_bins=args.tol_bins,
                                           na=cfg.na, nr=cfg.nr)
                for scene, sols in zip(scenes, predictions)]
-    _emit(report_to_json(merge_reports(reports, args.tol_bins)), args.out)
-    return 0
+    return [report_to_json(merge_reports(reports, args.tol_bins))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,13 +342,21 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(_glue_orders(argv))
     try:
-        # Every command's output path is checked before any work.
-        out = getattr(args, "out", None) or getattr(args, "out_prefix", None)
-        if out and not Path(out).parent.is_dir():
-            raise ConfigError(f"output directory {Path(out).parent} is not an existing directory")
-        if getattr(args, "out", None) and Path(args.out).is_dir():
-            raise ConfigError(f"output path {args.out} is a directory")
-        return args.func(args)
+        outputs = _outputs(args)
+        for path in filter(None, outputs):    # every file is checked before any work
+            if not path.parent.is_dir():
+                raise ConfigError(f"output directory {path.parent} is not an existing directory")
+            if path.is_dir():
+                raise ConfigError(f"output path {path} is a directory")
+        for path, product in zip(outputs, args.func(args)):
+            if path is None:
+                sys.stdout.write(product)
+                continue
+            try:    # a full disk or an unwritable path exits 2, without a traceback
+                path.write_bytes(product if isinstance(product, bytes) else product.encode())
+            except OSError as e:
+                raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+        return 0
     except (SarcsiError, ValueError, OSError, MemoryError) as e:
         # From the command line, a library's ValueError (a bad argument) and
         # an OSError (a path the OS refuses) are usage errors.

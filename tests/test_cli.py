@@ -592,8 +592,7 @@ class TestRejectedInput:
     def test_over_long_output_path(self, capsys, tmp_path, argv, shape):
         # a 300-character name is past the OS's limit, so the path cannot
         # even be looked up (ENAMETOOLONG): one error line and no file.  The
-        # output check refuses it before any work, except a simulate
-        # prefix's own name, which fails when the first product is written
+        # output check refuses it before any work
         scene = scene_file(tmp_path, [LINE2])
         out = tmp_path / ("n" * 300 if shape == "name" else "d" * 300 + "/x")
         flag = "--out-prefix" if argv[0] == "simulate" else "--out"
@@ -601,6 +600,30 @@ class TestRejectedInput:
         assert (code, stdout) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [scene]
+
+    def test_prefix_too_long_for_its_last_product(self, capsys, tmp_path):
+        # _report.json makes the name one byte too long, while _rgb.ppm and
+        # _azspec.csv fit: every product is checked before any is written
+        scene = scene_file(tmp_path, [LINE2])
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        prefix = tmp_path / ("p" * (name_max + 1 - len("_report.json")))
+        code, stdout, err = run(capsys, "simulate", "--scene", str(scene),
+                                "--out-prefix", str(prefix))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [scene]
+
+    def test_prefix_product_is_a_directory(self, capsys, tmp_path):
+        # the second product's path is taken by a directory: nothing is
+        # written, the first product included
+        scene = scene_file(tmp_path, [LINE2])
+        (tmp_path / "x_azspec.csv").mkdir()
+        code, stdout, err = run(capsys, "simulate", "--scene", str(scene),
+                                "--out-prefix", str(tmp_path / "x"))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: output path {tmp_path / 'x_azspec.csv'} is a directory\n"
+        assert sorted(tmp_path.iterdir()) == [scene, tmp_path / "x_azspec.csv"]
+        assert not any((tmp_path / "x_azspec.csv").iterdir())
 
     def test_bad_grid_size_flag(self, tmp_path):
         scene = scene_file(tmp_path, [LINE2])

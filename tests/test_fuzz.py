@@ -15,6 +15,7 @@ import copy
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -55,6 +56,12 @@ LEAVES = st.sampled_from([*VALUES, "text", None, True, [], {}]).map(copy.deepcop
 # and a directory name past the OS's limit, and a missing directory.
 WORK = "{work}"
 BAD_OUTS = [f"{WORK}/{'n' * 300}", f"{WORK}/{'d' * 300}/x", f"{WORK}/missing/x"]
+# A simulate prefix that fits the limit with _rgb.ppm and _azspec.csv but not
+# with _report.json.  It starts with x, so check_contract sees any product
+# left behind; as an --out it could be written, so only simulate draws it.
+NAME_MAX = os.pathconf(tempfile.gettempdir(), "PC_NAME_MAX")
+LONG_PREFIX = f"{WORK}/x{'l' * (NAME_MAX - 12)}"
+BAD_PREFIXES = [*BAD_OUTS, LONG_PREFIX]
 
 
 @st.composite
@@ -68,8 +75,9 @@ def argvs(draw, command):
         if flag != "--orders":
             argv.append(draw(FLAG_VALUES))
     if draw(st.booleans()):
-        argv += ["--out-prefix" if command == "simulate" else "--out",
-                 draw(st.sampled_from(BAD_OUTS))]
+        simulate = command == "simulate"
+        argv += ["--out-prefix" if simulate else "--out",
+                 draw(st.sampled_from(BAD_PREFIXES if simulate else BAD_OUTS))]
     return argv
 
 
@@ -161,6 +169,7 @@ def check_contract(argv: list[str], work: Path, refused: bool = False) -> None:
 @example(["predict", "--theta-az", "2", "--out", BAD_OUTS[0]], LINE_CONFIG)
 @example(["simulate", "--out-prefix", BAD_OUTS[1]], LINE_CONFIG)
 @example(["analyze", "--out", BAD_OUTS[2]], LINE_CONFIG)
+@example(["simulate", "--out-prefix", LONG_PREFIX], LINE_CONFIG)
 def test_argv_keeps_the_exit_contract(argv, cfg):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

@@ -20,9 +20,10 @@ simulate workload, under both norms, pinned to one CPU (os.sched_setaffinity
 in the child), and those files are compared with its unpinned ones.
 
 Each tree also runs FAILURES, a fixed table of failing invocations, one per
-exit path.  A failing run writes nothing, so both trees read the same scene
-files and name the same output paths; their exit statuses and stderr (with
-each tree's own path written as <tree>, for a traceback) are compared.
+exit path, with the same scene files and output paths.  Their exit statuses,
+stderr (with each tree's own path written as <tree>, for a traceback) and
+the names each run leaves in the output directory, which a failing run
+should leave empty, are compared; the directory is emptied after each run.
 
 Each differing file is printed as `differs: NAME`, each differing failure as
 `differs: failure NAME`; the exit status is 1 on any difference, else 0.
@@ -34,6 +35,7 @@ import argparse
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,6 +51,7 @@ PIN = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});
 
 RADAR = {"fc_hz": 9.6e9, "v_mps": 7600.0, "rho_a_m": 0.1, "rho_r_m": 1.0}
 LINE = {"kind": "line", "theta_az_deg": 2.0, "length_m": 1.0}
+NAME_MAX = os.pathconf(tempfile.gettempdir(), "PC_NAME_MAX")
 
 
 def scene(targets: list[dict], **radar) -> dict:
@@ -72,6 +75,8 @@ FAILURES = {
     "aliasing": (SIMULATE, scene([dict(LINE, length_m=100.0)])),    # 4
     "out-of-memory": ([*SIMULATE, "--na", "1099511627776"], scene([LINE])),    # 2
     "long-out": (["predict", "--theta-az", "2", "--out", "{out}/" + "n" * 300], None),    # 2
+    # _rgb.ppm and _azspec.csv fit the OS's name limit, _report.json does not
+    "long-prefix": ([*SIMULATE[:-1], "{out}/x" + "l" * (NAME_MAX - 12)], scene([LINE])),  # 2
 }
 
 
@@ -113,9 +118,10 @@ def produce(tree: Path, workloads, plan: dict, dest: Path, launch: list[str]) ->
                              f"{proc.stderr[-2000:]}")
 
 
-def fail(tree: Path, scenes: Path, out: Path) -> dict[str, tuple[int, str]]:
-    """Exit status and stderr of tree's CLI on each of FAILURES, whose scenes
-    are written into scenes, with tree's path in stderr written as <tree>."""
+def fail(tree: Path, scenes: Path, out: Path) -> dict[str, tuple[int, str, list[str]]]:
+    """Exit status, stderr and the names left in out of tree's CLI on each of
+    FAILURES, whose scenes are written into scenes, with tree's path in
+    stderr written as <tree>; out is emptied after each."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     result = {}
     for name, (argv, cfg) in FAILURES.items():
@@ -125,7 +131,10 @@ def fail(tree: Path, scenes: Path, out: Path) -> dict[str, tuple[int, str]]:
         proc = subprocess.run(
             [sys.executable, "-m", "sarcsi", *(a.format(scene=path, out=out) for a in argv)],
             cwd=tree, env=env, capture_output=True, text=True)
-        result[name] = proc.returncode, proc.stderr.replace(str(tree), "<tree>")
+        left = sorted(p.name for p in out.iterdir())
+        result[name] = proc.returncode, proc.stderr.replace(str(tree), "<tree>"), left
+        shutil.rmtree(out)
+        out.mkdir()
     return result
 
 

@@ -43,7 +43,7 @@ def test_tiny_head_against_head_is_the_same(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == ("same_bytes: 0 of 18 files differ\n"
-                           "same_bytes: 0 of 10 failures differ\n")
+                           "same_bytes: 0 of 11 failures differ\n")
 
 
 def test_one_flipped_byte_is_reported(tmp_path):
@@ -60,7 +60,7 @@ def test_one_flipped_byte_is_reported(tmp_path):
     assert proc.stdout.splitlines() == [f"differs: tiny-{seed}-{norm}_rgb.ppm"
                                         for seed in (1, 2, 3) for norm in ("clip_p999", "linear")]
     assert proc.stderr == ("same_bytes: 6 of 18 files differ\n"
-                           "same_bytes: 0 of 10 failures differ\n")
+                           "same_bytes: 0 of 11 failures differ\n")
 
 
 def test_one_changed_exit_status_is_reported(tmp_path):
@@ -76,4 +76,4 @@ def test_one_changed_exit_status_is_reported(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "differs: failure aliasing\n"
     assert proc.stderr == ("same_bytes: 0 of 18 files differ\n"
-                           "same_bytes: 1 of 10 failures differ\n")
+                           "same_bytes: 1 of 11 failures differ\n")
